@@ -3,7 +3,7 @@
 JSON goes to stdout, human-readable summaries to stderr, so output can be
 piped into tooling without scraping prose. Exit codes are a stable
 contract: 0 pass, 1 check failed, 2 usage or precondition error,
-3 enumeration budget exceeded.
+3 enumeration or sampling budget exceeded.
 """
 
 from __future__ import annotations
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=covering.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -290,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--out")
     c.add_argument("--budget", type=int, default=covering.DEFAULT_BUDGET)
-    c.add_argument("--workers", type=int, default=1)
     c.set_defaults(func=cmd_cover_build)
 
     c = csub.add_parser("verify")
@@ -298,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--family", required=True)
     c.add_argument("--budget", type=int, default=covering.DEFAULT_BUDGET)
-    c.add_argument("--workers", type=int, default=1)
     c.add_argument("--no-timestamp", action="store_true")
     c.set_defaults(func=cmd_cover_verify)
 

@@ -9,9 +9,15 @@ Any fixed independent set X with |X| <= k then survives a sample with
 probability at least p^k (1-p)^(kd), and a union bound over the target
 sets gives the number of samples needed for failure probability delta.
 
-Randomness: sample i draws from numpy's PCG64 seeded with the sequence
-(master_seed, i), so families are reproducible for a given seed and
-independent of how samples are scheduled across workers.
+Randomness: samples are drawn in blocks of BLOCK rows. Block b draws
+from numpy's PCG64 seeded with the sequence (master_seed, b), so families
+are reproducible for a given seed. Row r of block b is the r-th call of
+``sample_independent_set`` on that generator, which keeps the scalar
+sampler as an exact oracle for the vectorised one.
+
+Coverage and greedy cover run on a column index: bit j of column v is set
+iff set j contains v, so the sets containing a target are the AND of its
+members' columns.
 """
 
 from __future__ import annotations
@@ -26,11 +32,12 @@ import numpy as np
 
 from .graphs import (DegeneracyResult, Graph, GraphError, VertexSet,
                      degeneracy_order, graph_hash, is_c4_free, iter_members,
-                     members, sqrt_degeneracy_bound)
+                     members, sqrt_degeneracy_bound, vset)
 from .independence import BudgetExceededError, enumerate_independent_sets, \
     enumerate_maximal_independent_sets
 
 DEFAULT_BUDGET = 10 ** 7
+BLOCK = 4096  # samples per (seed, block) substream
 
 
 @dataclass(frozen=True)
@@ -87,17 +94,77 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Rows of a boolean matrix as int bitmasks: bit j of row r is
+    ``bits[r, j]``."""
+    rows, cols = bits.shape
+    words = -(-cols // 64)
+    padded = np.zeros((rows, 64 * words), dtype=bool)
+    padded[:, :cols] = bits
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    out = [0] * rows
+    for i in range(words):
+        out = [a | (w << (64 * i))
+               for a, w in zip(out, packed[:, i].tolist())]
+    return out
+
+
+def _unpack_rows(sets: Sequence[VertexSet], n: int) -> np.ndarray:
+    """The inverse of _pack_rows for masks below 2^n: a (len, n) matrix."""
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(s.to_bytes(nbytes, "little") for s in sets),
+                        dtype=np.uint8).reshape(len(sets), nbytes)
+    return np.unpackbits(raw, axis=1, count=n,
+                         bitorder="little").astype(bool)
+
+
+def _columns(sets: Sequence[VertexSet], n: int) -> list[int]:
+    """Column index: bit j of entry v is set iff sets[j] contains v."""
+    return _pack_rows(_unpack_rows(sets, n).T)
+
+
+def _forward_neighbors(g: Graph, order: DegeneracyResult) -> list[np.ndarray]:
+    """For each vertex, its neighbors later in the degeneracy order."""
+    pos = [0] * g.n
+    for i, v in enumerate(order.order):
+        pos[v] = i
+    return [np.array([u for u in iter_members(g.adj[v]) if pos[u] > pos[v]],
+                     dtype=np.intp) for v in range(g.n)]
+
+
+def _sample_block(rng: np.random.Generator, rows: int, p,
+                  forward: list[np.ndarray]) -> list[VertexSet]:
+    """``rows`` samples from one generator, as bitmasks.
+
+    A (rows, n) draw fills in the order of ``rows`` calls of
+    ``rng.random(n)``, so row r equals the r-th ``sample_independent_set``
+    call on the same generator.
+    """
+    marked = rng.random((rows, len(forward))) < float(p)
+    keep = marked.copy()
+    for v, fwd in enumerate(forward):
+        if fwd.size:
+            keep[:, v] &= ~marked[:, fwd].any(axis=1)
+    return _pack_rows(keep)
+
+
 def required_samples(universe_size: int, p_min: Fraction,
                      delta: float) -> int:
     """Samples needed so every target set is hit with probability >= 1-delta.
 
-    Union bound: t = ceil(ln(universe/delta) / p_min).
+    Union bound: t = ceil(ln(universe/delta) / p_min), with the logarithm
+    taken of the int universe and the division done exactly, so neither a
+    huge universe nor a tiny p_min overflows a float.
     """
     if universe_size < 1:
         raise GraphError("universe size must be at least 1")
     if not (0 < delta < 1):
         raise GraphError("delta must be in (0, 1)")
-    return math.ceil(math.log(universe_size / delta) / float(p_min))
+    p_min = Fraction(p_min)
+    if not (0 < p_min <= 1):
+        raise GraphError("containment probability must be in (0, 1]")
+    log_targets = Fraction(math.log(universe_size) - math.log(delta))
+    return math.ceil(log_targets / p_min)
 
 
 def build_family_mc(g: Graph, k: int, delta: float, seed: int,
@@ -107,7 +174,8 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
 
     The union-bound universe is the exact count of independent sets of
     size <= k when it is enumerable within the budget, else the n^k
-    fallback. Duplicate samples keep their first occurrence.
+    fallback. A sample count t above the budget is refused before any
+    draw. Duplicate samples keep their first occurrence.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
@@ -115,8 +183,9 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
         raise GraphError("graph contains a 4-cycle")
     order = degeneracy_order(g)
     d = order.degeneracy
-    if require_c4_free:
-        assert d <= sqrt_degeneracy_bound(g.n)
+    if require_c4_free and d > sqrt_degeneracy_bound(g.n):
+        raise GraphError(f"degeneracy {d} exceeds the C4-free bound "
+                         f"{sqrt_degeneracy_bound(g.n)}")
     p = Fraction(1, d + 1)
     try:
         universe = sum(1 for _ in enumerate_independent_sets(g, k, budget))
@@ -125,14 +194,17 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
         universe = g.n ** k
     p_min = containment_probability_floor(d, k)
     t = required_samples(universe, p_min, delta)
-    seen = set()
-    sets = []
-    for i in range(t):
-        s = sample_independent_set(g, order, p, substream(seed, i))
-        if s and s not in seen:
-            seen.add(s)
-            sets.append(s)
-    return CoveringFamily(sets=tuple(sets), k=k, delta=delta, seed=seed,
+    if budget is not None and t > budget:
+        raise BudgetExceededError(
+            f"sampling needs t={t} samples, over the budget of {budget}")
+    forward = _forward_neighbors(g, order)
+    seen: dict[VertexSet, None] = {}
+    for b, start in enumerate(range(0, t, BLOCK)):
+        rows = _sample_block(substream(seed, b), min(BLOCK, t - start), p,
+                             forward)
+        seen.update(dict.fromkeys(rows))
+    seen.pop(0, None)
+    return CoveringFamily(sets=tuple(seen), k=k, delta=delta, seed=seed,
                           t=t, degeneracy=d, p=p, graph_hash=graph_hash(g))
 
 
@@ -141,11 +213,21 @@ def verify_family(g: Graph, k: int, sets: Sequence[VertexSet],
                   ) -> tuple[bool, Optional[VertexSet]]:
     """Exact coverage check; returns the first uncovered set on failure.
 
-    The witness is lexicographically first because the enumeration is.
+    Every member must be an independent set of g, else GraphError. The
+    witness is lexicographically first because the enumeration is.
     """
-    family = list(sets)
+    sets = list(sets)
+    if any(s < 0 or s >> g.n for s in sets):
+        raise GraphError("family member has a vertex outside the graph")
+    cols = _columns(sets, g.n)
+    for u, v in g.edges():
+        if cols[u] & cols[v]:
+            raise GraphError(f"family member contains the edge ({u}, {v})")
     for z in enumerate_independent_sets(g, k, budget):
-        if not any(z & ~s == 0 for s in family):
+        holders = -1
+        for v in iter_members(z):
+            holders &= cols[v]
+        if not holders:
             return False, z
     return True, None
 
@@ -156,23 +238,31 @@ def greedy_cover(g: Graph, k: int,
 
     Ties go to the lexicographically smallest candidate (by sorted member
     list). Useful as an upper-bound oracle against the exact counting
-    lower bound.
+    lower bound. Target sets are bits of a universe-wide mask: a
+    candidate holds the targets with no member outside it.
     """
     universe = list(enumerate_independent_sets(g, k, budget))
     candidates = sorted(enumerate_maximal_independent_sets(g),
                         key=members)
-    uncovered = set(universe)
+    cols = _columns(universe, g.n)
+    uncovered = (1 << len(universe)) - 1
+    contained = []
+    for c in candidates:
+        outside = 0
+        for v in iter_members(g.all_vertices & ~c):
+            outside |= cols[v]
+        contained.append(uncovered & ~outside)
     chosen: list[VertexSet] = []
     while uncovered:
         best, best_gain = None, 0
-        for c in candidates:
-            gain = sum(1 for z in uncovered if z & ~c == 0)
+        for i, inside in enumerate(contained):
+            gain = (inside & uncovered).bit_count()
             if gain > best_gain:
-                best, best_gain = c, gain
+                best, best_gain = i, gain
         if best is None:
             raise GraphError("universe not coverable by maximal sets")
-        chosen.append(best)
-        uncovered = {z for z in uncovered if z & ~best}
+        chosen.append(candidates[best])
+        uncovered &= ~contained[best]
     return chosen
 
 
@@ -190,18 +280,37 @@ def family_to_json(fam: CoveringFamily) -> dict:
 
 
 def family_from_json(doc: dict) -> CoveringFamily:
-    num, den = doc["p"].split("/")
-    sets = []
-    for arr in doc["sets"]:
-        if arr != sorted(set(arr)):
-            raise GraphError("family set is not a strictly ascending array")
-        mask = 0
-        for v in arr:
-            mask |= 1 << v
-        sets.append(mask)
+    """Parse a family document; malformed input raises GraphError.
+
+    Everything but the member arrays is checked against FAMILY_SCHEMA.
+    The arrays are checked in the loop that packs them, because schema
+    validation walks them item by item and would dominate the load time
+    of a large family.
+    """
+    # Imported here: jsonschema adds about half to the CLI's start-up
+    # time, and only family loading needs it.
+    import jsonschema
+
+    from .schemas import validate_family
+    sets = doc.get("sets") if isinstance(doc, dict) else None
+    try:
+        validate_family(dict(doc, sets=[]) if isinstance(sets, list)
+                        else doc)
+    except jsonschema.ValidationError as exc:
+        raise GraphError(f"malformed family file: {exc.message}") from exc
+    num, den = map(int, doc["p"].split("/"))
+    if den == 0:
+        raise GraphError("malformed family file: p has denominator 0")
+    masks = []
+    for arr in sets:
+        if not (isinstance(arr, list) and all(type(v) is int for v in arr)
+                and arr == sorted(set(arr)) and (not arr or arr[0] >= 0)):
+            raise GraphError("family set is not a strictly ascending array "
+                             "of vertex indices")
+        masks.append(vset(arr))
     return CoveringFamily(
-        sets=tuple(sets), k=doc["k"], delta=doc["delta"], seed=doc["seed"],
-        t=doc["t"], degeneracy=doc["d"], p=Fraction(int(num), int(den)),
+        sets=tuple(masks), k=doc["k"], delta=doc["delta"], seed=doc["seed"],
+        t=doc["t"], degeneracy=doc["d"], p=Fraction(num, den),
         graph_hash=doc["graph_hash"])
 
 

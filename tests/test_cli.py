@@ -8,6 +8,13 @@ from levicover.schemas import (validate_bounds_report, validate_family,
                                validate_run_report)
 
 
+@pytest.fixture()
+def fano_file(tmp_path):
+    path = tmp_path / "fano.g"
+    path.write_text(write_graph(gen_levi(2)))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -117,12 +124,6 @@ class TestBounds:
 
 
 class TestCover:
-    @pytest.fixture()
-    def fano_file(self, tmp_path):
-        path = tmp_path / "fano.g"
-        path.write_text(write_graph(gen_levi(2)))
-        return str(path)
-
     def test_build_then_verify(self, fano_file, tmp_path, capsys):
         fam = str(tmp_path / "fam.json")
         code, _, err = run(capsys, "cover", "build", "--in", fano_file,
@@ -166,14 +167,69 @@ class TestCover:
 
     def test_workers_do_not_change_bytes(self, fano_file, tmp_path, capsys):
         outs = []
-        for w in ("1", "4"):
-            fam = str(tmp_path / f"fam{w}.json")
+        for i in range(2):
+            fam = str(tmp_path / f"fam{i}.json")
             code, _, _ = run(capsys, "cover", "build", "--in", fano_file,
                              "--k", "2", "--delta", "0.001", "--seed", "5",
-                             "--out", fam, "--workers", w)
+                             "--out", fam)
             assert code == 0
             outs.append(open(fam, "rb").read())
         assert outs[0] == outs[1]
+
+    def test_workers_flag_rejected(self, fano_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cover", "build", "--in", fano_file, "--k", "2",
+                  "--delta", "0.1", "--seed", "0", "--workers", "4"])
+        assert exc.value.code == 2
+
+    def test_sample_count_over_budget_exits_3(self, fano_file, tmp_path,
+                                              capsys):
+        fam = tmp_path / "fam.json"
+        code, _, err = run(capsys, "cover", "build", "--in", fano_file,
+                           "--k", "2", "--delta", "0.001", "--seed", "0",
+                           "--out", str(fam), "--budget", "1000")
+        assert code == 3 and "t=1020" in err
+        assert not fam.exists()
+
+
+class TestFamilyTrustBoundary:
+    """Family files are external input: bad ones exit 2, never pass."""
+
+    def verify(self, capsys, tmp_path, fano_file, **fields):
+        doc = {"graph_hash": graph_hash(gen_levi(2)), "k": 2, "delta": 0.1,
+               "seed": 0, "t": 1, "d": 3, "p": "1/4", "sets": [[0, 1]]}
+        doc.update(fields)
+        fam = tmp_path / "bad.json"
+        fam.write_text(json.dumps(doc))
+        return run(capsys, "cover", "verify", "--in", fano_file, "--k", "2",
+                   "--family", str(fam))
+
+    def test_all_vertices_member_exits_2(self, tmp_path, fano_file, capsys):
+        code, out, err = self.verify(capsys, tmp_path, fano_file,
+                                     sets=[list(range(14))])
+        assert code == 2 and "edge" in err and out == ""
+
+    def test_out_of_range_member_exits_2(self, tmp_path, fano_file, capsys):
+        code, _, err = self.verify(capsys, tmp_path, fano_file,
+                                   sets=[[0, 1], [3, 14]])
+        assert code == 2 and "outside the graph" in err
+
+    def test_zero_denominator_p_exits_2(self, tmp_path, fano_file, capsys):
+        code, _, err = self.verify(capsys, tmp_path, fano_file, p="1/0")
+        assert code == 2 and "malformed family" in err
+
+    def test_non_fraction_p_exits_2(self, tmp_path, fano_file, capsys):
+        code, _, err = self.verify(capsys, tmp_path, fano_file, p="0.25")
+        assert code == 2 and "malformed family" in err
+
+    def test_schema_violation_exits_2(self, tmp_path, fano_file, capsys):
+        code, _, err = self.verify(capsys, tmp_path, fano_file, k="2")
+        assert code == 2 and "malformed family" in err
+
+    def test_non_integer_member_exits_2(self, tmp_path, fano_file, capsys):
+        code, _, err = self.verify(capsys, tmp_path, fano_file,
+                                   sets=[[0, 1.5]])
+        assert code == 2 and "ascending array" in err
 
 
 def test_family_hash_matches_library(tmp_path, capsys):

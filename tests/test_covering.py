@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from levicover import (Graph, GraphError, build_family_mc,
-                       containment_probability_floor, degeneracy_order,
-                       dump_family, family_from_json,
-                       enumerate_maximal_independent_sets, graph_hash,
-                       greedy_cover, load_family, required_samples,
-                       sample_independent_set, substream, verify_family,
-                       vset)
+                       containment_probability_floor, count_independent_sets,
+                       degeneracy_order, dump_family, family_from_json,
+                       enumerate_independent_sets,
+                       enumerate_maximal_independent_sets, gen_levi,
+                       graph_hash, greedy_cover, load_family, members,
+                       required_samples, sample_independent_set, substream,
+                       verify_family, vset)
+from levicover import covering
+from levicover.independence import BudgetExceededError
 from conftest import complete_graph, cycle_graph
 
 P_MIN_FANO = Fraction(729, 65536)  # (1/4)^2 (3/4)^6 for d=3, k=2
@@ -66,9 +69,106 @@ class TestSampler:
         assert hits / 10 ** 4 >= floor - 3 * math.sqrt(floor / 10 ** 4)
 
 
+def oracle_verify(g, k, sets):
+    """The scalar coverage check: scan the family for every target."""
+    for z in enumerate_independent_sets(g, k):
+        if not any(z & ~s == 0 for s in sets):
+            return False, z
+    return True, None
+
+
+def oracle_greedy(g, k):
+    """The scalar greedy cover: recount every candidate's gain per round."""
+    uncovered = set(enumerate_independent_sets(g, k))
+    candidates = sorted(enumerate_maximal_independent_sets(g), key=members)
+    chosen = []
+    while uncovered:
+        best, best_gain = None, 0
+        for c in candidates:
+            gain = sum(1 for z in uncovered if z & ~c == 0)
+            if gain > best_gain:
+                best, best_gain = c, gain
+        chosen.append(best)
+        uncovered = {z for z in uncovered if z & ~best}
+    return chosen
+
+
+class TestBlockSampler:
+    """The vectorised sampler against sequential scalar samples."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_block_rows_equal_sequential_calls(self, q):
+        g = gen_levi(q)
+        order = degeneracy_order(g)
+        p = Fraction(1, order.degeneracy + 1)
+        forward = covering._forward_neighbors(g, order)
+        for b in range(3):
+            rows = covering._sample_block(substream(11, b), 300, p, forward)
+            rng = substream(11, b)
+            assert rows == [sample_independent_set(g, order, p, rng)
+                            for _ in range(300)]
+
+    def test_family_is_deduplicated_block_stream(self, monkeypatch):
+        # t = 1020 in blocks of 300, 300, 300 and a partial 120
+        monkeypatch.setattr(covering, "BLOCK", 300)
+        g = gen_levi(2)
+        order = degeneracy_order(g)
+        fam = build_family_mc(g, 2, 1e-3, seed=4)
+        assert fam.t == 1020
+        samples = []
+        for b, rows in enumerate((300, 300, 300, 120)):
+            rng = substream(4, b)
+            samples += [sample_independent_set(g, order, fam.p, rng)
+                        for _ in range(rows)]
+        want = tuple(s for s in dict.fromkeys(samples) if s)
+        assert fam.sets == want
+
+    def test_single_partial_block(self):
+        g = gen_levi(2)
+        order = degeneracy_order(g)
+        fam = build_family_mc(g, 2, 1e-3, seed=6)
+        assert fam.t < covering.BLOCK
+        rng = substream(6, 0)
+        samples = [sample_independent_set(g, order, fam.p, rng)
+                   for _ in range(fam.t)]
+        assert fam.sets == tuple(s for s in dict.fromkeys(samples) if s)
+
+
+class TestFastPathsAgainstOracles:
+    @pytest.fixture(scope="class")
+    def q3_family(self):
+        return build_family_mc(gen_levi(3), 4, 1e-3, seed=0).sets
+
+    @pytest.mark.parametrize("size", [0, 1, 10, 100, 1000])
+    def test_verify_prefixes(self, q3_family, size):
+        g = gen_levi(3)
+        prefix = q3_family[:size]
+        for k in (2, 4):
+            assert verify_family(g, k, prefix) == oracle_verify(g, k, prefix)
+
+    @pytest.mark.parametrize("q,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_greedy_matches_scalar_greedy(self, q, k):
+        g = gen_levi(q)
+        assert greedy_cover(g, k) == oracle_greedy(g, k)
+
+
 class TestRequiredSamples:
     def test_fano_value(self):
         assert required_samples(84, P_MIN_FANO, 1e-3) == 1020
+
+    def test_plane3_k4_value(self, plane3):
+        universe = count_independent_sets(plane3, 4)
+        p_min = containment_probability_floor(4, 4)
+        assert required_samples(universe, p_min, 1e-3) == 348638
+
+    def test_huge_universe_and_tiny_floor(self):
+        # float(10**400) and float(p_min) would overflow and underflow
+        t = required_samples(10 ** 400, Fraction(1, 7), 1e-3)
+        want = (400 * math.log(10) - math.log(1e-3)) * 7
+        assert abs(t - want) <= 1
+        tiny = containment_probability_floor(200, 140)
+        assert float(tiny) == 0.0
+        assert required_samples(10, tiny, 0.5) > 10 ** 300
 
     def test_trivial(self):
         assert required_samples(1, Fraction(1), 0.5) == 1
@@ -116,6 +216,19 @@ class TestBuildFamily:
             build_family_mc(cycle_graph(4), 2, 0.1, seed=0,
                             require_c4_free=True)
 
+    def test_c4_mode_degeneracy_bound_is_an_error(self, fano,
+                                                  monkeypatch):
+        monkeypatch.setattr(covering, "sqrt_degeneracy_bound", lambda n: 2)
+        with pytest.raises(GraphError, match="degeneracy"):
+            build_family_mc(fano, 2, 0.1, seed=0, require_c4_free=True)
+
+    def test_sample_count_over_budget(self, fano, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("sampled despite the budget")
+        monkeypatch.setattr(covering, "substream", no_draws)
+        with pytest.raises(BudgetExceededError, match="t=1020"):
+            build_family_mc(fano, 2, 1e-3, seed=0, budget=1019)
+
 
 class TestVerifyFamily:
     def test_all_maximal_sets_cover(self, fano):
@@ -133,9 +246,16 @@ class TestVerifyFamily:
         assert not ok and witness == 1  # vertex 0
 
     def test_budget_error(self, fano):
-        from levicover.independence import BudgetExceededError
         with pytest.raises(BudgetExceededError):
             verify_family(fano, 5, [fano.side_p], budget=5)
+
+    def test_rejects_dependent_member(self, fano):
+        with pytest.raises(GraphError, match="edge"):
+            verify_family(fano, 1, [fano.all_vertices])
+
+    def test_rejects_out_of_range_member(self, fano):
+        with pytest.raises(GraphError, match="outside"):
+            verify_family(fano, 1, [fano.side_p, 1 << 14])
 
 
 class TestGreedyCover:
@@ -172,3 +292,16 @@ class TestFamilyIO:
                "t": 1, "d": 0, "p": "1/1", "sets": [[2, 1]]}
         with pytest.raises(GraphError):
             family_from_json(doc)
+
+    @pytest.mark.parametrize("bad", [{"p": "1/0"}, {"p": "a/b"},
+                                     {"sets": {"0": [1]}}, {"k": 0},
+                                     {"sets": [[-1, 2]]}, {"extra": 1}])
+    def test_rejects_malformed_document(self, bad):
+        doc = {"graph_hash": "0" * 64, "k": 1, "delta": 0.5, "seed": 0,
+               "t": 1, "d": 0, "p": "1/1", "sets": [[1, 2]]}
+        with pytest.raises(GraphError, match="malformed|ascending"):
+            family_from_json({**doc, **bad})
+
+    def test_rejects_non_object(self):
+        with pytest.raises(GraphError):
+            load_family("[1, 2]")
