@@ -12,15 +12,18 @@ from .graphs import (DegeneracyResult, Graph, GraphError, ParseError,
                      induced_subgraph, is_c4_free, iter_members, members,
                      neighborhood_of_set, parse_graph,
                      sqrt_degeneracy_bound, vset, write_graph)
-from .levi import (LeviIndexing, LeviPropertyReport, gen_levi, is_prime,
-                   mod_add, mod_mul, verify_levi_properties)
+from .levi import (LeviIndexing, LeviPropertyReport, gen_levi, infer_q,
+                   is_prime, verify_levi_properties)
 from .independence import (BoundsReport, BudgetExceededError, DesignParams,
-                           ExpansionCheck, SideProfile, check_cover_capacity,
+                           ExpansionCheck, SideProfile,
+                           balanced_count_lower_bound, check_cover_capacity,
                            check_expansion, count_balanced,
                            count_independent_sets,
                            enumerate_independent_sets,
                            enumerate_maximal_independent_sets,
-                           evaluate_bounds, max_side_product, side_profile)
+                           evaluate_bounds, max_cover_capacity,
+                           max_side_product, per_set_capacity_bound,
+                           side_product_bound, side_profile)
 from .covering import (CoveringFamily, build_family_mc,
                        containment_probability_floor, dump_family,
                        family_from_json, family_to_json, greedy_cover,

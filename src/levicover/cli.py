@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -24,9 +23,10 @@ from .graphs import (Graph, GraphError, degeneracy_order, graph_hash,
                      is_c4_free, members, parse_graph,
                      sqrt_degeneracy_bound, vset, write_graph)
 from .independence import (BudgetExceededError, DesignParams,
-                           check_cover_capacity, check_expansion,
-                           count_balanced, enumerate_maximal_independent_sets,
-                           evaluate_bounds, max_side_product)
+                           balanced_count_lower_bound, check_expansion,
+                           count_balanced, evaluate_bounds,
+                           max_cover_capacity, max_side_product,
+                           per_set_capacity_bound, side_product_bound)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -49,18 +49,6 @@ def _load_graph(args) -> Graph:
     if getattr(args, "infile", None):
         return parse_graph(Path(args.infile).read_bytes())
     return levi.gen_levi(args.q)
-
-
-def _infer_q(g: Graph) -> int:
-    """Recover the plane order from the bipartition side size."""
-    s = g.side_p_size
-    q = math.isqrt(s)
-    while q * q + q + 1 > s:
-        q -= 1
-    if q < 2 or q * q + q + 1 != s or not levi.is_prime(q):
-        raise GraphError(
-            f"side size {s} does not match a prime-order plane")
-    return q
 
 
 def _check(name, expected, observed, passed, margin=None) -> dict:
@@ -133,7 +121,7 @@ def cmd_verify(args) -> int:
     checks = []
     for name in names:
         if name == "levi-props":
-            q = args.q if args.q else _infer_q(g)
+            q = args.q if args.q else levi.infer_q(g)
             rep = levi.verify_levi_properties(g, q)
             checks.append(_check("levi-props", True, rep.all_ok, rep.all_ok))
         elif name == "c4free":
@@ -145,25 +133,23 @@ def cmd_verify(args) -> int:
             checks.append(_check("degeneracy", bound, d, d <= bound,
                                  margin=float(bound - d)))
         elif name == "expansion":
-            q = args.q if args.q else _infer_q(g)
+            q = args.q if args.q else levi.infer_q(g)
             checks.append(_expansion_check(g, q, args.samples, args.seed))
         elif name == "product":
-            q = args.q if args.q else _infer_q(g)
-            bound = q * (q + 1) ** 2
-            best, _prof = max_side_product(g)
+            q = args.q if args.q else levi.infer_q(g)
+            bound = side_product_bound(q)
+            best, _prof = max_side_product(g, budget=args.budget)
             checks.append(_check("product", bound, best, best <= bound,
                                  margin=float(bound - best)))
         elif name == "balanced":
             count = count_balanced(g, args.k, budget=args.budget)
-            bound = Fraction(g.n, 4 * args.k) ** args.k
+            bound = balanced_count_lower_bound(g.n, args.k)
             checks.append(_check("balanced", float(bound), count,
                                  count >= bound,
                                  margin=float(count - bound)))
         elif name == "coverbound":
-            bound = 2 ** (args.k / 2) * g.n ** (3 * args.k / 4)
-            worst = 0
-            for s in enumerate_maximal_independent_sets(g):
-                worst = max(worst, check_cover_capacity(g, s, args.k))
+            bound = per_set_capacity_bound(g.n, args.k)
+            worst = max_cover_capacity(g, args.k, budget=args.budget)
             checks.append(_check("coverbound", bound, worst, worst <= bound,
                                  margin=float(bound - worst)))
     doc = _run_report("verify", {"q": args.q, "in": args.infile,
@@ -213,10 +199,8 @@ def cmd_cover_build(args) -> int:
 def cmd_cover_verify(args) -> int:
     started = time.monotonic()
     g = parse_graph(Path(args.infile).read_bytes())
-    fam = covering.load_family(Path(args.family).read_text(encoding="utf-8"))
-    if fam.graph_hash != graph_hash(g):
-        raise GraphError("family file was built for a different graph "
-                         f"(hash {fam.graph_hash[:12]}...)")
+    fam = covering.load_family(Path(args.family).read_text(encoding="utf-8"),
+                               g)
     ok, witness = covering.verify_family(g, args.k, fam.sets,
                                          budget=args.budget)
     checks = [_check("coverage", True, ok, ok)]

@@ -242,7 +242,7 @@ def greedy_cover(g: Graph, k: int,
     candidate holds the targets with no member outside it.
     """
     universe = list(enumerate_independent_sets(g, k, budget))
-    candidates = sorted(enumerate_maximal_independent_sets(g),
+    candidates = sorted(enumerate_maximal_independent_sets(g, budget=budget),
                         key=members)
     cols = _columns(universe, g.n)
     uncovered = (1 << len(universe)) - 1
@@ -279,13 +279,15 @@ def family_to_json(fam: CoveringFamily) -> dict:
     }
 
 
-def family_from_json(doc: dict) -> CoveringFamily:
-    """Parse a family document; malformed input raises GraphError.
+def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
+    """Parse a family document built for g; malformed input, a family for
+    another graph or a member vertex outside g raises GraphError.
 
     Everything but the member arrays is checked against FAMILY_SCHEMA.
     The arrays are checked in the loop that packs them, because schema
     validation walks them item by item and would dominate the load time
-    of a large family.
+    of a large family. An index of g.n or more is rejected before it is
+    turned into a bitmask, which would take memory linear in the index.
     """
     # Imported here: jsonschema adds about half to the CLI's start-up
     # time, and only family loading needs it.
@@ -301,12 +303,18 @@ def family_from_json(doc: dict) -> CoveringFamily:
     num, den = map(int, doc["p"].split("/"))
     if den == 0:
         raise GraphError("malformed family file: p has denominator 0")
+    if doc["graph_hash"] != graph_hash(g):
+        raise GraphError("family file was built for a different graph "
+                         f"(hash {doc['graph_hash'][:12]}...)")
     masks = []
     for arr in sets:
         if not (isinstance(arr, list) and all(type(v) is int for v in arr)
                 and arr == sorted(set(arr)) and (not arr or arr[0] >= 0)):
             raise GraphError("family set is not a strictly ascending array "
                              "of vertex indices")
+        if arr and arr[-1] >= g.n:
+            raise GraphError("family member has a vertex outside the graph: "
+                             f"{arr[-1]}")
         masks.append(vset(arr))
     return CoveringFamily(
         sets=tuple(masks), k=doc["k"], delta=doc["delta"], seed=doc["seed"],
@@ -318,5 +326,5 @@ def dump_family(fam: CoveringFamily) -> str:
     return json.dumps(family_to_json(fam), indent=2, sort_keys=True) + "\n"
 
 
-def load_family(text: str) -> CoveringFamily:
-    return family_from_json(json.loads(text))
+def load_family(text: str, g: Graph) -> CoveringFamily:
+    return family_from_json(json.loads(text), g)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Optional
+from itertools import chain, combinations
+from typing import Callable, Iterator, Optional
 
-from .graphs import (Graph, GraphError, VertexSet, iter_members,
+from .graphs import (Graph, GraphError, VertexSet, graph_hash, iter_members,
                      neighborhood_of_set)
+from .levi import gen_levi, infer_q, require_prime
 
 
 class BudgetExceededError(RuntimeError):
@@ -67,16 +68,27 @@ def count_independent_sets(g: Graph, k: int,
     return sum(1 for _ in enumerate_independent_sets(g, k, budget))
 
 
-def enumerate_maximal_independent_sets(g: Graph) -> Iterator[VertexSet]:
-    """Yield every inclusion-maximal independent set exactly once.
+def enumerate_maximal_independent_sets(g: Graph, containing: VertexSet = 0,
+                                       budget: Optional[int] = None
+                                       ) -> Iterator[VertexSet]:
+    """Yield every inclusion-maximal independent set containing
+    ``containing`` exactly once (by default, every maximal set).
 
     Bron-Kerbosch with pivoting on the complement graph (independent sets
-    of g are cliques of its complement).
+    of g are cliques of its complement), started at R = ``containing``
+    with P its common non-neighbors and X empty. Each recursive call
+    costs one budget step.
     """
+    if containing & ~g.all_vertices:
+        raise GraphError("vertex index out of range")
+    if not g.is_independent(containing):
+        raise GraphError("set is not independent")
+    b = _Budget(budget)
     full = g.all_vertices
     comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
 
     def bk(r: int, p: int, x: int) -> Iterator[VertexSet]:
+        b.charge()
         if not p and not x:
             yield r
             return
@@ -92,7 +104,10 @@ def enumerate_maximal_independent_sets(g: Graph) -> Iterator[VertexSet]:
             x |= 1 << v
 
     if g.n:
-        yield from bk(0, full, 0)
+        p = full
+        for v in iter_members(containing):
+            p &= comp[v]
+        yield from bk(containing, p, 0)
 
 
 @dataclass(frozen=True)
@@ -147,25 +162,57 @@ def check_expansion(g: Graph, params: DesignParams,
                           bound=bound)
 
 
-def max_side_product(g: Graph) -> tuple[int, SideProfile]:
+def _is_generated_plane(g: Graph) -> bool:
+    """True iff g is byte-for-byte the incidence graph gen_levi builds."""
+    try:
+        q = infer_q(g)
+    except GraphError:
+        return False
+    return graph_hash(g) == graph_hash(gen_levi(q))
+
+
+def _best_profile(g: Graph, score: Callable[[int, int], int],
+                  budget: Optional[int]) -> tuple[int, SideProfile]:
+    """Largest score(a, b) over the side profiles of maximal independent
+    sets, with the witness profile (ties go to the larger a, then b).
+
+    score must be non-decreasing in a and b, so no independent set beats
+    the maximal sets containing it. On the generated plane the maximal
+    sets with a >= 2 are taken only among those containing points 0 and
+    1: the collineation group is 2-transitive on points and preserves
+    profiles. The sets with a <= 1 are read off the graph: the line side,
+    and point 0 with every line off it.
+    """
+    if g.side_p_size == 0:
+        raise GraphError("graph is not flagged bipartite")
+    if _is_generated_plane(g):
+        sets = chain((g.side_l, 1 | (g.side_l & ~g.adj[0])),
+                     enumerate_maximal_independent_sets(g, 0b11, budget))
+    else:
+        sets = enumerate_maximal_independent_sets(g, budget=budget)
+    side_p = g.side_p
+    profiles = set()
+    for s in sets:
+        a = (s & side_p).bit_count()
+        profiles.add((a, s.bit_count() - a))
+    a, b = max(profiles, key=lambda ab: (score(*ab), ab))
+    return score(a, b), SideProfile(a, b)
+
+
+def max_side_product(g: Graph, budget: Optional[int] = None
+                     ) -> tuple[int, SideProfile]:
     """Maximum of a*b over independent sets, via maximal sets only.
 
     Extending an independent set never decreases either side count, so the
     maximum over maximal independent sets equals the global maximum (the
     equivalence is exercised by a brute-force test at small n).
     """
-    if g.side_p_size == 0:
-        raise GraphError("graph is not flagged bipartite")
-    best = -1
-    witness = SideProfile(0, 0)
-    for s in enumerate_maximal_independent_sets(g):
-        prof = side_profile(g, s)
-        if prof.a * prof.b > best:
-            best = prof.a * prof.b
-            witness = prof
-    if best < 0:
-        best, witness = 0, SideProfile(0, 0)
-    return best, witness
+    return _best_profile(g, lambda a, b: a * b, budget)
+
+
+def side_product_bound(q: int) -> int:
+    """q (q+1)^2, the ceiling on a*b for the plane of order q."""
+    return q * (q + 1) ** 2
 
 
 def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
@@ -191,25 +238,48 @@ def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
     return total
 
 
-def check_cover_capacity(g: Graph, i: VertexSet, k: int) -> int:
-    """Number of balanced k-subsets inside the independent set i."""
+def _capacity(k: int) -> Callable[[int, int], int]:
+    """Balanced k-subsets of a set with side profile (a, b), as a score."""
     if k % 2 != 0 or k < 2:
         raise GraphError("cover capacity is defined for even k >= 2 only")
+    half = k // 2
+    return lambda a, b: math.comb(a, half) * math.comb(b, half)
+
+
+def check_cover_capacity(g: Graph, i: VertexSet, k: int) -> int:
+    """Number of balanced k-subsets inside the independent set i."""
+    capacity = _capacity(k)
     if not g.is_independent(i):
         raise GraphError("set is not independent")
     prof = side_profile(g, i)
-    half = k // 2
-    return math.comb(prof.a, half) * math.comb(prof.b, half)
+    return capacity(prof.a, prof.b)
+
+
+def max_cover_capacity(g: Graph, k: int,
+                       budget: Optional[int] = None) -> int:
+    """Largest number of balanced k-subsets any independent set holds."""
+    return _best_profile(g, _capacity(k), budget)[0]
+
+
+def balanced_count_lower_bound(n: int, k: int) -> Fraction:
+    """(n/4k)^k, the floor on the number of balanced k-sets."""
+    return Fraction(n, 4 * k) ** k
+
+
+def per_set_capacity_bound(n: int, k: int) -> float:
+    """2^(k/2) n^(3k/4), the ceiling on one independent set's capacity."""
+    return 2 ** (k / 2) * n ** (3 * k / 4)
 
 
 @dataclass(frozen=True)
 class BoundsReport:
     """Closed-form bound values for (q, k), plus measured counts if exact.
 
-    balanced_count_lower_bound is the exact rational (n/4k)^k;
-    per_set_capacity_bound is 2^(k/2) n^(3k/4); family_size_lower_bound is
-    n^(k/4) / (4 sqrt(2) k)^k. The measured fields come from exhaustive
-    enumeration and exact_cover_lower_bound = ceil(count / max capacity).
+    balanced_count_lower_bound and per_set_capacity_bound are the
+    functions of those names at n; family_size_lower_bound is
+    n^(k/4) / (4 sqrt(2) k)^k. The measured fields are the exact balanced
+    count and max_cover_capacity, and exact_cover_lower_bound =
+    ceil(count / max capacity).
     """
 
     q: int
@@ -231,7 +301,6 @@ def evaluate_bounds(q: int, k: int, g: Optional[Graph] = None,
     count and the largest per-set capacity over maximal independent sets,
     giving the exact counting lower bound on any covering family.
     """
-    from .levi import require_prime
     require_prime(q)
     if k % 2 != 0 or k < 2:
         raise GraphError("k must be an even integer >= 2")
@@ -241,16 +310,14 @@ def evaluate_bounds(q: int, k: int, g: Optional[Graph] = None,
     n = 2 * (q * q + q + 1)
     report = BoundsReport(
         q=q, k=k, n=n,
-        balanced_count_lower_bound=Fraction(n, 4 * k) ** k,
-        per_set_capacity_bound=2 ** (k / 2) * n ** (3 * k / 4),
+        balanced_count_lower_bound=balanced_count_lower_bound(n, k),
+        per_set_capacity_bound=per_set_capacity_bound(n, k),
         family_size_lower_bound=n ** (k / 4) / (4 * math.sqrt(2) * k) ** k,
     )
     if g is None:
         return report
     count = count_balanced(g, k, budget=budget)
-    max_cap = 0
-    for s in enumerate_maximal_independent_sets(g):
-        max_cap = max(max_cap, check_cover_capacity(g, s, k))
+    max_cap = max_cover_capacity(g, k, budget=budget)
     lower = -(-count // max_cap) if max_cap > 0 else 0
     return BoundsReport(
         q=report.q, k=report.k, n=report.n,

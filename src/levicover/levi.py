@@ -11,6 +11,7 @@ points occupy indices 0 .. q^2+q, lines q^2+q+1 .. 2(q^2+q+1)-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError
@@ -33,16 +34,17 @@ def require_prime(q: int) -> int:
     return q
 
 
-def mod_add(a: int, b: int, q: int) -> int:
-    if not (0 <= a < q and 0 <= b < q):
-        raise GraphError(f"residues out of range mod {q}: {a}, {b}")
-    return (a + b) % q
+def infer_q(g: Graph) -> int:
+    """Recover the plane order from the bipartition side size.
 
-
-def mod_mul(a: int, b: int, q: int) -> int:
-    if not (0 <= a < q and 0 <= b < q):
-        raise GraphError(f"residues out of range mod {q}: {a}, {b}")
-    return (a * b) % q
+    s = q^2 + q + 1 iff 4s - 3 = (2q + 1)^2.
+    """
+    s = g.side_p_size
+    q = (math.isqrt(max(4 * s - 3, 0)) - 1) // 2
+    if q < 2 or q * q + q + 1 != s or not is_prime(q):
+        raise GraphError(
+            f"side size {s} does not match a prime-order plane")
+    return q
 
 
 @dataclass(frozen=True)

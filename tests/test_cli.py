@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from levicover import gen_levi, graph_hash, parse_graph, write_graph
+from levicover import Graph, gen_levi, graph_hash, parse_graph, write_graph
 from levicover.cli import main
 from levicover.schemas import (validate_bounds_report, validate_family,
                                validate_run_report)
@@ -90,6 +91,26 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["outcome"] == "fail"
 
+    @pytest.mark.parametrize("check", ["product", "coverbound"])
+    def test_maximal_set_budget_exits_3(self, check, capsys):
+        # the reduced path at q=3 takes 135 Bron-Kerbosch calls
+        code, _, err = run(capsys, "verify", "--q", "3", "--checks", check,
+                           "--budget", "134", "--no-timestamp")
+        assert code == 3 and "budget" in err
+
+    def test_uncertified_plane_file_takes_full_path(self, tmp_path, capsys):
+        # without its last edge the plane holds a 4 + 4 independent set,
+        # which no maximal set through points 0 and 1 reaches (those top
+        # out at a*b = 15)
+        g = gen_levi(3)
+        path = tmp_path / "cut.g"
+        path.write_text(write_graph(Graph.from_edges(
+            g.n, list(g.edges())[:-1], side_p_size=g.side_p_size)))
+        code, out, _ = run(capsys, "verify", "--in", str(path), "--checks",
+                           "product,coverbound", "--no-timestamp")
+        assert code == 0
+        assert [c["observed"] for c in json.loads(out)["checks"]] == [16, 16]
+
     def test_timestamp_present_by_default(self, capsys):
         _, out, _ = run(capsys, "verify", "--q", "2", "--checks", "c4free")
         doc = json.loads(out)
@@ -112,6 +133,14 @@ class TestBounds:
     def test_k_above_q_exits_2(self, capsys):
         code, _, err = run(capsys, "bounds", "--q", "2", "--k", "4")
         assert code == 2 and "at most q" in err
+
+    @pytest.mark.parametrize("budget", ["10", "13"])
+    def test_budget_exceeded_exits_3(self, budget, capsys):
+        # 13 balanced-count steps fit a budget of 13; the maximal-set
+        # enumeration then runs out
+        code, out, err = run(capsys, "bounds", "--q", "3", "--k", "2",
+                             "--exact", "--budget", budget)
+        assert code == 3 and out == "" and "budget" in err
 
     def test_formula_only_large_q(self, capsys):
         code, out, _ = run(capsys, "bounds", "--q", "101", "--k", "4")
@@ -225,6 +254,14 @@ class TestFamilyTrustBoundary:
     def test_schema_violation_exits_2(self, tmp_path, fano_file, capsys):
         code, _, err = self.verify(capsys, tmp_path, fano_file, k="2")
         assert code == 2 and "malformed family" in err
+
+    def test_huge_member_index_exits_2_quickly(self, tmp_path, fano_file,
+                                                capsys):
+        started = time.monotonic()
+        code, _, err = self.verify(capsys, tmp_path, fano_file,
+                                   sets=[[0], [3, 10 ** 10]])
+        assert code == 2 and "outside the graph" in err
+        assert time.monotonic() - started < 5
 
     def test_non_integer_member_exits_2(self, tmp_path, fano_file, capsys):
         code, _, err = self.verify(capsys, tmp_path, fano_file,

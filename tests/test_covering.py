@@ -267,6 +267,12 @@ class TestGreedyCover:
         got = sorted(greedy_cover(cycle_graph(4), 2))
         assert got == [vset([0, 2]), vset([1, 3])]
 
+    def test_budget_covers_candidates(self, fano):
+        # the 14 targets fit in 20 steps; the 93 Bron-Kerbosch calls do not
+        with pytest.raises(BudgetExceededError):
+            greedy_cover(fano, 1, budget=20)
+        assert len(greedy_cover(fano, 1, budget=93)) == 2
+
     def test_fano_size_and_coverage(self, fano):
         fam = greedy_cover(fano, 2)
         assert len(fam) >= 7  # exact counting lower bound ceil(28/4)
@@ -274,9 +280,14 @@ class TestGreedyCover:
 
 
 class TestFamilyIO:
+    @staticmethod
+    def doc(g, **fields):
+        return {"graph_hash": graph_hash(g), "k": 1, "delta": 0.5, "seed": 0,
+                "t": 1, "d": 0, "p": "1/1", "sets": [[1, 2]], **fields}
+
     def test_roundtrip(self, fano):
         fam = build_family_mc(fano, 2, 1e-3, seed=11)
-        again = load_family(dump_family(fam))
+        again = load_family(dump_family(fam), fano)
         assert again == fam
         assert fam.graph_hash == graph_hash(fano)
 
@@ -287,21 +298,25 @@ class TestFamilyIO:
         for arr in doc["sets"]:
             assert arr == sorted(arr)
 
-    def test_rejects_unsorted_set(self):
-        doc = {"graph_hash": "0" * 64, "k": 1, "delta": 0.5, "seed": 0,
-               "t": 1, "d": 0, "p": "1/1", "sets": [[2, 1]]}
+    def test_rejects_unsorted_set(self, fano):
         with pytest.raises(GraphError):
-            family_from_json(doc)
+            family_from_json(self.doc(fano, sets=[[2, 1]]), fano)
 
     @pytest.mark.parametrize("bad", [{"p": "1/0"}, {"p": "a/b"},
                                      {"sets": {"0": [1]}}, {"k": 0},
                                      {"sets": [[-1, 2]]}, {"extra": 1}])
-    def test_rejects_malformed_document(self, bad):
-        doc = {"graph_hash": "0" * 64, "k": 1, "delta": 0.5, "seed": 0,
-               "t": 1, "d": 0, "p": "1/1", "sets": [[1, 2]]}
+    def test_rejects_malformed_document(self, fano, bad):
         with pytest.raises(GraphError, match="malformed|ascending"):
-            family_from_json({**doc, **bad})
+            family_from_json(self.doc(fano, **bad), fano)
 
-    def test_rejects_non_object(self):
+    def test_rejects_non_object(self, fano):
         with pytest.raises(GraphError):
-            load_family("[1, 2]")
+            load_family("[1, 2]", fano)
+
+    def test_rejects_other_graph_before_member_ranges(self, fano):
+        with pytest.raises(GraphError, match="different graph"):
+            family_from_json(self.doc(gen_levi(3), sets=[[25]]), fano)
+
+    def test_rejects_member_outside_graph(self, fano):
+        with pytest.raises(GraphError, match="outside the graph: 14"):
+            family_from_json(self.doc(fano, sets=[[0], [3, 14]]), fano)

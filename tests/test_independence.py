@@ -9,7 +9,9 @@ from levicover import (Graph, GraphError, DesignParams, SideProfile,
                        check_expansion, count_balanced,
                        count_independent_sets, enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
+                       gen_levi, graph_hash, max_cover_capacity,
                        max_side_product, members, side_profile, vset)
+from levicover import independence
 from levicover.independence import BudgetExceededError
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
                       edgeless_bipartite)
@@ -66,6 +68,28 @@ class TestMaximalEnumeration:
         got = list(enumerate_maximal_independent_sets(fano))
         assert len(got) == len(set(got))
         assert set(got) == expect
+
+    @pytest.mark.parametrize("name", ["fano", "plane3", "c4"])
+    def test_containing_filters_full_enumeration(self, name, request):
+        g = cycle_graph(4) if name == "c4" else request.getfixturevalue(name)
+        full = list(enumerate_maximal_independent_sets(g))
+        for r in [0, *enumerate_independent_sets(g, 2)]:
+            got = list(enumerate_maximal_independent_sets(g, r))
+            assert len(got) == len(set(got))
+            assert set(got) == {s for s in full if s & r == r}
+
+    def test_containing_rejects_dependent_or_outside(self, fano):
+        with pytest.raises(GraphError, match="not independent"):
+            list(enumerate_maximal_independent_sets(fano, fano.all_vertices))
+        with pytest.raises(GraphError, match="out of range"):
+            list(enumerate_maximal_independent_sets(fano, 1 << 14))
+
+    def test_budget_counts_recursive_calls(self, fano):
+        # 93 Bron-Kerbosch calls enumerate Fano's 37 maximal sets
+        assert len(list(enumerate_maximal_independent_sets(
+            fano, budget=93))) == 37
+        with pytest.raises(BudgetExceededError):
+            list(enumerate_maximal_independent_sets(fano, budget=92))
 
 
 class TestExpansion:
@@ -126,6 +150,133 @@ class TestSideProduct:
     def test_non_bipartite_raises(self):
         with pytest.raises(GraphError):
             max_side_product(cycle_graph(4))
+
+
+def relabelled(g, seed):
+    """g with its vertices permuted inside each side."""
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate([rng.permutation(g.side_p_size),
+                           g.side_p_size + rng.permutation(
+                               g.n - g.side_p_size)])
+    edges = [(int(perm[u]), int(perm[v])) for u, v in g.edges()]
+    return Graph.from_edges(g.n, edges, side_p_size=g.side_p_size)
+
+
+def minus_one_edge(g):
+    return Graph.from_edges(g.n, list(g.edges())[:-1],
+                            side_p_size=g.side_p_size)
+
+
+def full_path_best(g, score):
+    """Oracle: score every maximal set, ties to the larger (a, b)."""
+    profiles = {(p.a, p.b) for p in (side_profile(g, s) for s in
+                                     enumerate_maximal_independent_sets(g))}
+    a, b = max(profiles, key=lambda ab: (score(*ab), ab))
+    return score(a, b), SideProfile(a, b)
+
+
+def brute_best(g, score):
+    """Oracle: score every independent set of the subset lattice."""
+    return max(score(p.a, p.b) for p in (side_profile(g, s) for s in
+                                         brute_independent_sets(g, g.n)))
+
+
+# Scores non-decreasing in both side counts. The last two are settled
+# by the a = 0 and a = 1 sets of the plane, which contain no point pair.
+MONOTONE_SCORES = {
+    "product": lambda a, b: a * b,
+    "capacity2": lambda a, b: math.comb(a, 1) * math.comb(b, 1),
+    "capacity4": lambda a, b: math.comb(a, 2) * math.comb(b, 2),
+    "points": lambda a, b: a,
+    "lines": lambda a, b: b,
+    "lines_with_a_point": lambda a, b: min(a, 1) * b,
+}
+
+
+@pytest.fixture()
+def bk_starts(monkeypatch):
+    """Records the start set and yield count of each maximal-set run."""
+    runs = []
+    orig = independence.enumerate_maximal_independent_sets
+
+    def spy(g, containing=0, budget=None):
+        runs.append([containing, 0])
+        for s in orig(g, containing, budget):
+            runs[-1][1] += 1
+            yield s
+
+    monkeypatch.setattr(independence, "enumerate_maximal_independent_sets",
+                        spy)
+    return runs
+
+
+class TestSymmetryReduction:
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("score", sorted(MONOTONE_SCORES))
+    def test_reduced_matches_full(self, q, score, bk_starts):
+        g = gen_levi(q)
+        fn = MONOTONE_SCORES[score]
+        expect = full_path_best(g, fn)
+        assert independence._best_profile(g, fn, None) == expect
+        assert [r[0] for r in bk_starts] == [0b11]
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_public_maxima_take_reduced_path(self, q, bk_starts):
+        g = gen_levi(q)
+        assert max_side_product(g) == full_path_best(
+            g, MONOTONE_SCORES["product"])
+        for k in (2, 4):
+            assert max_cover_capacity(g, k) == max(
+                check_cover_capacity(g, s, k)
+                for s in enumerate_maximal_independent_sets(g))
+        assert [r[0] for r in bk_starts[:3]] == [0b11] * 3
+
+    def test_plane3_values(self, plane3):
+        assert max_side_product(plane3)[0] == 12
+        assert max_cover_capacity(plane3, 4) == 18
+
+    @pytest.mark.parametrize("perturb", [lambda g: relabelled(g, 5),
+                                         minus_one_edge],
+                             ids=["relabelled", "minus_one_edge"])
+    def test_uncertified_fano_takes_full_path(self, fano, perturb,
+                                              bk_starts):
+        g = perturb(fano)
+        assert graph_hash(g) != graph_hash(fano)
+        for score in MONOTONE_SCORES.values():
+            bk_starts.clear()
+            assert independence._best_profile(g, score, None)[0] == \
+                brute_best(g, score)
+            assert [r[0] for r in bk_starts] == [0]
+
+    @pytest.mark.parametrize("perturb", [lambda g: relabelled(g, 5),
+                                         minus_one_edge],
+                             ids=["relabelled", "minus_one_edge"])
+    def test_uncertified_plane3_takes_full_path(self, plane3, perturb,
+                                                bk_starts):
+        g = perturb(plane3)
+        assert graph_hash(g) != graph_hash(plane3)
+        for score in MONOTONE_SCORES.values():
+            bk_starts.clear()
+            expect = full_path_best(g, score)
+            assert independence._best_profile(g, score, None) == expect
+            assert [r[0] for r in bk_starts] == [0]
+
+    def test_plane5_pinned(self, bk_starts):
+        g = gen_levi(5)
+        assert max_cover_capacity(g, 4) == 675
+        assert max_side_product(g)[0] == 60
+        assert bk_starts == [[0b11, 78986]] * 2
+
+    def test_budget_covers_both_paths(self, plane3):
+        # 135 Bron-Kerbosch calls on the reduced path; the full path on
+        # this relabelling takes 1711 (pivots depend on the labels)
+        assert max_side_product(plane3, budget=135)[0] == 12
+        with pytest.raises(BudgetExceededError):
+            max_side_product(plane3, budget=134)
+        g = relabelled(plane3, 5)
+        assert max_cover_capacity(g, 2, budget=1711) == 12
+        with pytest.raises(BudgetExceededError):
+            max_cover_capacity(g, 2, budget=1710)
 
 
 class TestBalancedCounting:

@@ -1,33 +1,22 @@
+import itertools
+
 import pytest
 
-from levicover import (Graph, GraphError, LeviIndexing, gen_levi, is_c4_free,
-                       is_prime, mod_add, mod_mul, verify_levi_properties,
+from levicover import (Graph, GraphError, LeviIndexing, gen_levi, infer_q,
+                       is_c4_free, is_prime, verify_levi_properties,
                        write_graph)
-
-
-class TestFieldOps:
-    def test_mul_mod3(self):
-        assert mod_mul(2, 2, 3) == 1
-
-    def test_add_identity(self):
-        for q in (2, 5, 7):
-            for a in range(q):
-                assert mod_add(a, 0, q) == a
-
-    def test_mul_mod7(self):
-        assert mod_mul(4, 5, 7) == 6
-
-    def test_out_of_range(self):
-        with pytest.raises(GraphError):
-            mod_add(3, 0, 3)
-        with pytest.raises(GraphError):
-            mod_mul(0, -1, 3)
 
 
 class TestPrimality:
     def test_primes(self):
         assert [p for p in range(2, 30) if is_prime(p)] == \
             [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_infer_q(self, fano, plane3):
+        assert infer_q(fano) == 2 and infer_q(plane3) == 3
+        for side in (0, 4, 21, 12):  # 21 = 4^2 + 4 + 1, but 4 is not prime
+            with pytest.raises(GraphError, match="prime-order plane"):
+                infer_q(Graph.from_edges(2 * side, [], side_p_size=side))
 
     def test_non_prime_rejected(self):
         for q in (0, 1, 4, 6, 9):
@@ -70,6 +59,15 @@ class TestGeneration:
         p = ix.affine_point(2, 1)
         line = ix.sloped_line(1, 2)
         assert (plane3.adj[p] >> line) & 1
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_sloped_line_incidence(self, q):
+        # field arithmetic mod q decides every affine incidence
+        g = gen_levi(q)
+        ix = LeviIndexing(q)
+        for x, y, a, b in itertools.product(range(q), repeat=4):
+            on = (g.adj[ix.affine_point(x, y)] >> ix.sloped_line(a, b)) & 1
+            assert on == ((a * x + b) % q == y)
 
     def test_regularity(self, fano, plane3):
         assert all(fano.degree(v) == 3 for v in range(fano.n))
