@@ -9,32 +9,21 @@ contract: 0 pass, 1 check failed, 2 usage or precondition error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import covering, levi
-from .graphs import (Graph, GraphError, degeneracy_order, graph_hash,
-                     is_c4_free, members, parse_graph,
-                     sqrt_degeneracy_bound, vset, write_graph)
-from .independence import (BudgetExceededError, DesignParams,
-                           balanced_count_lower_bound, check_expansion,
-                           count_balanced, evaluate_bounds,
-                           max_cover_capacity, max_side_product,
-                           per_set_capacity_bound, side_product_bound)
+from .graphs import GraphError, members, parse_graph, write_graph
+from .independence import CHECKS, BudgetExceededError, evaluate_bounds
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-CHECK_NAMES = ("levi-props", "c4free", "degeneracy", "expansion", "product",
-               "balanced", "coverbound")
 
 
 def _emit_json(doc: dict):
@@ -45,10 +34,12 @@ def _summary(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _load_graph(args) -> Graph:
-    if getattr(args, "infile", None):
-        return parse_graph(Path(args.infile).read_bytes())
-    return levi.gen_levi(args.q)
+def _write(text: str, out):
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _check(name, expected, observed, passed, margin=None) -> dict:
@@ -73,85 +64,23 @@ def _run_report(command: str, parameters: dict, checks: list[dict],
 
 def cmd_gen(args) -> int:
     g = levi.gen_levi(args.q)
-    text = write_graph(g)
-    summary = f"{g.n} {g.m} {g.side_p_size}"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(summary)
-    else:
-        sys.stdout.write(text)
-        _summary(summary)
+    _write(write_graph(g), args.out)
+    print(f"{g.n} {g.m} {g.side_p_size}",
+          file=sys.stdout if args.out else sys.stderr)
     return EXIT_PASS
-
-
-def _expansion_check(g: Graph, q: int, samples: int, seed: int) -> dict:
-    params = DesignParams.for_plane(q)
-    rng = np.random.default_rng(seed)
-    violations = 0
-    total = 0
-    for side in (g.side_p, g.side_l):
-        verts = members(side)
-        for v in verts:
-            total += 1
-            if not check_expansion(g, params, 1 << v).holds:
-                violations += 1
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                total += 1
-                if not check_expansion(g, params, (1 << u) | (1 << v)).holds:
-                    violations += 1
-    for _ in range(samples):
-        verts = members(g.side_p if rng.integers(2) == 0 else g.side_l)
-        size = int(rng.integers(1, len(verts) + 1))
-        s = vset(rng.choice(verts, size=size, replace=False))
-        total += 1
-        if not check_expansion(g, params, s).holds:
-            violations += 1
-    return _check("expansion", 0, violations, violations == 0,
-                  margin=float(total - violations))
 
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
     names = args.checks.split(",")
     for name in names:
-        if name not in CHECK_NAMES:
+        if name not in CHECKS:
             raise GraphError(f"unknown check name: {name}")
-    g = _load_graph(args)
-    checks = []
-    for name in names:
-        if name == "levi-props":
-            q = args.q if args.q else levi.infer_q(g)
-            rep = levi.verify_levi_properties(g, q)
-            checks.append(_check("levi-props", True, rep.all_ok, rep.all_ok))
-        elif name == "c4free":
-            ok = is_c4_free(g)
-            checks.append(_check("c4free", True, ok, ok))
-        elif name == "degeneracy":
-            d = degeneracy_order(g).degeneracy
-            bound = sqrt_degeneracy_bound(g.n)
-            checks.append(_check("degeneracy", bound, d, d <= bound,
-                                 margin=float(bound - d)))
-        elif name == "expansion":
-            q = args.q if args.q else levi.infer_q(g)
-            checks.append(_expansion_check(g, q, args.samples, args.seed))
-        elif name == "product":
-            q = args.q if args.q else levi.infer_q(g)
-            bound = side_product_bound(q)
-            best, _prof = max_side_product(g, budget=args.budget)
-            checks.append(_check("product", bound, best, best <= bound,
-                                 margin=float(bound - best)))
-        elif name == "balanced":
-            count = count_balanced(g, args.k, budget=args.budget)
-            bound = balanced_count_lower_bound(g.n, args.k)
-            checks.append(_check("balanced", float(bound), count,
-                                 count >= bound,
-                                 margin=float(count - bound)))
-        elif name == "coverbound":
-            bound = per_set_capacity_bound(g.n, args.k)
-            worst = max_cover_capacity(g, args.k, budget=args.budget)
-            checks.append(_check("coverbound", bound, worst, worst <= bound,
-                                 margin=float(bound - worst)))
+    g = (parse_graph(Path(args.infile).read_bytes()) if args.infile
+         else levi.gen_levi(args.q))
+    checks = [_check(name, *CHECKS[name](g, k=args.k, samples=args.samples,
+                                         seed=args.seed, budget=args.budget))
+              for name in names]
     doc = _run_report("verify", {"q": args.q, "in": args.infile,
                                  "checks": args.checks, "k": args.k},
                       checks, started, args.no_timestamp)
@@ -165,17 +94,9 @@ def cmd_bounds(args) -> int:
     g = levi.gen_levi(args.q) if args.exact else None
     rep = evaluate_bounds(args.q, args.k, g=g, budget=args.budget)
     frac = rep.balanced_count_lower_bound
-    doc = {
-        "q": rep.q, "k": rep.k, "n": rep.n,
-        "balanced_count_lower_bound":
-            f"{frac.numerator}/{frac.denominator}",
-        "balanced_count_lower_bound_float": float(frac),
-        "per_set_capacity_bound": rep.per_set_capacity_bound,
-        "family_size_lower_bound": rep.family_size_lower_bound,
-        "measured_balanced_count": rep.measured_balanced_count,
-        "measured_max_capacity": rep.measured_max_capacity,
-        "exact_cover_lower_bound": rep.exact_cover_lower_bound,
-    }
+    doc = dataclasses.asdict(rep)
+    doc["balanced_count_lower_bound"] = f"{frac.numerator}/{frac.denominator}"
+    doc["balanced_count_lower_bound_float"] = float(frac)
     _emit_json(doc)
     _summary(f"bounds: q={rep.q} k={rep.k} n={rep.n} "
              f"family_size_lower_bound={rep.family_size_lower_bound:.6g}")
@@ -186,11 +107,7 @@ def cmd_cover_build(args) -> int:
     g = parse_graph(Path(args.infile).read_bytes())
     fam = covering.build_family_mc(g, args.k, args.delta, args.seed,
                                    budget=args.budget)
-    text = covering.dump_family(fam)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(covering.dump_family(fam), args.out)
     _summary(f"cover build: {len(fam.sets)} distinct sets from t={fam.t} "
              f"samples (d={fam.degeneracy}, p={fam.p})")
     return EXIT_PASS
@@ -217,17 +134,9 @@ def cmd_cover_verify(args) -> int:
 
 def cmd_cover_greedy(args) -> int:
     g = parse_graph(Path(args.infile).read_bytes())
-    sets = covering.greedy_cover(g, args.k, budget=args.budget)
-    d = degeneracy_order(g).degeneracy
-    fam = covering.CoveringFamily(
-        sets=tuple(sets), k=args.k, delta=0.0, seed=0, t=len(sets),
-        degeneracy=d, p=Fraction(1, d + 1), graph_hash=graph_hash(g))
-    text = covering.dump_family(fam)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    _summary(f"cover greedy: {len(sets)} sets")
+    fam = covering.greedy_family(g, args.k, budget=args.budget)
+    _write(covering.dump_family(fam), args.out)
+    _summary(f"cover greedy: {len(fam.sets)} sets")
     return EXIT_PASS
 
 
@@ -248,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--q", type=int)
     src.add_argument("--in", dest="infile")
     p.add_argument("--checks", required=True,
-                   help="comma list from: " + ",".join(CHECK_NAMES))
+                   help="comma list from: " + ",".join(CHECKS))
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

@@ -31,10 +31,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import (DegeneracyResult, Graph, GraphError, VertexSet,
-                     degeneracy_order, graph_hash, is_c4_free, iter_members,
-                     members, sqrt_degeneracy_bound, vset)
-from .independence import BudgetExceededError, enumerate_independent_sets, \
-    enumerate_maximal_independent_sets
+                     degeneracy_order, graph_hash, iter_members, members,
+                     vset)
+from .independence import (BudgetExceededError, count_independent_sets,
+                           enumerate_independent_sets,
+                           enumerate_maximal_independent_sets)
 
 DEFAULT_BUDGET = 10 ** 7
 BLOCK = 4096  # samples per (seed, block) substream
@@ -54,9 +55,14 @@ class CoveringFamily:
     graph_hash: str
 
 
+def marking_probability(d: int) -> Fraction:
+    """p = 1/(d+1), the marking probability for degeneracy d."""
+    return Fraction(1, d + 1)
+
+
 def containment_probability_floor(d: int, k: int) -> Fraction:
     """Per-sample lower bound p^k (1-p)^(kd) with p = 1/(d+1), exact."""
-    p = Fraction(1, d + 1)
+    p = marking_probability(d)
     return p ** k * (1 - p) ** (k * d)
 
 
@@ -168,31 +174,31 @@ def required_samples(universe_size: int, p_min: Fraction,
 
 
 def build_family_mc(g: Graph, k: int, delta: float, seed: int,
-                    budget: Optional[int] = DEFAULT_BUDGET,
-                    require_c4_free: bool = False) -> CoveringFamily:
+                    budget: Optional[int] = DEFAULT_BUDGET
+                    ) -> CoveringFamily:
     """Build a covering family by seeded sampling; deterministic per seed.
 
     The union-bound universe is the exact count of independent sets of
     size <= k when it is enumerable within the budget, else the n^k
     fallback. A sample count t above the budget is refused before any
-    draw. Duplicate samples keep their first occurrence.
+    draw, and before the count when t at n targets (every vertex is a
+    target on its own, so that t is a lower bound) is already over it.
+    Duplicate samples keep their first occurrence.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
-    if require_c4_free and not is_c4_free(g):
-        raise GraphError("graph contains a 4-cycle")
     order = degeneracy_order(g)
     d = order.degeneracy
-    if require_c4_free and d > sqrt_degeneracy_bound(g.n):
-        raise GraphError(f"degeneracy {d} exceeds the C4-free bound "
-                         f"{sqrt_degeneracy_bound(g.n)}")
-    p = Fraction(1, d + 1)
+    p = marking_probability(d)
+    p_min = containment_probability_floor(d, k)
+    t = required_samples(max(g.n, 1), p_min, delta)
+    if budget is not None and t > budget:
+        raise BudgetExceededError(
+            f"sampling needs t>={t} samples, over the budget of {budget}")
     try:
-        universe = sum(1 for _ in enumerate_independent_sets(g, k, budget))
-        universe = max(universe, 1)
+        universe = max(count_independent_sets(g, k, budget), 1)
     except BudgetExceededError:
         universe = g.n ** k
-    p_min = containment_probability_floor(d, k)
     t = required_samples(universe, p_min, delta)
     if budget is not None and t > budget:
         raise BudgetExceededError(
@@ -241,6 +247,8 @@ def greedy_cover(g: Graph, k: int,
     lower bound. Target sets are bits of a universe-wide mask: a
     candidate holds the targets with no member outside it.
     """
+    if k < 1:
+        raise GraphError("k must be at least 1")
     universe = list(enumerate_independent_sets(g, k, budget))
     candidates = sorted(enumerate_maximal_independent_sets(g, budget=budget),
                         key=members)
@@ -264,6 +272,17 @@ def greedy_cover(g: Graph, k: int,
         chosen.append(candidates[best])
         uncovered &= ~contained[best]
     return chosen
+
+
+def greedy_family(g: Graph, k: int,
+                  budget: Optional[int] = DEFAULT_BUDGET) -> CoveringFamily:
+    """greedy_cover as a family document: delta 0, seed 0, t the number
+    of sets, and the marking probability the sampler would use on g."""
+    sets = greedy_cover(g, k, budget=budget)
+    d = degeneracy_order(g).degeneracy
+    return CoveringFamily(sets=tuple(sets), k=k, delta=0.0, seed=0,
+                          t=len(sets), degeneracy=d,
+                          p=marking_probability(d), graph_hash=graph_hash(g))
 
 
 def family_to_json(fam: CoveringFamily) -> dict:

@@ -9,14 +9,17 @@ compared with an explicit relative margin by callers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Iterator, Optional
 
-from .graphs import (Graph, GraphError, VertexSet, graph_hash, iter_members,
-                     neighborhood_of_set)
-from .levi import gen_levi, infer_q, require_prime
+import numpy as np
+
+from .graphs import (Graph, GraphError, VertexSet, degeneracy_order,
+                     graph_hash, is_c4_free, iter_members, members,
+                     neighborhood_of_set, sqrt_degeneracy_bound, vset)
+from .levi import gen_levi, infer_q, require_prime, verify_levi_properties
 
 
 class BudgetExceededError(RuntimeError):
@@ -160,6 +163,44 @@ def check_expansion(g: Graph, params: DesignParams,
     nsize = neighborhood_of_set(g, s).bit_count()
     return ExpansionCheck(holds=nsize >= bound, neighborhood_size=nsize,
                           bound=bound)
+
+
+# A verify check: (expected, observed, pass, margin); margin is None for
+# yes/no checks.
+CheckResult = tuple[object, object, bool, Optional[float]]
+
+
+def _verify_expansion(g: Graph, *, samples: int, seed: int,
+                      budget: Optional[int], **_) -> CheckResult:
+    """check_expansion on every set of one or two vertices of one side,
+    then on ``samples`` random one-side sets; observed is the number of
+    sets that violate it.
+
+    Each random set draws its side, its size and its members, in that
+    order, from numpy's PCG64 seeded with ``seed``. The budget is charged
+    s + C(s, 2) per side of size s up front, then one step per sample.
+    """
+    params = DesignParams.for_plane(infer_q(g))
+    sides = (members(g.side_p), members(g.side_l))
+    b = _Budget(budget)
+    b.charge(sum(len(v) + math.comb(len(v), 2) for v in sides))
+    rng = np.random.default_rng(seed)
+
+    def drawn() -> Iterator[VertexSet]:
+        for _ in range(samples):
+            b.charge()
+            verts = sides[rng.integers(2)]
+            size = int(rng.integers(1, len(verts) + 1))
+            yield vset(rng.choice(verts, size=size, replace=False))
+
+    singles = [[1 << v for v in verts] for verts in sides]
+    fixed = chain(*(chain(one, (x | y for x, y in combinations(one, 2)))
+                    for one in singles))
+    total = violations = 0
+    for s in chain(fixed, drawn()):
+        total += 1
+        violations += not check_expansion(g, params, s).holds
+    return 0, violations, violations == 0, float(total - violations)
 
 
 def _is_generated_plane(g: Graph) -> bool:
@@ -318,13 +359,42 @@ def evaluate_bounds(q: int, k: int, g: Optional[Graph] = None,
         return report
     count = count_balanced(g, k, budget=budget)
     max_cap = max_cover_capacity(g, k, budget=budget)
-    lower = -(-count // max_cap) if max_cap > 0 else 0
-    return BoundsReport(
-        q=report.q, k=report.k, n=report.n,
-        balanced_count_lower_bound=report.balanced_count_lower_bound,
-        per_set_capacity_bound=report.per_set_capacity_bound,
-        family_size_lower_bound=report.family_size_lower_bound,
-        measured_balanced_count=count,
-        measured_max_capacity=max_cap,
-        exact_cover_lower_bound=lower,
-    )
+    return replace(report, measured_balanced_count=count,
+                   measured_max_capacity=max_cap,
+                   exact_cover_lower_bound=(-(-count // max_cap)
+                                            if max_cap > 0 else 0))
+
+
+def _flag(ok: bool) -> CheckResult:
+    return True, ok, ok, None
+
+
+def _at_most(bound, observed) -> CheckResult:
+    return bound, observed, observed <= bound, float(bound - observed)
+
+
+def _balanced(g: Graph, *, k: int, budget: Optional[int],
+              **_) -> CheckResult:
+    count = count_balanced(g, k, budget=budget)
+    bound = balanced_count_lower_bound(g.n, k)
+    return float(bound), count, count >= bound, float(count - bound)
+
+
+# The checks of ``levicover verify`` by name, in report order. Every
+# entry is called as check(g, k=..., samples=..., seed=..., budget=...),
+# takes the options it needs and infers the plane order q from g. Entries
+# call the library through this module's globals, never through a stored
+# function object, so a wrapper installed on one of those names sees it.
+CHECKS: dict[str, Callable[..., CheckResult]] = {
+    "levi-props": lambda g, **_: _flag(
+        verify_levi_properties(g, infer_q(g)).all_ok),
+    "c4free": lambda g, **_: _flag(is_c4_free(g)),
+    "degeneracy": lambda g, **_: _at_most(
+        sqrt_degeneracy_bound(g.n), degeneracy_order(g).degeneracy),
+    "expansion": _verify_expansion,
+    "product": lambda g, *, budget, **_: _at_most(
+        side_product_bound(infer_q(g)), max_side_product(g, budget)[0]),
+    "balanced": _balanced,
+    "coverbound": lambda g, *, k, budget, **_: _at_most(
+        per_set_capacity_bound(g.n, k), max_cover_capacity(g, k, budget)),
+}

@@ -111,6 +111,14 @@ class TestVerify:
         assert code == 0
         assert [c["observed"] for c in json.loads(out)["checks"]] == [16, 16]
 
+    @pytest.mark.parametrize("budget,code", [("156", 0), ("155", 3)])
+    def test_expansion_budget(self, budget, code, capsys):
+        # 7 + 21 sets of one or two vertices per side, then 100 samples
+        got, _, err = run(capsys, "verify", "--q", "2", "--checks",
+                          "expansion", "--samples", "100", "--budget",
+                          budget, "--no-timestamp")
+        assert got == code and ("budget" in err) == (code == 3)
+
     def test_timestamp_present_by_default(self, capsys):
         _, out, _ = run(capsys, "verify", "--q", "2", "--checks", "c4free")
         doc = json.loads(out)
@@ -175,6 +183,21 @@ class TestCover:
         validate_family(doc)
         assert len(doc["sets"]) >= 7
         assert "sets" in err or "greedy" in err
+
+    def test_greedy_k0_exits_2(self, fano_file, tmp_path, capsys):
+        fam = tmp_path / "greedy.json"
+        code, out, err = run(capsys, "cover", "greedy", "--in", fano_file,
+                             "--k", "0", "--out", str(fam))
+        assert code == 2 and "at least 1" in err
+        assert out == "" and not fam.exists()
+
+    def test_sizing_lower_bound_over_budget_exits_3(self, fano_file,
+                                                    capsys):
+        # t at the 14 single-vertex targets is 859
+        code, _, err = run(capsys, "cover", "build", "--in", fano_file,
+                           "--k", "2", "--delta", "0.001", "--seed", "0",
+                           "--budget", "858")
+        assert code == 3 and "t>=859" in err
 
     def test_hash_mismatch_exits_2(self, fano_file, tmp_path, capsys):
         other = tmp_path / "g3.g"

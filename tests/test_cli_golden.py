@@ -1,0 +1,32 @@
+"""Byte-identity guard for the ``verify`` and ``bounds`` output.
+
+``cli_golden.json`` maps each command line to its exit code, stdout and
+stderr as recorded before the checks moved from the CLI into the
+library. Every byte must still match: the reports are a stable
+contract, and a refactor that changes one is not a refactor.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from levicover import gen_levi, write_graph
+from levicover.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json")
+                    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("line", sorted(GOLDEN))
+def test_output_bytes_unchanged(line, tmp_path, monkeypatch, capsys):
+    # --in reports echo the path, so the plane files are read relative
+    # to the working directory
+    monkeypatch.chdir(tmp_path)
+    for q in (2, 3):
+        (tmp_path / f"plane{q}.g").write_text(write_graph(gen_levi(q)))
+    code = main(line.split())
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (GOLDEN[line]["code"],
+                                        GOLDEN[line]["stdout"],
+                                        GOLDEN[line]["stderr"])

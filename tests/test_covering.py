@@ -211,16 +211,19 @@ class TestBuildFamily:
             covered |= s
         assert covered == plane3.all_vertices
 
-    def test_c4_mode_rejects_square(self):
-        with pytest.raises(GraphError):
-            build_family_mc(cycle_graph(4), 2, 0.1, seed=0,
-                            require_c4_free=True)
+    def test_sizing_lower_bound_refused_before_counting(self, fano,
+                                                        monkeypatch):
+        # t at the 14 single-vertex targets is 859; the full count of 84
+        # targets gives t=1020
+        def no_count(*args):
+            raise AssertionError("counted despite the budget")
+        monkeypatch.setattr(covering, "count_independent_sets", no_count)
+        with pytest.raises(BudgetExceededError, match="t>=859"):
+            build_family_mc(fano, 2, 1e-3, seed=0, budget=858)
 
-    def test_c4_mode_degeneracy_bound_is_an_error(self, fano,
-                                                  monkeypatch):
-        monkeypatch.setattr(covering, "sqrt_degeneracy_bound", lambda n: 2)
-        with pytest.raises(GraphError, match="degeneracy"):
-            build_family_mc(fano, 2, 0.1, seed=0, require_c4_free=True)
+    def test_sizing_lower_bound_within_budget_counts(self, fano):
+        with pytest.raises(BudgetExceededError, match="t=1020"):
+            build_family_mc(fano, 2, 1e-3, seed=0, budget=859)
 
     def test_sample_count_over_budget(self, fano, monkeypatch):
         def no_draws(*args):
@@ -277,6 +280,18 @@ class TestGreedyCover:
         fam = greedy_cover(fano, 2)
         assert len(fam) >= 7  # exact counting lower bound ceil(28/4)
         assert verify_family(fano, 2, fam) == (True, None)
+
+    def test_k0_rejected(self, fano):
+        with pytest.raises(GraphError, match="at least 1"):
+            greedy_cover(fano, 0)
+
+    def test_family_document(self, fano):
+        fam = covering.greedy_family(fano, 2)
+        assert list(fam.sets) == greedy_cover(fano, 2)
+        assert (fam.k, fam.delta, fam.seed, fam.t) == (2, 0.0, 0,
+                                                       len(fam.sets))
+        assert (fam.degeneracy, fam.p) == (3, Fraction(1, 4))
+        assert fam.graph_hash == graph_hash(fano)
 
 
 class TestFamilyIO:
