@@ -8,10 +8,10 @@ Monte Carlo sampling through a degeneracy order.
 """
 
 from .graphs import (DegeneracyResult, Graph, GraphError, ParseError,
-                     VertexSet, degeneracy_order, graph_hash,
-                     induced_subgraph, is_c4_free, iter_members, members,
-                     neighborhood_of_set, parse_graph,
-                     sqrt_degeneracy_bound, vset, write_graph)
+                     VertexSet, codegree_range, degeneracy_order,
+                     graph_hash, induced_subgraph, is_c4_free,
+                     iter_members, members, neighborhood_of_set,
+                     parse_graph, sqrt_degeneracy_bound, vset, write_graph)
 from .levi import (LeviIndexing, LeviPropertyReport, gen_levi, infer_q,
                    is_prime, verify_levi_properties)
 from .independence import (BoundsReport, BudgetExceededError, DesignParams,

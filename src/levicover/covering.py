@@ -219,9 +219,12 @@ def verify_family(g: Graph, k: int, sets: Sequence[VertexSet],
                   ) -> tuple[bool, Optional[VertexSet]]:
     """Exact coverage check; returns the first uncovered set on failure.
 
-    Every member must be an independent set of g, else GraphError. The
-    witness is lexicographically first because the enumeration is.
+    Every member must be an independent set of g and k at least 1, else
+    GraphError. The witness is lexicographically first because the
+    enumeration is.
     """
+    if k < 1:
+        raise GraphError("k must be at least 1")
     sets = list(sets)
     if any(s < 0 or s >> g.n for s in sets):
         raise GraphError("family member has a vertex outside the graph")

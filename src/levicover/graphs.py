@@ -5,8 +5,8 @@ vertex v is a member. Intersection/union/difference are &, |, &~ and
 cardinality is ``int.bit_count()``, which keeps the enumeration cores fast
 without any extra data structures.
 
-Graphs are frozen after construction; every operation here is a pure
-function, so values can be shared freely across workers.
+Graphs are frozen after construction, and every operation here is a
+pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -133,36 +133,88 @@ def neighborhood_of_set(g: Graph, s: VertexSet) -> VertexSet:
     return out & ~s
 
 
+def codegree_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
+    """Min and max of |N(u) & N(v)| over the pairs lo <= u < v < hi;
+    (g.n, 0) when there is no such pair.
+
+    For each u, the rows adj[w] & later of its neighbours w are summed
+    into binary bit planes (bit i of plane j is bit j of the count at
+    vertex i), and the extremes over the later vertices are read from the
+    top plane down. That is O(sum of deg log deg) int operations instead
+    of one AND and popcount per pair.
+    """
+    if lo < 0 or hi > g.n:
+        raise GraphError("vertex range out of bounds")
+    cmin, cmax = g.n, 0
+    adj = g.adj
+    for u in range(lo, hi - 1):
+        later = ((1 << hi) - 1) >> (u + 1) << (u + 1)
+        planes: list[int] = []
+        for w in iter_members(adj[u]):
+            carry = adj[w] & later
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        # Narrow the vertices to those with the largest (smallest) count,
+        # one bit of the count per plane.
+        top, bottom = later, later
+        high = low = 0
+        for j in range(len(planes) - 1, -1, -1):
+            high <<= 1
+            low <<= 1
+            if top & planes[j]:
+                top &= planes[j]
+                high |= 1
+            if bottom & ~planes[j]:
+                bottom &= ~planes[j]
+            else:
+                low |= 1
+        cmin, cmax = min(cmin, low), max(cmax, high)
+    return cmin, cmax
+
+
 def is_c4_free(g: Graph) -> bool:
     """True iff no two distinct vertices share two or more neighbors."""
-    for u in range(g.n):
-        au = g.adj[u]
-        for v in range(u + 1, g.n):
-            if (au & g.adj[v]).bit_count() >= 2:
-                return False
-    return True
+    return codegree_range(g, 0, g.n)[1] <= 1
 
 
 def degeneracy_order(g: Graph) -> DegeneracyResult:
     """Repeated minimum-degree removal; ties broken by lowest index.
 
     The degeneracy is the maximum over removal steps of the degree of the
-    removed vertex at removal time.
+    removed vertex at removal time. A bucket queue (Matula and Beck,
+    JACM 1983) holds the remaining vertices of each current degree as a
+    bitmask; a removal moves each remaining neighbour down one bucket, so
+    the lowest non-empty bucket drops by at most one per step.
     """
+    deg = [a.bit_count() for a in g.adj]
+    buckets = [0] * (max(deg, default=0) + 1)
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
     remaining = g.all_vertices
     order = []
-    d = 0
-    while remaining:
-        best = -1
-        best_deg = g.n + 1
-        for v in iter_members(remaining):
-            deg = (g.adj[v] & remaining).bit_count()
-            if deg < best_deg:
-                best, best_deg = v, deg
-        order.append(best)
-        d = max(d, best_deg)
-        remaining &= ~(1 << best)
-    return DegeneracyResult(order=tuple(order), degeneracy=d)
+    degeneracy = low = 0
+    for _ in range(g.n):
+        while not buckets[low]:
+            low += 1
+        bit = buckets[low] & -buckets[low]
+        v = bit.bit_length() - 1
+        buckets[low] ^= bit
+        remaining ^= bit
+        order.append(v)
+        degeneracy = max(degeneracy, low)
+        for w in iter_members(g.adj[v] & remaining):
+            d = deg[w]
+            buckets[d] ^= 1 << w
+            buckets[d - 1] |= 1 << w
+            deg[w] = d - 1
+        low = max(low - 1, 0)
+    return DegeneracyResult(order=tuple(order), degeneracy=degeneracy)
 
 
 def induced_subgraph(g: Graph, s: VertexSet) -> Graph:

@@ -1,9 +1,10 @@
 """Independent-set enumeration and the extremal checks built on it.
 
 Everything here is exact: neighborhood expansion bounds are compared as
-rationals, counts are integers, and the only floating point appears in
-the closed-form bound values that are irrational by nature (those are
-compared with an explicit relative margin by callers).
+rationals or as cross-multiplied integers, counts are integers, and the
+only floating point appears in the closed-form bound values that are
+irrational by nature (those are compared with an explicit relative
+margin by callers).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .graphs import (Graph, GraphError, VertexSet, degeneracy_order,
                      graph_hash, is_c4_free, iter_members, members,
-                     neighborhood_of_set, sqrt_degeneracy_bound, vset)
+                     neighborhood_of_set, sqrt_degeneracy_bound)
 from .levi import gen_levi, infer_q, require_prime, verify_levi_properties
 
 
@@ -176,31 +177,44 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     then on ``samples`` random one-side sets; observed is the number of
     sets that violate it.
 
-    Each random set draws its side, its size and its members, in that
-    order, from numpy's PCG64 seeded with ``seed``. The budget is charged
-    s + C(s, 2) per side of size s up front, then one step per sample.
+    A one-side set S has no edge inside it, so N(S) is the union of its
+    rows, and S violates the bound iff
+    |N(S)| (delta + lam (|S|-1)) < delta^2 |S|; the test is that integer
+    comparison. Each random set draws its side, its size and its members,
+    in that order, from numpy's PCG64 seeded with ``seed``. The budget is
+    charged s + C(s, 2) per side of size s up front, then one step per
+    sample.
     """
+    if samples < 0:
+        raise GraphError("sample count must be non-negative")
     params = DesignParams.for_plane(infer_q(g))
+    delta, lam = params.delta, params.lam
+    square = delta * delta
     sides = (members(g.side_p), members(g.side_l))
+    fixed = sum(len(v) + math.comb(len(v), 2) for v in sides)
     b = _Budget(budget)
-    b.charge(sum(len(v) + math.comb(len(v), 2) for v in sides))
+    b.charge(fixed)
+    adj = g.adj
+    violations = 0
+    for verts in sides:
+        rows = [adj[v] for v in verts]
+        violations += sum(r.bit_count() * delta < square for r in rows)
+        for i, x in enumerate(rows):
+            violations += sum((x | y).bit_count() * (delta + lam) < 2 * square
+                              for y in rows[i + 1:])
     rng = np.random.default_rng(seed)
-
-    def drawn() -> Iterator[VertexSet]:
-        for _ in range(samples):
-            b.charge()
-            verts = sides[rng.integers(2)]
-            size = int(rng.integers(1, len(verts) + 1))
-            yield vset(rng.choice(verts, size=size, replace=False))
-
-    singles = [[1 << v for v in verts] for verts in sides]
-    fixed = chain(*(chain(one, (x | y for x, y in combinations(one, 2)))
-                    for one in singles))
-    total = violations = 0
-    for s in chain(fixed, drawn()):
-        total += 1
-        violations += not check_expansion(g, params, s).holds
-    return 0, violations, violations == 0, float(total - violations)
+    arrays = tuple(np.array(verts, dtype=np.intp) for verts in sides)
+    for _ in range(samples):
+        b.charge()
+        verts = arrays[rng.integers(2)]
+        size = int(rng.integers(1, len(verts) + 1))
+        union = 0
+        for v in rng.choice(verts, size=size, replace=False).tolist():
+            union |= adj[v]
+        violations += (union.bit_count() * (delta + lam * (size - 1))
+                       < square * size)
+    return (0, violations, violations == 0,
+            float(fixed + samples - violations))
 
 
 def _is_generated_plane(g: Graph) -> bool:

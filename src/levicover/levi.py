@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, codegree_range
 
 
 def is_prime(q: int) -> bool:
@@ -142,15 +142,6 @@ def _degree_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
     return min(degs), max(degs)
 
 
-def _common_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
-    cmin, cmax = g.n, 0
-    for u in range(lo, hi):
-        for v in range(u + 1, hi):
-            c = (g.adj[u] & g.adj[v]).bit_count()
-            cmin, cmax = min(cmin, c), max(cmax, c)
-    return cmin, cmax
-
-
 def verify_levi_properties(g: Graph, q: int) -> LeviPropertyReport:
     """Check side sizes, (q+1)-regularity, and the one-common-neighbor law.
 
@@ -166,8 +157,8 @@ def verify_levi_properties(g: Graph, q: int) -> LeviPropertyReport:
     deg = q + 1
     p_deg = _degree_range(g, 0, g.side_p_size)
     l_deg = _degree_range(g, g.side_p_size, g.n)
-    p_common = _common_range(g, 0, g.side_p_size)
-    l_common = _common_range(g, g.side_p_size, g.n)
+    p_common = codegree_range(g, 0, g.side_p_size)
+    l_common = codegree_range(g, g.side_p_size, g.n)
     return LeviPropertyReport(
         n_ok=g.n == want_n,
         p_degree_ok=p_deg == (deg, deg),

@@ -119,6 +119,12 @@ class TestVerify:
                           budget, "--no-timestamp")
         assert got == code and ("budget" in err) == (code == 3)
 
+    def test_negative_samples_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--q", "2", "--checks",
+                             "expansion", "--samples", "-5",
+                             "--no-timestamp")
+        assert code == 2 and "non-negative" in err and out == ""
+
     def test_timestamp_present_by_default(self, capsys):
         _, out, _ = run(capsys, "verify", "--q", "2", "--checks", "c4free")
         doc = json.loads(out)
@@ -190,6 +196,14 @@ class TestCover:
                              "--k", "0", "--out", str(fam))
         assert code == 2 and "at least 1" in err
         assert out == "" and not fam.exists()
+
+    def test_verify_k0_exits_2(self, fano_file, tmp_path, capsys):
+        fam = str(tmp_path / "greedy.json")
+        assert run(capsys, "cover", "greedy", "--in", fano_file, "--k", "2",
+                   "--out", fam)[0] == 0
+        code, out, err = run(capsys, "cover", "verify", "--in", fano_file,
+                             "--k", "0", "--family", fam, "--no-timestamp")
+        assert code == 2 and "at least 1" in err and out == ""
 
     def test_sizing_lower_bound_over_budget_exits_3(self, fano_file,
                                                     capsys):

@@ -260,6 +260,12 @@ class TestVerifyFamily:
         with pytest.raises(GraphError, match="outside"):
             verify_family(fano, 1, [fano.side_p, 1 << 14])
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, fano, k):
+        # the size-<=0 target universe is empty, so any family would pass
+        with pytest.raises(GraphError, match="at least 1"):
+            verify_family(fano, k, [fano.side_p])
+
 
 class TestGreedyCover:
     def test_edgeless_one_set(self):

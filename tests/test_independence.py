@@ -120,6 +120,11 @@ class TestExpansion:
         with pytest.raises(GraphError):
             check_expansion(fano, params, vset([0, 7]))
 
+    def test_negative_samples_rejected(self, fano):
+        with pytest.raises(GraphError, match="non-negative"):
+            independence._verify_expansion(fano, samples=-5, seed=0,
+                                           budget=None)
+
 
 class TestSideProduct:
     def test_fano_max_is_four(self, fano):

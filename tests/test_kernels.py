@@ -1,0 +1,202 @@
+"""Differential tests for the kernels behind ``verify``.
+
+The bucket-queue degeneracy order, the bit-sliced codegree kernel and the
+integer expansion test replaced a linear rescan, a loop over vertex
+pairs and one ``check_expansion`` call per set. Those slow paths stay
+here as the oracles, and every result must match them exactly: the whole
+elimination order, the (min, max) codegree and the full check tuple.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from levicover import (DegeneracyResult, DesignParams, Graph, GraphError,
+                       check_expansion, codegree_range, degeneracy_order,
+                       gen_levi, infer_q, is_c4_free, iter_members, members,
+                       vset)
+from levicover.independence import _verify_expansion
+from test_graphs import random_graphs
+
+
+def scan_degeneracy_order(g: Graph) -> DegeneracyResult:
+    """Oracle: rescan every remaining vertex at each removal."""
+    remaining = g.all_vertices
+    order = []
+    d = 0
+    while remaining:
+        best = -1
+        best_deg = g.n + 1
+        for v in iter_members(remaining):
+            deg = (g.adj[v] & remaining).bit_count()
+            if deg < best_deg:
+                best, best_deg = v, deg
+        order.append(best)
+        d = max(d, best_deg)
+        remaining &= ~(1 << best)
+    return DegeneracyResult(order=tuple(order), degeneracy=d)
+
+
+def pairwise_c4_free(g: Graph) -> bool:
+    """Oracle: no pair of vertices shares two neighbours."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if (g.adj[u] & g.adj[v]).bit_count() >= 2:
+                return False
+    return True
+
+
+def pairwise_common_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
+    """Oracle: min and max common-neighbour count over pairs in [lo, hi)."""
+    cmin, cmax = g.n, 0
+    for u in range(lo, hi):
+        for v in range(u + 1, hi):
+            c = (g.adj[u] & g.adj[v]).bit_count()
+            cmin, cmax = min(cmin, c), max(cmax, c)
+    return cmin, cmax
+
+
+def expansion_by_check(g: Graph, samples: int, seed: int):
+    """Oracle: check_expansion applied set by set, with the same draws."""
+    params = DesignParams.for_plane(infer_q(g))
+    sides = (members(g.side_p), members(g.side_l))
+    fixed = [s for verts in sides
+             for s in itertools.chain(
+                 (1 << v for v in verts),
+                 ((1 << x) | (1 << y)
+                  for x, y in itertools.combinations(verts, 2)))]
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(samples):
+        verts = sides[rng.integers(2)]
+        size = int(rng.integers(1, len(verts) + 1))
+        drawn.append(vset(rng.choice(verts, size=size, replace=False)))
+    total = violations = 0
+    for s in fixed + drawn:
+        total += 1
+        violations += not check_expansion(g, params, s).holds
+    return 0, violations, violations == 0, float(total - violations)
+
+
+def without_edge(g: Graph, index: int) -> Graph:
+    edges = list(g.edges())
+    del edges[index]
+    return Graph.from_edges(g.n, edges, side_p_size=g.side_p_size)
+
+
+def bipartite_graphs(side: int):
+    """Hypothesis strategy: bipartite graphs with two sides of ``side``."""
+    pairs = [(u, side + v) for u in range(side) for v in range(side)]
+
+    def build(bits):
+        return Graph.from_edges(2 * side,
+                                [e for e, keep in zip(pairs, bits) if keep],
+                                side_p_size=side)
+    return st.builds(build, st.lists(st.booleans(), min_size=len(pairs),
+                                     max_size=len(pairs)))
+
+
+def seeded_graph(n: int, density: float, seed: int,
+                 side_p_size: int = 0) -> Graph:
+    rng = np.random.default_rng(seed)
+    if side_p_size:
+        pairs = [(u, v) for u in range(side_p_size)
+                 for v in range(side_p_size, n)]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+    keep = rng.random(len(pairs)) < density
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k],
+                            side_p_size=side_p_size)
+
+
+PLANES = {f"q{q}{cut}": (gen_levi(q) if cut == "" else
+                         without_edge(gen_levi(q), 0 if cut == "-first"
+                                      else -1))
+          for q in (2, 3, 5, 7) for cut in ("", "-first", "-last")}
+DENSE = {f"n{n}-p{p}-s{s}": seeded_graph(n, p, s)
+         for n, p, s in [(40, 0.05, 1), (40, 0.2, 2), (40, 0.5, 3),
+                         (60, 0.1, 4), (60, 0.9, 5), (1, 0.5, 6)]}
+
+
+class TestDegeneracyOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs())
+    def test_random_graphs(self, g):
+        assert degeneracy_order(g) == scan_degeneracy_order(g)
+
+    @pytest.mark.parametrize("name", sorted(PLANES) + sorted(DENSE))
+    def test_planes_and_seeded_graphs(self, name):
+        g = PLANES.get(name) or DENSE[name]
+        assert degeneracy_order(g) == scan_degeneracy_order(g)
+
+    def test_empty_graph(self):
+        assert degeneracy_order(Graph.from_edges(0, [])) == \
+            DegeneracyResult(order=(), degeneracy=0)
+
+
+class TestCodegree:
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs())
+    def test_c4_free_random_graphs(self, g):
+        assert is_c4_free(g) == pairwise_c4_free(g)
+        assert codegree_range(g, 0, g.n) == pairwise_common_range(g, 0, g.n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arbitrary_ranges(self, data):
+        g = data.draw(random_graphs())
+        lo = data.draw(st.integers(0, g.n))
+        hi = data.draw(st.integers(0, g.n))
+        assert codegree_range(g, lo, hi) == pairwise_common_range(g, lo, hi)
+
+    @pytest.mark.parametrize("name", sorted(PLANES) + sorted(DENSE))
+    def test_planes_and_seeded_graphs(self, name):
+        g = PLANES.get(name) or DENSE[name]
+        assert is_c4_free(g) == pairwise_c4_free(g)
+        s = g.side_p_size
+        for lo, hi in [(0, g.n), (0, s), (s, g.n), (1, g.n - 1), (3, 4),
+                       (2, 2)]:
+            hi = min(hi, g.n)
+            assert codegree_range(g, lo, hi) == \
+                pairwise_common_range(g, lo, hi)
+
+    def test_short_ranges(self, fano):
+        for lo in range(fano.n + 1):
+            assert codegree_range(fano, lo, lo) == (fano.n, 0)
+            if lo < fano.n:
+                assert codegree_range(fano, lo, lo + 1) == (fano.n, 0)
+
+    def test_range_out_of_bounds(self, fano):
+        with pytest.raises(GraphError):
+            codegree_range(fano, -1, 3)
+        with pytest.raises(GraphError):
+            codegree_range(fano, 0, fano.n + 1)
+
+
+class TestExpansion:
+    @pytest.mark.parametrize("name", sorted(PLANES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_planes(self, name, seed):
+        g = PLANES[name]
+        samples = 300 if g.n < 100 else 60
+        assert _verify_expansion(g, samples=samples, seed=seed,
+                                 budget=None) == \
+            expansion_by_check(g, samples, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bipartite_graphs(7), st.integers(0, 40), st.integers(0, 2 ** 32))
+    def test_random_bipartite(self, g, samples, seed):
+        assert _verify_expansion(g, samples=samples, seed=seed,
+                                 budget=None) == \
+            expansion_by_check(g, samples, seed)
+
+    @pytest.mark.parametrize("q,density", [(3, 0.3), (5, 0.15), (7, 0.1)])
+    def test_violations_at_plane_size(self, q, density):
+        side = q * q + q + 1
+        g = seeded_graph(2 * side, density, q, side_p_size=side)
+        got = _verify_expansion(g, samples=200, seed=q, budget=None)
+        assert got[1] > 0 and not got[2]
+        assert got == expansion_by_check(g, 200, q)
