@@ -13,7 +13,7 @@ from .graphs import (DegeneracyResult, Graph, GraphError, ParseError,
                      iter_members, members, neighborhood_of_set,
                      parse_graph, sqrt_degeneracy_bound, vset, write_graph)
 from .levi import (LeviIndexing, LeviPropertyReport, gen_levi, infer_q,
-                   is_prime, verify_levi_properties)
+                   is_prime, plane_size, verify_levi_properties)
 from .independence import (BoundsReport, BudgetExceededError, DesignParams,
                            ExpansionCheck, SideProfile,
                            balanced_count_lower_bound, check_cover_capacity,
@@ -23,7 +23,8 @@ from .independence import (BoundsReport, BudgetExceededError, DesignParams,
                            enumerate_maximal_independent_sets,
                            evaluate_bounds, max_cover_capacity,
                            max_side_product, per_set_capacity_bound,
-                           side_product_bound, side_profile)
+                           profile_frontier, side_product_bound,
+                           side_profile)
 from .covering import (CoveringFamily, build_family_mc,
                        containment_probability_floor, dump_family,
                        family_from_json, family_to_json, greedy_cover,

@@ -140,6 +140,14 @@ def cmd_cover_greedy(args) -> int:
     return EXIT_PASS
 
 
+def _uint(text: str) -> int:
+    """argparse type of --seed and --budget: a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="levicover",
@@ -160,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from: " + ",".join(CHECKS))
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=covering.DEFAULT_BUDGET)
+    p.add_argument("--seed", type=_uint, default=0)
+    p.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -169,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget", type=int, default=covering.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("cover", help="covering family commands")
@@ -179,16 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--delta", type=float, required=True)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--seed", type=_uint, required=True)
     c.add_argument("--out")
-    c.add_argument("--budget", type=int, default=covering.DEFAULT_BUDGET)
+    c.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     c.set_defaults(func=cmd_cover_build)
 
     c = csub.add_parser("verify")
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--family", required=True)
-    c.add_argument("--budget", type=int, default=covering.DEFAULT_BUDGET)
+    c.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     c.add_argument("--no-timestamp", action="store_true")
     c.set_defaults(func=cmd_cover_verify)
 
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--out")
-    c.add_argument("--budget", type=int, default=covering.DEFAULT_BUDGET)
+    c.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     c.set_defaults(func=cmd_cover_greedy)
 
     return ap

@@ -12,15 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .graphs import (Graph, GraphError, VertexSet, degeneracy_order,
-                     graph_hash, is_c4_free, iter_members, members,
+                     is_c4_free, iter_members, members,
                      neighborhood_of_set, sqrt_degeneracy_bound)
-from .levi import gen_levi, infer_q, require_prime, verify_levi_properties
+from .levi import (gen_levi, infer_q, plane_size, require_prime,
+                   verify_levi_properties)
 
 
 class BudgetExceededError(RuntimeError):
@@ -124,7 +125,7 @@ class DesignParams:
 
     @classmethod
     def for_plane(cls, q: int) -> "DesignParams":
-        return cls(eta=q * q + q + 1, delta=q + 1, lam=1)
+        return cls(eta=plane_size(q), delta=q + 1, lam=1)
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,8 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     delta, lam = params.delta, params.lam
     square = delta * delta
     sides = (members(g.side_p), members(g.side_l))
+    if not all(sides):
+        raise GraphError("expansion check needs two nonempty sides")
     fixed = sum(len(v) + math.comb(len(v), 2) for v in sides)
     b = _Budget(budget)
     b.charge(fixed)
@@ -218,25 +221,23 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
 
 
 def _is_generated_plane(g: Graph) -> bool:
-    """True iff g is byte-for-byte the incidence graph gen_levi builds."""
+    """True iff g equals the incidence graph gen_levi builds."""
     try:
-        q = infer_q(g)
+        return g == gen_levi(infer_q(g))
     except GraphError:
         return False
-    return graph_hash(g) == graph_hash(gen_levi(q))
 
 
-def _best_profile(g: Graph, score: Callable[[int, int], int],
-                  budget: Optional[int]) -> tuple[int, SideProfile]:
-    """Largest score(a, b) over the side profiles of maximal independent
-    sets, with the witness profile (ties go to the larger a, then b).
-
-    score must be non-decreasing in a and b, so no independent set beats
-    the maximal sets containing it. On the generated plane the maximal
-    sets with a >= 2 are taken only among those containing points 0 and
-    1: the collineation group is 2-transitive on points and preserves
-    profiles. The sets with a <= 1 are read off the graph: the line side,
-    and point 0 with every line off it.
+def profile_frontier(g: Graph, budget: Optional[int] = None
+                     ) -> tuple[int, ...]:
+    """b*(a) for a = 0..|P|: the most lines (L members) of an independent
+    set with a points (P members). A best such set extends to a maximal
+    set by adding points only, so b*(a) is the running maximum, from the
+    top a down, of the most lines of a maximal set with exactly a points.
+    On the generated plane only the maximal sets through points 0 and 1
+    are enumerated (the collineation group is 2-transitive on points and
+    keeps profiles); the sets with a <= 1 are read off the graph: the
+    line side, and point 0 with the lines off it.
     """
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
@@ -246,23 +247,20 @@ def _best_profile(g: Graph, score: Callable[[int, int], int],
     else:
         sets = enumerate_maximal_independent_sets(g, budget=budget)
     side_p = g.side_p
-    profiles = set()
-    for s in sets:
-        a = (s & side_p).bit_count()
-        profiles.add((a, s.bit_count() - a))
-    a, b = max(profiles, key=lambda ab: (score(*ab), ab))
-    return score(a, b), SideProfile(a, b)
+    profiles = {((s & side_p).bit_count(), s.bit_count()) for s in sets}
+    best = [0] * (g.side_p_size + 1)
+    for a, size in profiles:
+        best[a] = max(best[a], size - a)
+    return tuple(accumulate(reversed(best), max))[::-1]
 
 
 def max_side_product(g: Graph, budget: Optional[int] = None
                      ) -> tuple[int, SideProfile]:
-    """Maximum of a*b over independent sets, via maximal sets only.
-
-    Extending an independent set never decreases either side count, so the
-    maximum over maximal independent sets equals the global maximum (the
-    equivalence is exercised by a brute-force test at small n).
-    """
-    return _best_profile(g, lambda a, b: a * b, budget)
+    """Largest a*b over independent sets, with its witness profile; ties
+    go to the larger a, whose frontier point a maximal set realises."""
+    best, a, b = max((a * b, a, b)
+                     for a, b in enumerate(profile_frontier(g, budget)))
+    return best, SideProfile(a, b)
 
 
 def side_product_bound(q: int) -> int:
@@ -293,27 +291,27 @@ def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
     return total
 
 
-def _capacity(k: int) -> Callable[[int, int], int]:
-    """Balanced k-subsets of a set with side profile (a, b), as a score."""
+def _capacity(a: int, b: int, k: int) -> int:
+    """Balanced k-subsets of a set with side profile (a, b)."""
     if k % 2 != 0 or k < 2:
         raise GraphError("cover capacity is defined for even k >= 2 only")
-    half = k // 2
-    return lambda a, b: math.comb(a, half) * math.comb(b, half)
+    return math.comb(a, k // 2) * math.comb(b, k // 2)
 
 
 def check_cover_capacity(g: Graph, i: VertexSet, k: int) -> int:
     """Number of balanced k-subsets inside the independent set i."""
-    capacity = _capacity(k)
     if not g.is_independent(i):
         raise GraphError("set is not independent")
     prof = side_profile(g, i)
-    return capacity(prof.a, prof.b)
+    return _capacity(prof.a, prof.b, k)
 
 
 def max_cover_capacity(g: Graph, k: int,
                        budget: Optional[int] = None) -> int:
     """Largest number of balanced k-subsets any independent set holds."""
-    return _best_profile(g, _capacity(k), budget)[0]
+    _capacity(0, 0, k)  # reject a bad k before the enumeration
+    return max(_capacity(a, b, k)
+               for a, b in enumerate(profile_frontier(g, budget)))
 
 
 def balanced_count_lower_bound(n: int, k: int) -> Fraction:
@@ -362,7 +360,7 @@ def evaluate_bounds(q: int, k: int, g: Optional[Graph] = None,
     if k > q:
         raise GraphError(
             f"k must be at most q (covering bound hypothesis): k={k}, q={q}")
-    n = 2 * (q * q + q + 1)
+    n = 2 * plane_size(q)
     report = BoundsReport(
         q=q, k=k, n=n,
         balanced_count_lower_bound=balanced_count_lower_bound(n, k),

@@ -34,6 +34,12 @@ def require_prime(q: int) -> int:
     return q
 
 
+def plane_size(q: int) -> int:
+    """q^2 + q + 1, the number of points (and of lines) of the plane of
+    order q."""
+    return q * q + q + 1
+
+
 def infer_q(g: Graph) -> int:
     """Recover the plane order from the bipartition side size.
 
@@ -41,7 +47,7 @@ def infer_q(g: Graph) -> int:
     """
     s = g.side_p_size
     q = (math.isqrt(max(4 * s - 3, 0)) - 1) // 2
-    if q < 2 or q * q + q + 1 != s or not is_prime(q):
+    if q < 2 or plane_size(q) != s or not is_prime(q):
         raise GraphError(
             f"side size {s} does not match a prime-order plane")
     return q
@@ -64,7 +70,7 @@ class LeviIndexing:
 
     @property
     def side_size(self) -> int:
-        return self.q * self.q + self.q + 1
+        return plane_size(self.q)
 
     @property
     def n(self) -> int:
@@ -86,7 +92,7 @@ class LeviIndexing:
         return self.side_size + self.q * self.q + x
 
     def infinity_line(self) -> int:
-        return 2 * self.q * self.q + 2 * self.q + 1
+        return self.n - 1
 
 
 def gen_levi(q: int) -> Graph:
@@ -138,8 +144,9 @@ class LeviPropertyReport:
 
 
 def _degree_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
+    """Min and max degree over lo <= v < hi; (g.n, 0) when it is empty."""
     degs = [g.degree(v) for v in range(lo, hi)]
-    return min(degs), max(degs)
+    return min(degs, default=g.n), max(degs, default=0)
 
 
 def verify_levi_properties(g: Graph, q: int) -> LeviPropertyReport:
@@ -150,7 +157,7 @@ def verify_levi_properties(g: Graph, q: int) -> LeviPropertyReport:
     (e.g. after deleting an edge).
     """
     require_prime(q)
-    s = q * q + q + 1
+    s = plane_size(q)
     if g.side_p_size != s:
         raise GraphError(f"graph not flagged bipartite with side size {s}")
     want_n = 2 * s

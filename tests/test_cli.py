@@ -125,6 +125,24 @@ class TestVerify:
                              "--no-timestamp")
         assert code == 2 and "non-negative" in err and out == ""
 
+    def test_expansion_on_empty_side_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "points.g"
+        path.write_text("7 0 7\n")
+        code, out, err = run(capsys, "verify", "--in", str(path), "--checks",
+                             "expansion", "--samples", "5", "--no-timestamp")
+        assert code == 2 and "nonempty sides" in err and out == ""
+        # the side size is a plane's, so levi-props runs and fails
+        code, out, _ = run(capsys, "verify", "--in", str(path), "--checks",
+                           "levi-props", "--no-timestamp")
+        assert code == 1 and json.loads(out)["outcome"] == "fail"
+
+    @pytest.mark.parametrize("flag", ["--seed", "--budget"])
+    def test_negative_seed_or_budget_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--q", "2", "--checks", "expansion", flag, "-1"])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
     def test_timestamp_present_by_default(self, capsys):
         _, out, _ = run(capsys, "verify", "--q", "2", "--checks", "c4free")
         doc = json.loads(out)
@@ -155,6 +173,13 @@ class TestBounds:
         code, out, err = run(capsys, "bounds", "--q", "3", "--k", "2",
                              "--exact", "--budget", budget)
         assert code == 3 and out == "" and "budget" in err
+
+    def test_negative_budget_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--q", "2", "--k", "2", "--exact",
+                  "--budget", "-5"])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
 
     def test_formula_only_large_q(self, capsys):
         code, out, _ = run(capsys, "bounds", "--q", "101", "--k", "4")
@@ -247,6 +272,19 @@ class TestCover:
             main(["cover", "build", "--in", fano_file, "--k", "2",
                   "--delta", "0.1", "--seed", "0", "--workers", "4"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--k", "2", "--delta", "0.1", "--seed", "-1"],
+        ["build", "--k", "2", "--delta", "0.1", "--seed", "0",
+         "--budget", "-5"],
+        ["verify", "--k", "2", "--family", "fam.json", "--budget", "-5"],
+        ["greedy", "--k", "2", "--budget", "-5"]],
+        ids=["build-seed", "build-budget", "verify-budget", "greedy-budget"])
+    def test_negative_seed_or_budget_exits_2(self, fano_file, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cover", argv[0], "--in", fano_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
 
     def test_sample_count_over_budget_exits_3(self, fano_file, tmp_path,
                                               capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levicover import (Graph, GraphError, DesignParams, SideProfile,
                        check_cover_capacity,
@@ -10,7 +12,8 @@ from levicover import (Graph, GraphError, DesignParams, SideProfile,
                        count_independent_sets, enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
                        gen_levi, graph_hash, max_cover_capacity,
-                       max_side_product, members, side_profile, vset)
+                       max_side_product, members, profile_frontier,
+                       side_profile, vset)
 from levicover import independence
 from levicover.independence import BudgetExceededError
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
@@ -186,6 +189,37 @@ def brute_best(g, score):
                                          brute_independent_sets(g, g.n)))
 
 
+def brute_frontier(g):
+    """Oracle: for each a, the most lines of an independent set with a
+    points, over the whole subset lattice (every set of points is
+    independent, so each a has one)."""
+    best = [0] * (g.side_p_size + 1)
+    for s in brute_independent_sets(g, g.n):
+        p = side_profile(g, s)
+        best[p.a] = max(best[p.a], p.b)
+    return tuple(best)
+
+
+def frontier_best(frontier, score):
+    """The largest score over the frontier points (a, b*(a)), ties to
+    the larger a."""
+    a, b = max(enumerate(frontier), key=lambda ab: (score(*ab), ab[0]))
+    return score(a, b), SideProfile(a, b)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Hypothesis strategy: bipartite graphs with 1..6 points, at most 10
+    vertices and random point-line edges."""
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(0, 10 - a))
+    pairs = [(p, a + j) for p in range(a) for j in range(b)]
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(a + b, [e for e, on in zip(pairs, bits) if on],
+                            side_p_size=a)
+
+
 # Scores non-decreasing in both side counts. The last two are settled
 # by the a = 0 and a = 1 sets of the plane, which contain no point pair.
 MONOTONE_SCORES = {
@@ -222,8 +256,18 @@ class TestSymmetryReduction:
         g = gen_levi(q)
         fn = MONOTONE_SCORES[score]
         expect = full_path_best(g, fn)
-        assert independence._best_profile(g, fn, None) == expect
+        assert frontier_best(profile_frontier(g), fn) == expect
         assert [r[0] for r in bk_starts] == [0b11]
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_reduced_frontier_equals_full_path(self, q, bk_starts,
+                                               monkeypatch):
+        g = gen_levi(q)
+        reduced = profile_frontier(g)
+        monkeypatch.setattr(independence, "_is_generated_plane",
+                            lambda g: False)
+        assert profile_frontier(g) == reduced
+        assert [r[0] for r in bk_starts] == [0b11, 0]
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_public_maxima_take_reduced_path(self, q, bk_starts):
@@ -247,11 +291,11 @@ class TestSymmetryReduction:
                                               bk_starts):
         g = perturb(fano)
         assert graph_hash(g) != graph_hash(fano)
+        frontier = profile_frontier(g)
+        assert frontier == brute_frontier(g)
+        assert [r[0] for r in bk_starts] == [0]
         for score in MONOTONE_SCORES.values():
-            bk_starts.clear()
-            assert independence._best_profile(g, score, None)[0] == \
-                brute_best(g, score)
-            assert [r[0] for r in bk_starts] == [0]
+            assert frontier_best(frontier, score)[0] == brute_best(g, score)
 
     @pytest.mark.parametrize("perturb", [lambda g: relabelled(g, 5),
                                          minus_one_edge],
@@ -260,17 +304,44 @@ class TestSymmetryReduction:
                                                 bk_starts):
         g = perturb(plane3)
         assert graph_hash(g) != graph_hash(plane3)
+        frontier = profile_frontier(g)
+        assert [r[0] for r in bk_starts] == [0]
         for score in MONOTONE_SCORES.values():
-            bk_starts.clear()
             expect = full_path_best(g, score)
-            assert independence._best_profile(g, score, None) == expect
-            assert [r[0] for r in bk_starts] == [0]
+            assert frontier_best(frontier, score) == expect
 
     def test_plane5_pinned(self, bk_starts):
         g = gen_levi(5)
         assert max_cover_capacity(g, 4) == 675
         assert max_side_product(g)[0] == 60
         assert bk_starts == [[0b11, 78986]] * 2
+
+    def test_plane5_frontier_pinned(self, bk_starts):
+        frontier = profile_frontier(gen_levi(5))
+        assert frontier == (31, 25, 20, 16, 13, 11, 10, 8, 7, 6, 6, 5, 4, 4,
+                            3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1,
+                            0, 0, 0, 0, 0, 0)
+        assert bk_starts == [[0b11, 78986]]
+        # both maxima sit at (6, 10) and at its mirror (10, 6), which wins
+        # the tie
+        assert frontier[6] == 10 and frontier[10] == 6
+        assert frontier_best(frontier, MONOTONE_SCORES["product"]) == \
+            (60, SideProfile(10, 6))
+        assert frontier_best(frontier, MONOTONE_SCORES["capacity4"]) == \
+            (675, SideProfile(10, 6))
+
+    @pytest.mark.parametrize("q,frontier", [
+        (2, (7, 4, 2, 1, 1, 0, 0, 0)),
+        (3, (13, 9, 6, 4, 3, 2, 2, 1, 1, 1, 0, 0, 0, 0))])
+    def test_small_plane_frontiers(self, q, frontier):
+        assert profile_frontier(gen_levi(q)) == frontier
+
+    @settings(max_examples=100, deadline=None)
+    @given(bipartite_graphs())
+    def test_frontier_matches_brute_force(self, g):
+        assert profile_frontier(g) == brute_frontier(g)
+        assert max_side_product(g) == full_path_best(
+            g, MONOTONE_SCORES["product"])
 
     def test_budget_covers_both_paths(self, plane3):
         # 135 Bron-Kerbosch calls on the reduced path; the full path on
