@@ -7,15 +7,15 @@ covering families of C4-free graphs, and builds such families by seeded
 Monte Carlo sampling through a degeneracy order.
 """
 
-from .graphs import (DegeneracyResult, Graph, GraphError, ParseError,
-                     VertexSet, codegree_range, degeneracy_order,
-                     graph_hash, induced_subgraph, is_c4_free,
-                     iter_members, members, neighborhood_of_set,
+from .graphs import (BudgetExceededError, DegeneracyResult, Graph,
+                     GraphError, ParseError, VertexSet, codegree_range,
+                     degeneracy_order, graph_hash, induced_subgraph,
+                     is_c4_free, iter_members, members, neighborhood_of_set,
                      parse_graph, sqrt_degeneracy_bound, vset, write_graph)
 from .levi import (LeviIndexing, LeviPropertyReport, gen_levi, infer_q,
                    is_prime, plane_size, verify_levi_properties)
-from .independence import (BoundsReport, BudgetExceededError, DesignParams,
-                           ExpansionCheck, SideProfile,
+from .independence import (BoundsReport, DesignParams, ExpansionCheck,
+                           SideProfile,
                            balanced_count_lower_bound, check_cover_capacity,
                            check_expansion, count_balanced,
                            count_independent_sets,

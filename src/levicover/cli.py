@@ -17,8 +17,9 @@ import time
 from pathlib import Path
 
 from . import covering, levi
-from .graphs import GraphError, members, parse_graph, write_graph
-from .independence import CHECKS, BudgetExceededError, evaluate_bounds
+from .graphs import (BudgetExceededError, GraphError, members, parse_graph,
+                     write_graph)
+from .independence import CHECKS, evaluate_bounds
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -63,7 +64,7 @@ def _run_report(command: str, parameters: dict, checks: list[dict],
 
 
 def cmd_gen(args) -> int:
-    g = levi.gen_levi(args.q)
+    g = levi.gen_levi(args.q, args.budget)
     _write(write_graph(g), args.out)
     print(f"{g.n} {g.m} {g.side_p_size}",
           file=sys.stdout if args.out else sys.stderr)
@@ -77,7 +78,7 @@ def cmd_verify(args) -> int:
         if name not in CHECKS:
             raise GraphError(f"unknown check name: {name}")
     g = (parse_graph(Path(args.infile).read_bytes()) if args.infile
-         else levi.gen_levi(args.q))
+         else levi.gen_levi(args.q, args.budget))
     checks = [_check(name, *CHECKS[name](g, k=args.k, samples=args.samples,
                                          seed=args.seed, budget=args.budget))
               for name in names]
@@ -91,7 +92,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    g = levi.gen_levi(args.q) if args.exact else None
+    g = levi.gen_levi(args.q, args.budget) if args.exact else None
     rep = evaluate_bounds(args.q, args.k, g=g, budget=args.budget)
     frac = rep.balanced_count_lower_bound
     doc = dataclasses.asdict(rep)
@@ -158,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an incidence graph")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--out")
+    p.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="run structural checks")

@@ -18,6 +18,9 @@ sampler as an exact oracle for the vectorised one.
 Coverage and greedy cover run on a column index: bit j of column v is set
 iff set j contains v, so the sets containing a target are the AND of its
 members' columns.
+
+numpy is imported inside the functions that draw samples or build
+columns, so loading this module does not load it.
 """
 
 from __future__ import annotations
@@ -26,16 +29,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from .graphs import (DegeneracyResult, Graph, GraphError, VertexSet,
-                     degeneracy_order, graph_hash, iter_members, members,
-                     vset)
-from .independence import (BudgetExceededError, count_independent_sets,
+from .graphs import (Budget, BudgetExceededError, DegeneracyResult, Graph,
+                     GraphError, VertexSet, degeneracy_order, graph_hash,
+                     iter_members, members, vset)
+from .independence import (count_independent_sets,
                            enumerate_independent_sets,
                            enumerate_maximal_independent_sets)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 10 ** 7
 BLOCK = 4096  # samples per (seed, block) substream
@@ -97,12 +101,14 @@ def sample_independent_set(g: Graph, order: DegeneracyResult, p,
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
+    import numpy as np
     return np.random.default_rng((seed, index))
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:
     """Rows of a boolean matrix as int bitmasks: bit j of row r is
     ``bits[r, j]``."""
+    import numpy as np
     rows, cols = bits.shape
     words = -(-cols // 64)
     padded = np.zeros((rows, 64 * words), dtype=bool)
@@ -117,6 +123,7 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
 
 def _unpack_rows(sets: Sequence[VertexSet], n: int) -> np.ndarray:
     """The inverse of _pack_rows for masks below 2^n: a (len, n) matrix."""
+    import numpy as np
     nbytes = (n + 7) // 8
     raw = np.frombuffer(b"".join(s.to_bytes(nbytes, "little") for s in sets),
                         dtype=np.uint8).reshape(len(sets), nbytes)
@@ -131,6 +138,7 @@ def _columns(sets: Sequence[VertexSet], n: int) -> list[int]:
 
 def _forward_neighbors(g: Graph, order: DegeneracyResult) -> list[np.ndarray]:
     """For each vertex, its neighbors later in the degeneracy order."""
+    import numpy as np
     pos = [0] * g.n
     for i, v in enumerate(order.order):
         pos[v] = i
@@ -248,32 +256,36 @@ def greedy_cover(g: Graph, k: int,
     Ties go to the lexicographically smallest candidate (by sorted member
     list). Useful as an upper-bound oracle against the exact counting
     lower bound. Target sets are bits of a universe-wide mask: a
-    candidate holds the targets with no member outside it.
+    candidate holds the targets with no member outside it. Each candidate
+    held is charged against the budget on its own account: its mask
+    words, ceil(#targets / 64), plus its member count.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
     universe = list(enumerate_independent_sets(g, k, budget))
-    candidates = sorted(enumerate_maximal_independent_sets(g, budget=budget),
-                        key=members)
     cols = _columns(universe, g.n)
     uncovered = (1 << len(universe)) - 1
-    contained = []
-    for c in candidates:
+    held = Budget(budget, "greedy candidate memory")
+    words = -(-len(universe) // 64)
+    candidates = []
+    for c in enumerate_maximal_independent_sets(g, budget=budget):
+        held.charge(words + c.bit_count())
         outside = 0
         for v in iter_members(g.all_vertices & ~c):
             outside |= cols[v]
-        contained.append(uncovered & ~outside)
+        candidates.append((members(c), c, uncovered & ~outside))
+    candidates.sort()
     chosen: list[VertexSet] = []
     while uncovered:
         best, best_gain = None, 0
-        for i, inside in enumerate(contained):
+        for _, c, inside in candidates:
             gain = (inside & uncovered).bit_count()
             if gain > best_gain:
-                best, best_gain = i, gain
+                best, best_gain = (c, inside), gain
         if best is None:
             raise GraphError("universe not coverable by maximal sets")
-        chosen.append(candidates[best])
-        uncovered &= ~contained[best]
+        chosen.append(best[0])
+        uncovered &= ~best[1]
     return chosen
 
 
@@ -345,7 +357,16 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
 
 
 def dump_family(fam: CoveringFamily) -> str:
-    return json.dumps(family_to_json(fam), indent=2, sort_keys=True) + "\n"
+    """The text of json.dumps(family_to_json(fam), indent=2,
+    sort_keys=True) + "\n". json's indenting encoder is pure Python, so
+    the member arrays, which are nearly all of the text, are joined here
+    and spliced in for the empty array the encoder prints."""
+    doc = family_to_json(fam)
+    rows = ["[\n      " + ",\n      ".join(map(str, arr)) + "\n    ]"
+            if arr else "[]" for arr in doc["sets"]]
+    sets = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    head = json.dumps(dict(doc, sets=[]), indent=2, sort_keys=True)
+    return head.replace('"sets": []', '"sets": ' + sets, 1) + "\n"
 
 
 def load_family(text: str, g: Graph) -> CoveringFamily:

@@ -15,7 +15,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 VertexSet = int
 
@@ -26,6 +26,26 @@ class GraphError(ValueError):
 
 class ParseError(GraphError):
     """Malformed canonical edge-list input."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation exceeded its configured budget."""
+
+
+class Budget:
+    """Mutable step counter; None means unlimited. ``what`` names the
+    budget in the error raised when it runs out."""
+
+    def __init__(self, limit: Optional[int], what: str = "enumeration"):
+        self.left = limit
+        self.what = what
+
+    def charge(self, cost: int = 1):
+        if self.left is None:
+            return
+        self.left -= cost
+        if self.left < 0:
+            raise BudgetExceededError(f"{self.what} budget exceeded")
 
 
 def vset(vertices: Iterable[int]) -> VertexSet:

@@ -5,6 +5,9 @@ rationals or as cross-multiplied integers, counts are integers, and the
 only floating point appears in the closed-form bound values that are
 irrational by nature (those are compared with an explicit relative
 margin by callers).
+
+numpy is imported only inside the expansion check, for its random
+draws, so the other checks and the bounds never load it.
 """
 
 from __future__ import annotations
@@ -12,34 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
-from .graphs import (Graph, GraphError, VertexSet, degeneracy_order,
-                     is_c4_free, iter_members, members,
-                     neighborhood_of_set, sqrt_degeneracy_bound)
+from .graphs import (Budget, BudgetExceededError, Graph, GraphError,
+                     VertexSet, degeneracy_order, is_c4_free, iter_members,
+                     members, neighborhood_of_set, sqrt_degeneracy_bound,
+                     vset)
 from .levi import (gen_levi, infer_q, plane_size, require_prime,
                    verify_levi_properties)
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration exceeded its configured step budget."""
-
-
-class _Budget:
-    """Mutable step counter; None means unlimited."""
-
-    def __init__(self, limit: Optional[int]):
-        self.left = limit
-
-    def charge(self, cost: int = 1):
-        if self.left is None:
-            return
-        self.left -= cost
-        if self.left < 0:
-            raise BudgetExceededError("enumeration budget exceeded")
 
 
 def enumerate_independent_sets(g: Graph, k: int,
@@ -52,7 +36,7 @@ def enumerate_independent_sets(g: Graph, k: int,
     """
     if k < 0:
         raise GraphError("size limit must be non-negative")
-    b = _Budget(budget)
+    b = Budget(budget)
 
     def extend(mask: int, start: int, depth: int) -> Iterator[VertexSet]:
         for v in range(start, g.n):
@@ -88,7 +72,7 @@ def enumerate_maximal_independent_sets(g: Graph, containing: VertexSet = 0,
         raise GraphError("vertex index out of range")
     if not g.is_independent(containing):
         raise GraphError("set is not independent")
-    b = _Budget(budget)
+    b = Budget(budget)
     full = g.all_vertices
     comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
 
@@ -195,7 +179,7 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     if not all(sides):
         raise GraphError("expansion check needs two nonempty sides")
     fixed = sum(len(v) + math.comb(len(v), 2) for v in sides)
-    b = _Budget(budget)
+    b = Budget(budget)
     b.charge(fixed)
     adj = g.adj
     violations = 0
@@ -205,6 +189,7 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
         for i, x in enumerate(rows):
             violations += sum((x | y).bit_count() * (delta + lam) < 2 * square
                               for y in rows[i + 1:])
+    import numpy as np
     rng = np.random.default_rng(seed)
     arrays = tuple(np.array(verts, dtype=np.intp) for verts in sides)
     for _ in range(samples):
@@ -228,28 +213,62 @@ def _is_generated_plane(g: Graph) -> bool:
         return False
 
 
+def _collinear_lines_missed(q: int, m: int) -> int:
+    """Lines of the plane of order q that miss m >= 1 collinear points:
+    all but their common line and the q other lines through each point."""
+    return plane_size(q) - 1 - m * q
+
+
+def _line_plus_point_lines_missed(q: int, m: int) -> int:
+    """Lines that miss m >= 1 collinear points and one point off their
+    line: those missing the m points, less the q + 1 - m lines through
+    the extra point that meet none of the m."""
+    return _collinear_lines_missed(q, m) - (q + 1 - m)
+
+
+def _frame(g: Graph) -> VertexSet:
+    """The first four points, in index order, no three of which lie on
+    one line of the plane g (on the generated plane, {0, 1, q, q+1})."""
+    adj = g.adj
+    frame: list[int] = []
+    for v in range(g.side_p_size):
+        if len(frame) < 4 and not any(adj[v] & adj[x] & adj[y]
+                                      for x, y in combinations(frame, 2)):
+            frame.append(v)
+    return vset(frame)
+
+
 def profile_frontier(g: Graph, budget: Optional[int] = None
                      ) -> tuple[int, ...]:
     """b*(a) for a = 0..|P|: the most lines (L members) of an independent
     set with a points (P members). A best such set extends to a maximal
     set by adding points only, so b*(a) is the running maximum, from the
     top a down, of the most lines of a maximal set with exactly a points.
-    On the generated plane only the maximal sets through points 0 and 1
-    are enumerated (the collineation group is 2-transitive on points and
-    keeps profiles); the sets with a <= 1 are read off the graph: the
-    line side, and point 0 with the lines off it.
+
+    On the generated plane of order q, a point set either holds a frame
+    (four points, no three collinear), lies on one line, or lies on one
+    line plus one point. The collineation group maps any ordered frame
+    to any other and keeps profiles, so the first kind is covered by the
+    maximal sets through one frame; the other two have closed forms
+    (_collinear_lines_missed, _line_plus_point_lines_missed), and a = 0
+    misses all q^2+q+1 lines.
     """
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
+    best = [0] * (g.side_p_size + 1)
     if _is_generated_plane(g):
-        sets = chain((g.side_l, 1 | (g.side_l & ~g.adj[0])),
-                     enumerate_maximal_independent_sets(g, 0b11, budget))
+        q = infer_q(g)
+        best[0] = plane_size(q)
+        for m in range(1, q + 2):
+            best[m] = _collinear_lines_missed(q, m)
+        for m in range(2, q + 2):
+            best[m + 1] = max(best[m + 1],
+                              _line_plus_point_lines_missed(q, m))
+        sets = enumerate_maximal_independent_sets(g, _frame(g), budget)
     else:
         sets = enumerate_maximal_independent_sets(g, budget=budget)
     side_p = g.side_p
-    profiles = {((s & side_p).bit_count(), s.bit_count()) for s in sets}
-    best = [0] * (g.side_p_size + 1)
-    for a, size in profiles:
+    for a, size in {((s & side_p).bit_count(), s.bit_count()) for s in sets}:
         best[a] = max(best[a], size - a)
     return tuple(accumulate(reversed(best), max))[::-1]
 
@@ -279,7 +298,7 @@ def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
     half = k // 2
-    b = _Budget(budget)
+    b = Budget(budget)
     l_size = g.n - g.side_p_size
     total = 0
     for combo in combinations(range(g.side_p_size), half):

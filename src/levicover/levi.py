@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from .graphs import Graph, GraphError, codegree_range
+from .graphs import BudgetExceededError, Graph, GraphError, codegree_range
 
 
 def is_prime(q: int) -> bool:
@@ -95,14 +96,22 @@ class LeviIndexing:
         return self.n - 1
 
 
-def gen_levi(q: int) -> Graph:
+def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     """Build the incidence graph of the projective plane of prime order q.
 
     An affine point (x, y) lies on the sloped line (a, b) iff
     a*x + b = y (mod q), and on the vertical line at x. The slope point
     for a lies on every line of slope a and on the infinity line; the
     vertical point lies on every vertical line and on the infinity line.
+
+    The (q+1)(q^2+q+1) edges are charged against ``budget`` first, so an
+    order too large to build is refused before primality is tested or any
+    memory is taken.
     """
+    size = (q + 1) * plane_size(q)
+    if budget is not None and size > budget:
+        raise BudgetExceededError(f"the plane of order {q} has {size} "
+                                  f"edges, over the budget of {budget}")
     ix = LeviIndexing(require_prime(q))
     edges = []
     for x in range(q):

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from levicover import Graph, gen_levi, graph_hash, parse_graph, write_graph
+from levicover import (Graph, count_independent_sets,
+                       enumerate_maximal_independent_sets, gen_levi,
+                       graph_hash, parse_graph, write_graph)
 from levicover.cli import main
 from levicover.schemas import (validate_bounds_report, validate_family,
                                validate_run_report)
@@ -46,6 +52,50 @@ class TestGen:
         assert code == 0
         assert out.startswith("14 21 7\n")
         assert "14 21 7" in err
+
+
+# Every command that builds the plane from --q; the Fano plane has 21
+# edges.
+PLANE_COMMANDS = {
+    "gen": ["gen", "--q", "2"],
+    "verify": ["verify", "--q", "2", "--checks", "c4free", "--no-timestamp"],
+    "bounds": ["bounds", "--q", "2", "--k", "2", "--exact"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_COMMANDS))
+def test_plane_edges_charged_before_generation(name, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = PLANE_COMMANDS[name] + ["--budget"]
+    code, out, err = run(capsys, *argv, "20")
+    assert code == 3 and out == ""
+    assert "order 2 has 21 edges, over the budget of 20" in err
+    assert run(capsys, *argv, "21")[0] == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_COMMANDS))
+def test_plane_commands_do_not_load_numpy(name):
+    """A fresh interpreter runs the command without importing numpy or
+    jsonschema (the plane commands at q=3, the structural checks and the
+    checks on the profile frontier)."""
+    argv = {"gen": ["gen", "--q", "3"],
+            "verify": ["verify", "--q", "3", "--checks",
+                       "levi-props,c4free,degeneracy,product,balanced,"
+                       "coverbound", "--no-timestamp"],
+            "bounds": ["bounds", "--q", "3", "--k", "2", "--exact"]}[name]
+    script = ("import json, sys\n"
+              "from levicover.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "print(json.dumps([rc, [m for m in ('numpy', 'jsonschema')\n"
+              "                       if m in sys.modules]]), file=sys.stderr)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, []]
 
 
 class TestVerify:
@@ -92,16 +142,20 @@ class TestVerify:
         assert json.loads(out)["outcome"] == "fail"
 
     @pytest.mark.parametrize("check", ["product", "coverbound"])
-    def test_maximal_set_budget_exits_3(self, check, capsys):
-        # the reduced path at q=3 takes 135 Bron-Kerbosch calls
-        code, _, err = run(capsys, "verify", "--q", "3", "--checks", check,
-                           "--budget", "134", "--no-timestamp")
-        assert code == 3 and "budget" in err
+    def test_maximal_set_budget_exits_3(self, check, tmp_path, capsys):
+        # the reduced path at q=3 takes 27 Bron-Kerbosch calls; the plane
+        # is read from a file, as --q would charge its 52 edges first
+        path = tmp_path / "plane3.g"
+        path.write_text(write_graph(gen_levi(3)))
+        argv = ("verify", "--in", str(path), "--checks", check,
+                "--no-timestamp", "--budget")
+        code, _, err = run(capsys, *argv, "26")
+        assert code == 3 and "enumeration budget" in err
+        assert run(capsys, *argv, "27")[0] == 0
 
     def test_uncertified_plane_file_takes_full_path(self, tmp_path, capsys):
         # without its last edge the plane holds a 4 + 4 independent set,
-        # which no maximal set through points 0 and 1 reaches (those top
-        # out at a*b = 15)
+        # which the frame path would miss (it tops out at a*b = 14 here)
         g = gen_levi(3)
         path = tmp_path / "cut.g"
         path.write_text(write_graph(Graph.from_edges(
@@ -168,11 +222,19 @@ class TestBounds:
 
     @pytest.mark.parametrize("budget", ["10", "13"])
     def test_budget_exceeded_exits_3(self, budget, capsys):
-        # 13 balanced-count steps fit a budget of 13; the maximal-set
-        # enumeration then runs out
+        # the plane's 52 edges are over both budgets, so the command
+        # exits before it builds the plane
         code, out, err = run(capsys, "bounds", "--q", "3", "--k", "2",
                              "--exact", "--budget", budget)
-        assert code == 3 and out == "" and "budget" in err
+        assert code == 3 and out == "" and "52 edges" in err
+
+    def test_frontier_budget_exits_3(self, capsys):
+        # at q=5 the plane (186 edges) and the balanced count (31 steps)
+        # fit; the frontier takes 11,933 Bron-Kerbosch calls
+        argv = ("bounds", "--q", "5", "--k", "2", "--exact", "--budget")
+        code, out, err = run(capsys, *argv, "11932")
+        assert code == 3 and out == "" and "enumeration budget" in err
+        assert run(capsys, *argv, "11933")[0] == 0
 
     def test_negative_budget_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -285,6 +347,26 @@ class TestCover:
             main(["cover", argv[0], "--in", fano_file, *argv[1:]])
         assert exc.value.code == 2
         assert "non-negative" in capsys.readouterr().err
+
+    def test_greedy_candidate_memory_over_budget_exits_3(self, tmp_path,
+                                                         capsys):
+        # off the certified plane every maximal set is a candidate: 686
+        # here, each charged ceil(300 targets / 64) = 5 words plus its
+        # member count, 8,536 in all; the enumerations need far less
+        g3 = gen_levi(3)
+        g = Graph.from_edges(g3.n, list(g3.edges())[1:],
+                             side_p_size=g3.side_p_size)
+        need = sum(-(-count_independent_sets(g, 2) // 64) + c.bit_count()
+                   for c in enumerate_maximal_independent_sets(g))
+        assert need == 8536
+        path = tmp_path / "cut.g"
+        path.write_text(write_graph(g))
+        argv = ("cover", "greedy", "--in", str(path), "--k", "2",
+                "--budget")
+        code, out, err = run(capsys, *argv, str(need - 1))
+        assert code == 3 and out == ""
+        assert "greedy candidate memory budget" in err
+        assert run(capsys, *argv, str(need))[0] == 0
 
     def test_sample_count_over_budget_exits_3(self, fano_file, tmp_path,
                                               capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -277,10 +278,13 @@ class TestGreedyCover:
         assert got == [vset([0, 2]), vset([1, 3])]
 
     def test_budget_covers_candidates(self, fano):
-        # the 14 targets fit in 20 steps; the 93 Bron-Kerbosch calls do not
-        with pytest.raises(BudgetExceededError):
-            greedy_cover(fano, 1, budget=20)
-        assert len(greedy_cover(fano, 1, budget=93)) == 2
+        # each of the 37 candidates held is charged one mask word (14
+        # targets) plus its member count, 205 in all; the targets and the
+        # 93 Bron-Kerbosch calls take fewer steps
+        for budget in (20, 204):
+            with pytest.raises(BudgetExceededError, match="candidate memory"):
+                greedy_cover(fano, 1, budget=budget)
+        assert len(greedy_cover(fano, 1, budget=205)) == 2
 
     def test_fano_size_and_coverage(self, fano):
         fam = greedy_cover(fano, 2)
@@ -311,6 +315,25 @@ class TestFamilyIO:
         again = load_family(dump_family(fam), fano)
         assert again == fam
         assert fam.graph_hash == graph_hash(fano)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: build_family_mc(g, 2, 1e-3, seed=11),
+        lambda g: covering.greedy_family(g, 2),
+        lambda g: dataclasses.replace(covering.greedy_family(g, 2), sets=()),
+        lambda g: dataclasses.replace(covering.greedy_family(g, 2),
+                                      sets=(0,)),
+        lambda g: dataclasses.replace(build_family_mc(g, 1, 0.5, seed=3),
+                                      sets=(vset([13]), 0, g.side_p))],
+        ids=["sampled", "greedy", "empty-family", "empty-member", "mixed"])
+    def test_dump_matches_json_encoder(self, fano, make):
+        fam = make(fano)
+        assert dump_family(fam) == json.dumps(
+            covering.family_to_json(fam), indent=2, sort_keys=True) + "\n"
+
+    def test_dump_matches_json_encoder_q3k4(self):
+        fam = build_family_mc(gen_levi(3), 4, 1e-3, seed=0)
+        assert dump_family(fam) == json.dumps(
+            covering.family_to_json(fam), indent=2, sort_keys=True) + "\n"
 
     def test_sets_serialized_ascending(self, fano):
         fam = build_family_mc(fano, 2, 1e-3, seed=11)

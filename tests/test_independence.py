@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from levicover import (Graph, GraphError, DesignParams, SideProfile,
                        count_independent_sets, enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
                        gen_levi, graph_hash, max_cover_capacity,
-                       max_side_product, members, profile_frontier,
-                       side_profile, vset)
+                       max_side_product, members, neighborhood_of_set,
+                       plane_size, profile_frontier, side_profile, vset)
 from levicover import independence
 from levicover.independence import BudgetExceededError
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
@@ -200,6 +201,29 @@ def brute_frontier(g):
     return tuple(best)
 
 
+def two_point_frontier(g):
+    """Oracle for the plane: the frontier from the maximal sets through
+    points 0 and 1 (2-transitivity), the line side (a = 0) and point 0
+    with the lines off it (a = 1)."""
+    sets = [g.side_l, 1 | (g.side_l & ~g.adj[0]),
+            *enumerate_maximal_independent_sets(g, 0b11)]
+    best = [0] * (g.side_p_size + 1)
+    for s in sets:
+        p = side_profile(g, s)
+        best[p.a] = max(best[p.a], p.b)
+    return tuple(accumulate(reversed(best), max))[::-1]
+
+
+def frame(q):
+    """The frame profile_frontier starts from on the plane of order q."""
+    return vset([0, 1, q, q + 1])
+
+
+def lines_missed(g, points):
+    """Direct count: the lines with no member in ``points``."""
+    return (g.side_l & ~neighborhood_of_set(g, vset(points))).bit_count()
+
+
 def frontier_best(frontier, score):
     """The largest score over the frontier points (a, b*(a)), ties to
     the larger a."""
@@ -257,7 +281,7 @@ class TestSymmetryReduction:
         fn = MONOTONE_SCORES[score]
         expect = full_path_best(g, fn)
         assert frontier_best(profile_frontier(g), fn) == expect
-        assert [r[0] for r in bk_starts] == [0b11]
+        assert [r[0] for r in bk_starts] == [frame(q)]
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_reduced_frontier_equals_full_path(self, q, bk_starts,
@@ -267,7 +291,28 @@ class TestSymmetryReduction:
         monkeypatch.setattr(independence, "_is_generated_plane",
                             lambda g: False)
         assert profile_frontier(g) == reduced
-        assert [r[0] for r in bk_starts] == [0b11, 0]
+        assert [r[0] for r in bk_starts] == [frame(q), 0]
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_frame_frontier_equals_two_point_path(self, q):
+        g = gen_levi(q)
+        assert independence._frame(g) == frame(q)
+        assert profile_frontier(g) == two_point_frontier(g)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_closed_forms_count_missed_lines(self, q):
+        # every collinear set, and every line-plus-point set, of the plane
+        g = gen_levi(q)
+        lines = [members(g.adj[v]) for v in range(plane_size(q), g.n)]
+        for line in lines:
+            off = [v for v in range(plane_size(q)) if v not in line]
+            for m in range(1, q + 2):
+                for pts in combinations(line, m):
+                    assert lines_missed(g, pts) == \
+                        independence._collinear_lines_missed(q, m)
+                    for v in off:
+                        assert lines_missed(g, (*pts, v)) == \
+                            independence._line_plus_point_lines_missed(q, m)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_public_maxima_take_reduced_path(self, q, bk_starts):
@@ -278,7 +323,7 @@ class TestSymmetryReduction:
             assert max_cover_capacity(g, k) == max(
                 check_cover_capacity(g, s, k)
                 for s in enumerate_maximal_independent_sets(g))
-        assert [r[0] for r in bk_starts[:3]] == [0b11] * 3
+        assert [r[0] for r in bk_starts[:3]] == [frame(q)] * 3
 
     def test_plane3_values(self, plane3):
         assert max_side_product(plane3)[0] == 12
@@ -314,14 +359,14 @@ class TestSymmetryReduction:
         g = gen_levi(5)
         assert max_cover_capacity(g, 4) == 675
         assert max_side_product(g)[0] == 60
-        assert bk_starts == [[0b11, 78986]] * 2
+        assert bk_starts == [[frame(5), 4398]] * 2
 
     def test_plane5_frontier_pinned(self, bk_starts):
         frontier = profile_frontier(gen_levi(5))
         assert frontier == (31, 25, 20, 16, 13, 11, 10, 8, 7, 6, 6, 5, 4, 4,
                             3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1,
                             0, 0, 0, 0, 0, 0)
-        assert bk_starts == [[0b11, 78986]]
+        assert bk_starts == [[frame(5), 4398]]
         # both maxima sit at (6, 10) and at its mirror (10, 6), which wins
         # the tie
         assert frontier[6] == 10 and frontier[10] == 6
@@ -344,11 +389,11 @@ class TestSymmetryReduction:
             g, MONOTONE_SCORES["product"])
 
     def test_budget_covers_both_paths(self, plane3):
-        # 135 Bron-Kerbosch calls on the reduced path; the full path on
+        # 27 Bron-Kerbosch calls on the reduced path; the full path on
         # this relabelling takes 1711 (pivots depend on the labels)
-        assert max_side_product(plane3, budget=135)[0] == 12
+        assert max_side_product(plane3, budget=27)[0] == 12
         with pytest.raises(BudgetExceededError):
-            max_side_product(plane3, budget=134)
+            max_side_product(plane3, budget=26)
         g = relabelled(plane3, 5)
         assert max_cover_capacity(g, 2, budget=1711) == 12
         with pytest.raises(BudgetExceededError):
