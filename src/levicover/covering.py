@@ -263,29 +263,32 @@ def greedy_cover(g: Graph, k: int,
     if k < 1:
         raise GraphError("k must be at least 1")
     universe = list(enumerate_independent_sets(g, k, budget))
-    cols = _columns(universe, g.n)
-    uncovered = (1 << len(universe)) - 1
     held = Budget(budget, "greedy candidate memory")
     words = -(-len(universe) // 64)
     candidates = []
     for c in enumerate_maximal_independent_sets(g, budget=budget):
         held.charge(words + c.bit_count())
+        candidates.append(c)
+    candidates.sort(key=members)
+    cols = _columns(universe, g.n)
+    uncovered = (1 << len(universe)) - 1
+    contained = []
+    for c in candidates:
         outside = 0
         for v in iter_members(g.all_vertices & ~c):
             outside |= cols[v]
-        candidates.append((members(c), c, uncovered & ~outside))
-    candidates.sort()
+        contained.append(uncovered & ~outside)
     chosen: list[VertexSet] = []
     while uncovered:
         best, best_gain = None, 0
-        for _, c, inside in candidates:
+        for i, inside in enumerate(contained):
             gain = (inside & uncovered).bit_count()
             if gain > best_gain:
-                best, best_gain = (c, inside), gain
+                best, best_gain = i, gain
         if best is None:
             raise GraphError("universe not coverable by maximal sets")
-        chosen.append(best[0])
-        uncovered &= ~best[1]
+        chosen.append(candidates[best])
+        uncovered &= ~contained[best]
     return chosen
 
 

@@ -226,16 +226,11 @@ def _line_plus_point_lines_missed(q: int, m: int) -> int:
     return _collinear_lines_missed(q, m) - (q + 1 - m)
 
 
-def _frame(g: Graph) -> VertexSet:
-    """The first four points, in index order, no three of which lie on
-    one line of the plane g (on the generated plane, {0, 1, q, q+1})."""
-    adj = g.adj
-    frame: list[int] = []
-    for v in range(g.side_p_size):
-        if len(frame) < 4 and not any(adj[v] & adj[x] & adj[y]
-                                      for x, y in combinations(frame, 2)):
-            frame.append(v)
-    return vset(frame)
+def _frame(q: int) -> VertexSet:
+    """A frame of the generated plane: points 0, 1, q, q+1, the affine
+    points (0,0), (0,1), (1,0), (1,1). The lines through two of them,
+    x = 0, x = 1, y = 0, y = 1, y = x and y = 1 - x, each hold just two."""
+    return vset([0, 1, q, q + 1])
 
 
 def profile_frontier(g: Graph, budget: Optional[int] = None
@@ -264,7 +259,7 @@ def profile_frontier(g: Graph, budget: Optional[int] = None
         for m in range(2, q + 2):
             best[m + 1] = max(best[m + 1],
                               _line_plus_point_lines_missed(q, m))
-        sets = enumerate_maximal_independent_sets(g, _frame(g), budget)
+        sets = enumerate_maximal_independent_sets(g, _frame(q), budget)
     else:
         sets = enumerate_maximal_independent_sets(g, budget=budget)
     side_p = g.side_p
@@ -298,7 +293,7 @@ def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
     half = k // 2
-    b = Budget(budget)
+    b = Budget(budget, "balanced count")
     l_size = g.n - g.side_p_size
     total = 0
     for combo in combinations(range(g.side_p_size), half):

@@ -228,6 +228,15 @@ class TestBounds:
                              "--exact", "--budget", budget)
         assert code == 3 and out == "" and "52 edges" in err
 
+    def test_balanced_count_budget_exits_3(self, capsys):
+        # at q=5, k=4 the plane's 186 edges fit; the balanced count sums
+        # over the C(31, 2) = 465 point pairs, one step each
+        argv = ("bounds", "--q", "5", "--k", "4", "--exact", "--budget")
+        code, out, err = run(capsys, *argv, "464")
+        assert code == 3 and out == "" and "balanced count budget" in err
+        code, _, err = run(capsys, *argv, "465")
+        assert code == 3 and "enumeration budget" in err
+
     def test_frontier_budget_exits_3(self, capsys):
         # at q=5 the plane (186 edges) and the balanced count (31 steps)
         # fit; the frontier takes 11,933 Bron-Kerbosch calls

@@ -286,6 +286,14 @@ class TestGreedyCover:
                 greedy_cover(fano, 1, budget=budget)
         assert len(greedy_cover(fano, 1, budget=205)) == 2
 
+    def test_budget_covers_maximal_set_enumeration(self):
+        # edgeless on 6 vertices: the 6 targets take 6 steps and the one
+        # candidate 1 + 6 words, but Bron-Kerbosch makes 7 calls to reach it
+        g = Graph.from_edges(6, [])
+        with pytest.raises(BudgetExceededError, match="enumeration"):
+            greedy_cover(g, 1, budget=6)
+        assert greedy_cover(g, 1, budget=7) == [g.all_vertices]
+
     def test_fano_size_and_coverage(self, fano):
         fam = greedy_cover(fano, 2)
         assert len(fam) >= 7  # exact counting lower bound ceil(28/4)

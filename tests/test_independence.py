@@ -296,7 +296,11 @@ class TestSymmetryReduction:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_frame_frontier_equals_two_point_path(self, q):
         g = gen_levi(q)
-        assert independence._frame(g) == frame(q)
+        f = independence._frame(q)
+        assert f == frame(q) and not f & g.side_l
+        # a frame: no line holds three of its four points
+        assert all((g.adj[line] & f).bit_count() <= 2
+                   for line in range(plane_size(q), g.n))
         assert profile_frontier(g) == two_point_frontier(g)
 
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -419,6 +423,12 @@ class TestBalancedCounting:
     def test_odd_k_rejected(self, fano):
         with pytest.raises(GraphError):
             count_balanced(fano, 3)
+
+    def test_budget_charges_each_point_subset(self, plane3):
+        # k=2 sums over the 13 single points, one step each
+        with pytest.raises(BudgetExceededError, match="balanced count"):
+            count_balanced(plane3, 2, budget=12)
+        assert count_balanced(plane3, 2, budget=13) == 13 * 9
 
 
 class TestCoverCapacity:
