@@ -77,8 +77,8 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in CHECKS:
             raise GraphError(f"unknown check name: {name}")
-    g = (parse_graph(Path(args.infile).read_bytes()) if args.infile
-         else levi.gen_levi(args.q, args.budget))
+    g = (parse_graph(Path(args.infile).read_bytes(), args.budget)
+         if args.infile else levi.gen_levi(args.q, args.budget))
     checks = [_check(name, *CHECKS[name](g, k=args.k, samples=args.samples,
                                          seed=args.seed, budget=args.budget))
               for name in names]
@@ -105,7 +105,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_cover_build(args) -> int:
-    g = parse_graph(Path(args.infile).read_bytes())
+    g = parse_graph(Path(args.infile).read_bytes(), args.budget)
     fam = covering.build_family_mc(g, args.k, args.delta, args.seed,
                                    budget=args.budget)
     _write(covering.dump_family(fam), args.out)
@@ -116,7 +116,7 @@ def cmd_cover_build(args) -> int:
 
 def cmd_cover_verify(args) -> int:
     started = time.monotonic()
-    g = parse_graph(Path(args.infile).read_bytes())
+    g = parse_graph(Path(args.infile).read_bytes(), args.budget)
     fam = covering.load_family(Path(args.family).read_text(encoding="utf-8"),
                                g)
     ok, witness = covering.verify_family(g, args.k, fam.sets,
@@ -134,7 +134,7 @@ def cmd_cover_verify(args) -> int:
 
 
 def cmd_cover_greedy(args) -> int:
-    g = parse_graph(Path(args.infile).read_bytes())
+    g = parse_graph(Path(args.infile).read_bytes(), args.budget)
     fam = covering.greedy_family(g, args.k, budget=args.budget)
     _write(covering.dump_family(fam), args.out)
     _summary(f"cover greedy: {len(fam.sets)} sets")

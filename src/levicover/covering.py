@@ -17,10 +17,11 @@ sampler as an exact oracle for the vectorised one.
 
 Coverage and greedy cover run on a column index: bit j of column v is set
 iff set j contains v, so the sets containing a target are the AND of its
-members' columns.
+members' columns. The index is built from the sets' binary digits with
+ints and strings alone.
 
-numpy is imported inside the functions that draw samples or build
-columns, so loading this module does not load it.
+numpy is imported only inside the functions that draw samples, so loading
+this module, verifying a family and the greedy cover do not load it.
 """
 
 from __future__ import annotations
@@ -121,19 +122,16 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
     return out
 
 
-def _unpack_rows(sets: Sequence[VertexSet], n: int) -> np.ndarray:
-    """The inverse of _pack_rows for masks below 2^n: a (len, n) matrix."""
-    import numpy as np
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(b"".join(s.to_bytes(nbytes, "little") for s in sets),
-                        dtype=np.uint8).reshape(len(sets), nbytes)
-    return np.unpackbits(raw, axis=1, count=n,
-                         bitorder="little").astype(bool)
-
-
 def _columns(sets: Sequence[VertexSet], n: int) -> list[int]:
-    """Column index: bit j of entry v is set iff sets[j] contains v."""
-    return _pack_rows(_unpack_rows(sets, n).T)
+    """Column index: bit j of entry v is set iff sets[j] contains v.
+
+    Each set, all below 2^n, is written as n binary digits, last set
+    first, so the digits of vertex v, every n-th from position n-1-v, read
+    as one binary numeral with the bit of sets[0] last.
+    """
+    top = 1 << n
+    digits = "".join([bin(s | top)[3:] for s in reversed(sets)])
+    return [int(digits[n - 1 - v::n] or "0", 2) for v in range(n)]
 
 
 def _forward_neighbors(g: Graph, order: DegeneracyResult) -> list[np.ndarray]:

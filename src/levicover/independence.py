@@ -22,8 +22,8 @@ from .graphs import (Budget, BudgetExceededError, Graph, GraphError,
                      VertexSet, degeneracy_order, is_c4_free, iter_members,
                      members, neighborhood_of_set, sqrt_degeneracy_bound,
                      vset)
-from .levi import (gen_levi, infer_q, plane_size, require_prime,
-                   verify_levi_properties)
+from .levi import (LeviIndexing, gen_levi, infer_q, plane_size,
+                   require_prime, verify_levi_properties)
 
 
 def enumerate_independent_sets(g: Graph, k: int,
@@ -227,10 +227,11 @@ def _line_plus_point_lines_missed(q: int, m: int) -> int:
 
 
 def _frame(q: int) -> VertexSet:
-    """A frame of the generated plane: points 0, 1, q, q+1, the affine
-    points (0,0), (0,1), (1,0), (1,1). The lines through two of them,
-    x = 0, x = 1, y = 0, y = 1, y = x and y = 1 - x, each hold just two."""
-    return vset([0, 1, q, q + 1])
+    """A frame of the generated plane: the affine points (0,0), (0,1),
+    (1,0), (1,1). The lines through two of them, x = 0, x = 1, y = 0,
+    y = 1, y = x and y = 1 - x, each hold just two."""
+    ix = LeviIndexing(q)
+    return vset(ix.affine_point(x, y) for x in (0, 1) for y in (0, 1))
 
 
 def profile_frontier(g: Graph, budget: Optional[int] = None
@@ -333,9 +334,22 @@ def balanced_count_lower_bound(n: int, k: int) -> Fraction:
     return Fraction(n, 4 * k) ** k
 
 
+def _float_bound(what: str, value: Callable[[], float]) -> float:
+    """value(), or GraphError when it does not fit a float."""
+    try:
+        out = value()
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise GraphError(f"the {what} does not fit a float")
+    return out
+
+
 def per_set_capacity_bound(n: int, k: int) -> float:
-    """2^(k/2) n^(3k/4), the ceiling on one independent set's capacity."""
-    return 2 ** (k / 2) * n ** (3 * k / 4)
+    """2^(k/2) n^(3k/4), the ceiling on one independent set's capacity;
+    GraphError when that does not fit a float."""
+    return _float_bound(f"per-set capacity bound at n={n}, k={k}",
+                        lambda: 2 ** (k / 2) * n ** (3 * k / 4))
 
 
 @dataclass(frozen=True)
@@ -367,7 +381,11 @@ def evaluate_bounds(q: int, k: int, g: Optional[Graph] = None,
     With a graph supplied, also measures the balanced independent-set
     count and the largest per-set capacity over maximal independent sets,
     giving the exact counting lower bound on any covering family.
+
+    The trial division that tests q for primality takes up to isqrt(q)
+    steps, and they are charged against ``budget`` first.
     """
+    Budget(budget, "primality test").charge(math.isqrt(max(q, 0)))
     require_prime(q)
     if k % 2 != 0 or k < 2:
         raise GraphError("k must be an even integer >= 2")
@@ -379,7 +397,9 @@ def evaluate_bounds(q: int, k: int, g: Optional[Graph] = None,
         q=q, k=k, n=n,
         balanced_count_lower_bound=balanced_count_lower_bound(n, k),
         per_set_capacity_bound=per_set_capacity_bound(n, k),
-        family_size_lower_bound=n ** (k / 4) / (4 * math.sqrt(2) * k) ** k,
+        family_size_lower_bound=_float_bound(
+            f"family size lower bound at n={n}, k={k}",
+            lambda: n ** (k / 4) / (4 * math.sqrt(2) * k) ** k),
     )
     if g is None:
         return report
@@ -403,7 +423,9 @@ def _balanced(g: Graph, *, k: int, budget: Optional[int],
               **_) -> CheckResult:
     count = count_balanced(g, k, budget=budget)
     bound = balanced_count_lower_bound(g.n, k)
-    return float(bound), count, count >= bound, float(count - bound)
+    expected = _float_bound(f"balanced count lower bound at n={g.n}, k={k}",
+                            lambda: float(bound))
+    return expected, count, count >= bound, float(count - bound)
 
 
 # The checks of ``levicover verify`` by name, in report order. Every

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from levicover import (Graph, count_independent_sets,
+from levicover import (Graph, count_independent_sets, covering,
                        enumerate_maximal_independent_sets, gen_levi,
                        graph_hash, parse_graph, write_graph)
 from levicover.cli import main
@@ -75,16 +75,32 @@ def test_plane_edges_charged_before_generation(name, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", sorted(PLANE_COMMANDS))
-def test_plane_commands_do_not_load_numpy(name):
-    """A fresh interpreter runs the command without importing numpy or
-    jsonschema (the plane commands at q=3, the structural checks and the
-    checks on the profile frontier)."""
-    argv = {"gen": ["gen", "--q", "3"],
-            "verify": ["verify", "--q", "3", "--checks",
-                       "levi-props,c4free,degeneracy,product,balanced,"
-                       "coverbound", "--no-timestamp"],
-            "bounds": ["bounds", "--q", "3", "--k", "2", "--exact"]}[name]
+# Commands that run without numpy, with the modules each may load: the
+# plane commands at q=3, the structural checks, the checks on the profile
+# frontier, coverage verification and the greedy cover.
+NUMPY_FREE = {
+    "gen": (["gen", "--q", "3"], ()),
+    "verify": (["verify", "--q", "3", "--checks",
+                "levi-props,c4free,degeneracy,product,balanced,coverbound",
+                "--no-timestamp"], ()),
+    "bounds": (["bounds", "--q", "3", "--k", "2", "--exact"], ()),
+    "cover-verify": (["cover", "verify", "--in", "plane3.g", "--k", "2",
+                      "--family", "greedy.json", "--no-timestamp"],
+                     ("jsonschema",)),
+    "cover-greedy": (["cover", "greedy", "--in", "plane3.g", "--k", "2",
+                      "--out", "greedy.json"], ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE))
+def test_plane_commands_do_not_load_numpy(name, tmp_path):
+    """A fresh interpreter runs the command without importing numpy, and
+    without jsonschema unless it reads a family file."""
+    argv, allowed = NUMPY_FREE[name]
+    g = gen_levi(3)
+    (tmp_path / "plane3.g").write_text(write_graph(g))
+    (tmp_path / "greedy.json").write_text(
+        covering.dump_family(covering.greedy_family(g, 2)))
     script = ("import json, sys\n"
               "from levicover.cli import main\n"
               "rc = main(sys.argv[1:])\n"
@@ -94,8 +110,28 @@ def test_plane_commands_do_not_load_numpy(name):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert json.loads(proc.stderr.splitlines()[-1]) == [0, []]
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    rc, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert rc == 0 and set(loaded) <= set(allowed)
+
+
+# A graph header whose vertex count alone is over the default budget.
+HUGE_HEADER = "1000000000000 0 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", "huge.g", "--checks", "c4free", "--no-timestamp"],
+    ["cover", "build", "--in", "huge.g", "--k", "2", "--delta", "0.1",
+     "--seed", "0"],
+])
+def test_graph_vertex_count_over_budget_exits_3(argv, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.g").write_text(HUGE_HEADER)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "1000000000000 vertices, over the budget of 10000000" in err
 
 
 class TestVerify:
@@ -197,6 +233,20 @@ class TestVerify:
         assert exc.value.code == 2
         assert "non-negative" in capsys.readouterr().err
 
+    def test_overflowing_capacity_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--q", "3", "--checks",
+                             "coverbound", "--k", "300", "--no-timestamp")
+        assert code == 2 and out == "" and "does not fit a float" in err
+
+    def test_overflowing_balanced_bound_exits_2(self, tmp_path, capsys):
+        # (n/4k)^k = 1250^200 at n = 10^6, k = 200; one point, so there
+        # is nothing to count
+        path = tmp_path / "wide.g"
+        path.write_text("1000000 0 1\n")
+        code, out, err = run(capsys, "verify", "--in", str(path), "--checks",
+                             "balanced", "--k", "200", "--no-timestamp")
+        assert code == 2 and out == "" and "does not fit a float" in err
+
     def test_timestamp_present_by_default(self, capsys):
         _, out, _ = run(capsys, "verify", "--q", "2", "--checks", "c4free")
         doc = json.loads(out)
@@ -251,6 +301,18 @@ class TestBounds:
                   "--budget", "-5"])
         assert exc.value.code == 2
         assert "non-negative" in capsys.readouterr().err
+
+    def test_primality_budget_exits_3_at_once(self, capsys):
+        # trial division would take isqrt(q) ~ 10^9 steps, over the budget
+        started = time.monotonic()
+        code, out, err = run(capsys, "bounds", "--q",
+                             "1000000000000000003", "--k", "4")
+        assert code == 3 and out == "" and "primality test budget" in err
+        assert time.monotonic() - started < 5
+
+    def test_overflowing_capacity_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "bounds", "--q", "101", "--k", "96")
+        assert code == 2 and out == "" and "does not fit a float" in err
 
     def test_formula_only_large_q(self, capsys):
         code, out, _ = run(capsys, "bounds", "--q", "101", "--k", "4")

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicover import (Graph, GraphError, ParseError, degeneracy_order,
-                       induced_subgraph, is_c4_free, members,
-                       neighborhood_of_set, parse_graph,
+from levicover import (BudgetExceededError, Graph, GraphError, ParseError,
+                       degeneracy_order, induced_subgraph, is_c4_free,
+                       members, neighborhood_of_set, parse_graph,
                        sqrt_degeneracy_bound, vset, write_graph)
 from conftest import (brute_has_c4, complete_graph, cycle_graph,
                       edgeless_bipartite, path_graph)
@@ -181,10 +181,23 @@ class TestCanonicalFormat:
         "2 2 0\n0 1\n",          # edge count mismatch
         "4 1 2\n0 1\n",          # same-side edge under bipartite flag
         "2 1 0\n00 1\n",         # non-canonical integer
+        "2 1 0\n0 +1\n",         # signed integer
+        "2 1 0\n0 1 \n",         # trailing space
+        "2 1 0\r\n0 1\r\n",      # CRLF line ends
+        "2 -1 0\n",              # negative edge count
+        "",                      # empty input
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             parse_graph(text)
+
+
+    def test_vertex_count_charged_before_allocation(self):
+        with pytest.raises(BudgetExceededError, match="5 vertices"):
+            parse_graph("5 0 0\n", budget=4)
+        assert parse_graph("5 0 0\n", budget=5).n == 5
+        with pytest.raises(BudgetExceededError):
+            parse_graph("1000000000000 0 0\n", budget=10 ** 7)
 
 
 def test_sqrt_degeneracy_bound_values():

@@ -1,13 +1,17 @@
-"""Differential tests for the kernels behind ``verify``.
+"""Differential tests for the kernels behind ``verify`` and ``cover``.
 
 The bucket-queue degeneracy order, the bit-sliced codegree kernel and the
 integer expansion test replaced a linear rescan, a loop over vertex
-pairs and one ``check_expansion`` call per set. Those slow paths stay
-here as the oracles, and every result must match them exactly: the whole
-elimination order, the (min, max) codegree and the full check tuple.
+pairs and one ``check_expansion`` call per set. The round-trip parser
+replaced one that checked each rule of the canonical format in turn, and
+the column index read from binary digits replaced a numpy transpose.
+Those paths stay here as the oracles, and every result must match them exactly: the
+whole elimination order, the (min, max) codegree, the full check tuple,
+the parser's verdict and graph, and every column.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levicover import (DegeneracyResult, DesignParams, Graph, GraphError,
-                       check_expansion, codegree_range, degeneracy_order,
-                       gen_levi, infer_q, is_c4_free, iter_members, members,
-                       vset)
+                       ParseError, check_expansion, codegree_range,
+                       degeneracy_order, gen_levi, infer_q, is_c4_free,
+                       iter_members, members, parse_graph, vset, write_graph)
+from levicover.covering import _columns, _pack_rows
 from levicover.independence import _verify_expansion
 from test_graphs import random_graphs
 
@@ -79,6 +84,70 @@ def expansion_by_check(g: Graph, samples: int, seed: int):
         total += 1
         violations += not check_expansion(g, params, s).holds
     return 0, violations, violations == 0, float(total - violations)
+
+
+_INT = re.compile(r"^(0|[1-9][0-9]*)$")
+
+
+def _parse_int(token: str, what: str) -> int:
+    if not _INT.match(token):
+        raise ParseError(f"malformed {what}: {token!r}")
+    return int(token)
+
+
+def rule_by_rule_parse_graph(data: bytes | str) -> Graph:
+    """Oracle: parse the canonical format by checking each of its rules."""
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            text = bytes(data).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc}") from exc
+    else:
+        text = data
+    if not text.endswith("\n"):
+        raise ParseError("missing final newline")
+    lines = text.split("\n")[:-1]
+    if not lines:
+        raise ParseError("empty input")
+    header = lines[0].split(" ")
+    if len(header) != 3:
+        raise ParseError(f"malformed header: {lines[0]!r}")
+    n = _parse_int(header[0], "vertex count")
+    m = _parse_int(header[1], "edge count")
+    side = _parse_int(header[2], "side_p_size")
+    if len(lines) - 1 != m:
+        raise ParseError(f"expected {m} edge lines, got {len(lines) - 1}")
+    edges = []
+    prev = None
+    for line in lines[1:]:
+        parts = line.split(" ")
+        if len(parts) != 2:
+            raise ParseError(f"malformed edge line: {line!r}")
+        u = _parse_int(parts[0], "edge endpoint")
+        v = _parse_int(parts[1], "edge endpoint")
+        if u >= v:
+            raise ParseError(f"edge ({u}, {v}) violates u < v")
+        if v >= n:
+            raise ParseError(f"edge endpoint out of range: ({u}, {v})")
+        if prev is not None and (u, v) <= prev:
+            if (u, v) == prev:
+                raise ParseError(f"duplicate edge ({u}, {v})")
+            raise ParseError(f"edge ({u}, {v}) out of sort order")
+        prev = (u, v)
+        edges.append((u, v))
+    try:
+        return Graph.from_edges(n, edges, side_p_size=side)
+    except GraphError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def numpy_columns(sets, n: int) -> list[int]:
+    """Oracle: the column index as a numpy transpose of the sets' bits."""
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(s.to_bytes(nbytes, "little") for s in sets),
+                        dtype=np.uint8).reshape(len(sets), nbytes)
+    bits = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+    return _pack_rows(bits.astype(bool).T)
 
 
 def without_edge(g: Graph, index: int) -> Graph:
@@ -200,3 +269,105 @@ class TestExpansion:
         got = _verify_expansion(g, samples=200, seed=q, budget=None)
         assert got[1] > 0 and not got[2]
         assert got == expansion_by_check(g, 200, q)
+
+
+def verdict(parse, data):
+    """The graph parse returns for data, or None when it is rejected."""
+    try:
+        return parse(data)
+    except ParseError:
+        return None
+
+
+@st.composite
+def mutated_texts(draw):
+    """Canonical texts of small graphs, some bipartite, after zero to
+    three edits of their lines, header fields or characters."""
+    g = draw(st.one_of(random_graphs(), bipartite_graphs(3)))
+    lines = write_graph(g).split("\n")
+    small = st.integers(-1, 12).map(str)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "drop-edge", "duplicate",
+                                     "swap", "edge", "header", "insert",
+                                     "replace", "delete"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if edit == "drop" and len(lines) > 1:
+            del lines[i]
+        elif edit == "drop-edge" and 0 < i < len(lines) - 1:
+            # keeps the header's edge count in step, so the text can stay
+            # canonical
+            del lines[i]
+            head = lines[0].split(" ")
+            if len(head) == 3 and head[1].isdigit():
+                head[1] = str(int(head[1]) - 1)
+                lines[0] = " ".join(head)
+        elif edit == "duplicate":
+            lines.insert(j, lines[i])
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "edge":
+            lines[i] = draw(small) + " " + draw(small)
+        elif edit == "header":
+            head = lines[0].split(" ")
+            head[j % len(head)] = draw(st.one_of(
+                small, st.sampled_from(["01", "+1", " 1", "1 ", "x"])))
+            lines[0] = " ".join(head)
+        else:
+            text = "\n".join(lines)
+            at = draw(st.integers(0, len(text)))
+            char = draw(st.sampled_from("0123456789 \n-+x\r"))
+            text = (text[:at] + char + text[at:] if edit == "insert" else
+                    text[:at] + char + text[at + 1:] if edit == "replace"
+                    else text[:at] + text[at + 1:])
+            lines = text.split("\n")
+    return "\n".join(lines)
+
+
+class TestParser:
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_texts())
+    def test_mutated_canonical_texts(self, text):
+        assert verdict(parse_graph, text) == \
+            verdict(rule_by_rule_parse_graph, text)
+        data = text.encode()
+        assert verdict(parse_graph, data) == \
+            verdict(rule_by_rule_parse_graph, data)
+
+    @pytest.mark.parametrize("name", sorted(PLANES) + sorted(DENSE))
+    def test_planes_and_seeded_graphs(self, name):
+        g = PLANES.get(name) or DENSE[name]
+        text = write_graph(g)
+        assert parse_graph(text) == rule_by_rule_parse_graph(text) == g
+
+    def test_invalid_utf8(self):
+        for parse in (parse_graph, rule_by_rule_parse_graph):
+            with pytest.raises(ParseError, match="UTF-8"):
+                parse(b"2 1 0\n0 \xff\n")
+
+
+# Widths around the 64-bit word and byte boundaries of the numpy packing.
+WIDTHS = [0, 1, 7, 63, 64, 65, 114, 200]
+
+
+class TestColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(WIDTHS).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=150))))
+    def test_random_families(self, case):
+        n, sets = case
+        assert _columns(sets, n) == numpy_columns(sets, n)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_edge_families(self, n):
+        full = (1 << n) - 1
+        for sets in ([], [0], [full], [0, full, 0], [full] * 130):
+            assert _columns(sets, n) == numpy_columns(sets, n)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_seeded_families(self, n):
+        rng = np.random.default_rng(n)
+        bits = rng.random((1000, n)) < 0.3
+        sets = [sum(1 << v for v in np.flatnonzero(row).tolist())
+                for row in bits]
+        assert _columns(sets, n) == numpy_columns(sets, n)
