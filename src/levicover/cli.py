@@ -3,7 +3,7 @@
 JSON goes to stdout, human-readable summaries to stderr, so output can be
 piped into tooling without scraping prose. Exit codes are a stable
 contract: 0 pass, 1 check failed, 2 usage or precondition error,
-3 enumeration or sampling budget exceeded.
+3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ def cmd_cover_build(args) -> int:
 def cmd_cover_verify(args) -> int:
     started = time.monotonic()
     g = parse_graph(Path(args.infile).read_bytes(), args.budget)
-    fam = covering.load_family(Path(args.family).read_text(encoding="utf-8"),
-                               g)
+    fam = covering.load_family(Path(args.family).read_bytes(), g)
     ok, witness = covering.verify_family(g, args.k, fam.sets,
                                          budget=args.budget)
     checks = [_check("coverage", True, ok, ok)]
@@ -155,14 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Projective-plane incidence graphs and independence "
                     "covering families.")
     sub = ap.add_subparsers(dest="command", required=True)
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument("--budget", type=_uint,
+                          default=covering.DEFAULT_BUDGET)
 
-    p = sub.add_parser("gen", help="generate an incidence graph")
+    p = sub.add_parser("gen", parents=[budgeted],
+                       help="generate an incidence graph")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("verify", help="run structural checks")
+    p = sub.add_parser("verify", parents=[budgeted],
+                       help="run structural checks")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--q", type=int)
     src.add_argument("--in", dest="infile")
@@ -171,42 +174,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=_uint, default=0)
-    p.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bounds", help="evaluate the covering bound chain")
+    p = sub.add_parser("bounds", parents=[budgeted],
+                       help="evaluate the covering bound chain")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("cover", help="covering family commands")
     csub = p.add_subparsers(dest="cover_command", required=True)
 
-    c = csub.add_parser("build")
+    c = csub.add_parser("build", parents=[budgeted])
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--delta", type=float, required=True)
     c.add_argument("--seed", type=_uint, required=True)
     c.add_argument("--out")
-    c.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     c.set_defaults(func=cmd_cover_build)
 
-    c = csub.add_parser("verify")
+    c = csub.add_parser("verify", parents=[budgeted])
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--family", required=True)
-    c.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     c.add_argument("--no-timestamp", action="store_true")
     c.set_defaults(func=cmd_cover_verify)
 
-    c = csub.add_parser("greedy")
+    c = csub.add_parser("greedy", parents=[budgeted])
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--out")
-    c.add_argument("--budget", type=_uint, default=covering.DEFAULT_BUDGET)
     c.set_defaults(func=cmd_cover_greedy)
 
     return ap
@@ -219,7 +218,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _summary(f"error: {exc}")
         return EXIT_BUDGET
-    except (GraphError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (GraphError, OSError) as exc:
         _summary(f"error: {exc}")
         return EXIT_USAGE
 

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .graphs import (Budget, BudgetExceededError, DegeneracyResult, Graph,
                      GraphError, VertexSet, degeneracy_order, graph_hash,
-                     iter_members, members, vset)
+                     iter_members, members, vset, words)
 from .independence import (count_independent_sets,
                            enumerate_independent_sets,
                            enumerate_maximal_independent_sets)
@@ -122,13 +122,18 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
     return out
 
 
-def _columns(sets: Sequence[VertexSet], n: int) -> list[int]:
+def _columns(sets: Sequence[VertexSet], n: int,
+             budget: Optional[int] = None) -> list[int]:
     """Column index: bit j of entry v is set iff sets[j] contains v.
 
     Each set, all below 2^n, is written as n binary digits, last set
     first, so the digits of vertex v, every n-th from position n-1-v, read
-    as one binary numeral with the bit of sets[0] last.
+    as one binary numeral with the bit of sets[0] last. Those n |sets|
+    one-byte digits are charged against ``budget`` first.
     """
+    cost = words(8 * n * len(sets))
+    Budget(budget).charge(cost, f"the column index of {len(sets)} sets "
+                                f"takes {cost} words")
     top = 1 << n
     digits = "".join([bin(s | top)[3:] for s in reversed(sets)])
     return [int(digits[n - 1 - v::n] or "0", 2) for v in range(n)]
@@ -193,22 +198,18 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     """
     if k < 1:
         raise GraphError("k must be at least 1")
-    order = degeneracy_order(g)
+    order = degeneracy_order(g, budget)
     d = order.degeneracy
     p = marking_probability(d)
     p_min = containment_probability_floor(d, k)
     t = required_samples(max(g.n, 1), p_min, delta)
-    if budget is not None and t > budget:
-        raise BudgetExceededError(
-            f"sampling needs t>={t} samples, over the budget of {budget}")
+    Budget(budget).charge(t, f"sampling needs t>={t} samples")
     try:
         universe = max(count_independent_sets(g, k, budget), 1)
     except BudgetExceededError:
         universe = g.n ** k
     t = required_samples(universe, p_min, delta)
-    if budget is not None and t > budget:
-        raise BudgetExceededError(
-            f"sampling needs t={t} samples, over the budget of {budget}")
+    Budget(budget).charge(t, f"sampling needs t={t} samples")
     forward = _forward_neighbors(g, order)
     seen: dict[VertexSet, None] = {}
     for b, start in enumerate(range(0, t, BLOCK)):
@@ -227,14 +228,15 @@ def verify_family(g: Graph, k: int, sets: Sequence[VertexSet],
 
     Every member must be an independent set of g and k at least 1, else
     GraphError. The witness is lexicographically first because the
-    enumeration is.
+    enumeration is. The column index is charged against ``budget``
+    before it is built.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
     sets = list(sets)
     if any(s < 0 or s >> g.n for s in sets):
         raise GraphError("family member has a vertex outside the graph")
-    cols = _columns(sets, g.n)
+    cols = _columns(sets, g.n, budget)
     for u, v in g.edges():
         if cols[u] & cols[v]:
             raise GraphError(f"family member contains the edge ({u}, {v})")
@@ -262,13 +264,13 @@ def greedy_cover(g: Graph, k: int,
         raise GraphError("k must be at least 1")
     universe = list(enumerate_independent_sets(g, k, budget))
     held = Budget(budget, "greedy candidate memory")
-    words = -(-len(universe) // 64)
+    mask_words = words(len(universe))
     candidates = []
     for c in enumerate_maximal_independent_sets(g, budget=budget):
-        held.charge(words + c.bit_count())
+        held.charge(mask_words + c.bit_count())
         candidates.append(c)
     candidates.sort(key=members)
-    cols = _columns(universe, g.n)
+    cols = _columns(universe, g.n, budget)
     uncovered = (1 << len(universe)) - 1
     contained = []
     for c in candidates:
@@ -295,7 +297,7 @@ def greedy_family(g: Graph, k: int,
     """greedy_cover as a family document: delta 0, seed 0, t the number
     of sets, and the marking probability the sampler would use on g."""
     sets = greedy_cover(g, k, budget=budget)
-    d = degeneracy_order(g).degeneracy
+    d = degeneracy_order(g, budget).degeneracy
     return CoveringFamily(sets=tuple(sets), k=k, delta=0.0, seed=0,
                           t=len(sets), degeneracy=d,
                           p=marking_probability(d), graph_hash=graph_hash(g))
@@ -335,7 +337,10 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
                         else doc)
     except jsonschema.ValidationError as exc:
         raise GraphError(f"malformed family file: {exc.message}") from exc
-    num, den = map(int, doc["p"].split("/"))
+    try:
+        num, den = map(int, doc["p"].split("/"))
+    except ValueError as exc:  # over int's 4300-digit limit
+        raise GraphError(f"malformed family file: p: {exc}") from exc
     if den == 0:
         raise GraphError("malformed family file: p has denominator 0")
     if doc["graph_hash"] != graph_hash(g):
@@ -370,5 +375,13 @@ def dump_family(fam: CoveringFamily) -> str:
     return head.replace('"sets": []', '"sets": ' + sets, 1) + "\n"
 
 
-def load_family(text: str, g: Graph) -> CoveringFamily:
-    return family_from_json(json.loads(text), g)
+def load_family(text: bytes | str, g: Graph) -> CoveringFamily:
+    """family_from_json of the UTF-8 JSON text; text that does not decode
+    or parse, including nesting too deep for the parser, raises
+    GraphError."""
+    try:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes)
+                         else text)
+    except (ValueError, RecursionError) as exc:
+        raise GraphError(f"malformed family file: {exc}") from exc
+    return family_from_json(doc, g)

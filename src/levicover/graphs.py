@@ -32,19 +32,43 @@ class BudgetExceededError(RuntimeError):
 
 
 class Budget:
-    """Mutable step counter; None means unlimited. ``what`` names the
-    budget in the error raised when it runs out."""
+    """Mutable step counter; None means unlimited. This is the only code
+    that raises BudgetExceededError. ``what`` names the budget in the
+    error raised when a step runs it out.
+
+    Memory and the work that grows with it are charged in 64-bit machine
+    words (see ``words``): a stage that builds or walks one n-bit int per
+    vertex is charged its rows before it starts, on a budget of its own.
+    """
 
     def __init__(self, limit: Optional[int], what: str = "enumeration"):
+        self.limit = limit
         self.left = limit
         self.what = what
 
-    def charge(self, cost: int = 1):
+    def charge(self, cost: int = 1, why: Optional[str] = None):
+        """Take ``cost`` steps. A charge that pays for a whole stage at
+        once says ``why``, and the error then reads
+        "<why>, over the budget of <limit>"."""
         if self.left is None:
             return
         self.left -= cost
         if self.left < 0:
-            raise BudgetExceededError(f"{self.what} budget exceeded")
+            raise BudgetExceededError(
+                f"{why}, over the budget of {self.limit}" if why
+                else f"{self.what} budget exceeded")
+
+    def charge_rows(self, rows: int, n: int, what: str):
+        """Charge ``rows`` n-bit ints at words(n) each for the stage
+        ``what``."""
+        self.charge(rows * words(n),
+                    f"{what} takes {rows} rows of {words(n)} words")
+
+
+def words(bits: int) -> int:
+    """ceil(bits / 64), the machine words of a bits-wide int: the unit in
+    which a budget charges memory."""
+    return -(-bits // 64)
 
 
 def vset(vertices: Iterable[int]) -> VertexSet:
@@ -149,7 +173,8 @@ def neighborhood_of_set(g: Graph, s: VertexSet) -> VertexSet:
     return out & ~s
 
 
-def codegree_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
+def codegree_range(g: Graph, lo: int, hi: int,
+                   budget: Optional[int] = None) -> tuple[int, int]:
     """Min and max of |N(u) & N(v)| over the pairs lo <= u < v < hi;
     (g.n, 0) when there is no such pair.
 
@@ -157,10 +182,12 @@ def codegree_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
     into binary bit planes (bit i of plane j is bit j of the count at
     vertex i), and the extremes over the later vertices are read from the
     top plane down. That is O(sum of deg log deg) int operations instead
-    of one AND and popcount per pair.
+    of one AND and popcount per pair. The hi - lo rows of the sweep are
+    charged against ``budget`` first.
     """
     if lo < 0 or hi > g.n:
         raise GraphError("vertex range out of bounds")
+    Budget(budget).charge_rows(hi - lo, g.n, "the codegree sweep")
     cmin, cmax = g.n, 0
     adj = g.adj
     for u in range(lo, hi - 1):
@@ -194,20 +221,23 @@ def codegree_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
     return cmin, cmax
 
 
-def is_c4_free(g: Graph) -> bool:
+def is_c4_free(g: Graph, budget: Optional[int] = None) -> bool:
     """True iff no two distinct vertices share two or more neighbors."""
-    return codegree_range(g, 0, g.n)[1] <= 1
+    return codegree_range(g, 0, g.n, budget)[1] <= 1
 
 
-def degeneracy_order(g: Graph) -> DegeneracyResult:
+def degeneracy_order(g: Graph,
+                     budget: Optional[int] = None) -> DegeneracyResult:
     """Repeated minimum-degree removal; ties broken by lowest index.
 
     The degeneracy is the maximum over removal steps of the degree of the
     removed vertex at removal time. A bucket queue (Matula and Beck,
     JACM 1983) holds the remaining vertices of each current degree as a
     bitmask; a removal moves each remaining neighbour down one bucket, so
-    the lowest non-empty bucket drops by at most one per step.
+    the lowest non-empty bucket drops by at most one per step. Its n
+    rows are charged against ``budget`` first.
     """
+    Budget(budget).charge_rows(g.n, g.n, "the degeneracy order")
     deg = [a.bit_count() for a in g.adj]
     buckets = [0] * (max(deg, default=0) + 1)
     for v, d in enumerate(deg):
@@ -255,7 +285,8 @@ def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
     byte-equal to write_graph of the graph it describes.
 
     The header's vertex count is charged against ``budget`` before any
-    memory is taken for it.
+    memory is taken for it, then, on a budget of its own, the rows the
+    edges fill: two per edge line, at most n.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -267,9 +298,9 @@ def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
     lines = text.split("\n")
     try:
         n, _, side = map(int, lines[0].split(" "))
-        if budget is not None and n > budget:
-            raise BudgetExceededError(f"the graph has {n} vertices, over "
-                                      f"the budget of {budget}")
+        Budget(budget).charge(n, f"the graph has {n} vertices")
+        Budget(budget).charge_rows(min(2 * (len(lines) - 2), n), n,
+                                   "the adjacency")
         g = Graph.from_edges(n, (map(int, line.split(" "))
                                  for line in lines[1:-1]), side_p_size=side)
     except ValueError as exc:

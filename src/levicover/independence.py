@@ -18,10 +18,9 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Callable, Iterator, Optional
 
-from .graphs import (Budget, BudgetExceededError, Graph, GraphError,
-                     VertexSet, degeneracy_order, is_c4_free, iter_members,
-                     members, neighborhood_of_set, sqrt_degeneracy_bound,
-                     vset)
+from .graphs import (Budget, Graph, GraphError, VertexSet, degeneracy_order,
+                     is_c4_free, iter_members, members, neighborhood_of_set,
+                     sqrt_degeneracy_bound, vset)
 from .levi import (LeviIndexing, gen_levi, infer_q, plane_size,
                    require_prime, verify_levi_properties)
 
@@ -32,7 +31,9 @@ def enumerate_independent_sets(g: Graph, k: int,
     """Yield every independent set of size 1..k exactly once.
 
     Emission order is lexicographic on the sorted member lists, i.e. a
-    depth-first walk that extends by increasing vertex index.
+    depth-first walk that extends by increasing vertex index. The n-bit
+    sets of the first level are charged against ``budget`` before the
+    walk, which then takes one step per vertex it tries.
     """
     if k < 0:
         raise GraphError("size limit must be non-negative")
@@ -49,6 +50,7 @@ def enumerate_independent_sets(g: Graph, k: int,
                 yield from extend(new, v + 1, depth + 1)
 
     if k >= 1:
+        Budget(budget).charge_rows(g.n, g.n, "the independent-set sweep")
         yield from extend(0, 0, 0)
 
 
@@ -65,13 +67,15 @@ def enumerate_maximal_independent_sets(g: Graph, containing: VertexSet = 0,
 
     Bron-Kerbosch with pivoting on the complement graph (independent sets
     of g are cliques of its complement), started at R = ``containing``
-    with P its common non-neighbors and X empty. Each recursive call
-    costs one budget step.
+    with P its common non-neighbors and X empty. The n complement rows
+    are charged against ``budget`` before they are built, and each
+    recursive call costs one budget step.
     """
     if containing & ~g.all_vertices:
         raise GraphError("vertex index out of range")
     if not g.is_independent(containing):
         raise GraphError("set is not independent")
+    Budget(budget).charge_rows(g.n, g.n, "the complement graph")
     b = Budget(budget)
     full = g.all_vertices
     comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
@@ -111,6 +115,12 @@ class DesignParams:
     def for_plane(cls, q: int) -> "DesignParams":
         return cls(eta=plane_size(q), delta=q + 1, lam=1)
 
+    def expansion_bound(self, size: int) -> Fraction:
+        """delta^2 size / (delta + lam (size-1)), the least |N(S)| of a
+        one-side set S of ``size`` >= 1 vertices."""
+        return Fraction(self.delta ** 2 * size,
+                        self.delta + self.lam * (size - 1))
+
 
 @dataclass(frozen=True)
 class SideProfile:
@@ -136,16 +146,14 @@ class ExpansionCheck:
 
 def check_expansion(g: Graph, params: DesignParams,
                     s: VertexSet) -> ExpansionCheck:
-    """Compare |N(S)| against delta^2 |S| / (delta + lam (|S|-1)) exactly."""
+    """Compare |N(S)| against params.expansion_bound(|S|) exactly."""
     if not s:
         raise GraphError("expansion check needs a nonempty set")
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
     if (s & g.side_p) and (s & g.side_l):
         raise GraphError("set straddles both sides")
-    size = s.bit_count()
-    bound = Fraction(params.delta ** 2 * size,
-                     params.delta + params.lam * (size - 1))
+    bound = params.expansion_bound(s.bit_count())
     nsize = neighborhood_of_set(g, s).bit_count()
     return ExpansionCheck(holds=nsize >= bound, neighborhood_size=nsize,
                           bound=bound)
@@ -163,18 +171,18 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     sets that violate it.
 
     A one-side set S has no edge inside it, so N(S) is the union of its
-    rows, and S violates the bound iff
-    |N(S)| (delta + lam (|S|-1)) < delta^2 |S|; the test is that integer
-    comparison. Each random set draws its side, its size and its members,
-    in that order, from numpy's PCG64 seeded with ``seed``. The budget is
-    charged s + C(s, 2) per side of size s up front, then one step per
-    sample.
+    rows, and S violates the bound iff |N(S)| < expansion_bound(|S|).
+    The one- and two-vertex sets compare the int |N(S)| with the bound
+    rounded up, which is the same test. Each random set draws its side,
+    its size and its members, in that order, from numpy's PCG64 seeded
+    with ``seed``. The budget is charged s + C(s, 2) per side of size s
+    up front, then one step per sample.
     """
     if samples < 0:
         raise GraphError("sample count must be non-negative")
     params = DesignParams.for_plane(infer_q(g))
-    delta, lam = params.delta, params.lam
-    square = delta * delta
+    one = math.ceil(params.expansion_bound(1))
+    two = math.ceil(params.expansion_bound(2))
     sides = (members(g.side_p), members(g.side_l))
     if not all(sides):
         raise GraphError("expansion check needs two nonempty sides")
@@ -185,10 +193,9 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     violations = 0
     for verts in sides:
         rows = [adj[v] for v in verts]
-        violations += sum(r.bit_count() * delta < square for r in rows)
+        violations += sum(r.bit_count() < one for r in rows)
         for i, x in enumerate(rows):
-            violations += sum((x | y).bit_count() * (delta + lam) < 2 * square
-                              for y in rows[i + 1:])
+            violations += sum((x | y).bit_count() < two for y in rows[i + 1:])
     import numpy as np
     rng = np.random.default_rng(seed)
     arrays = tuple(np.array(verts, dtype=np.intp) for verts in sides)
@@ -199,18 +206,20 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
         union = 0
         for v in rng.choice(verts, size=size, replace=False).tolist():
             union |= adj[v]
-        violations += (union.bit_count() * (delta + lam * (size - 1))
-                       < square * size)
+        violations += union.bit_count() < params.expansion_bound(size)
     return (0, violations, violations == 0,
             float(fixed + samples - violations))
 
 
 def _is_generated_plane(g: Graph) -> bool:
-    """True iff g equals the incidence graph gen_levi builds."""
+    """True iff g equals the incidence graph gen_levi builds. The edge
+    counts are compared first, so the plane built is never larger than g,
+    whatever side size the header names."""
     try:
-        return g == gen_levi(infer_q(g))
+        q = infer_q(g)
     except GraphError:
         return False
+    return g.m == (q + 1) * g.side_p_size and g == gen_levi(q)
 
 
 def _collinear_lines_missed(q: int, m: int) -> int:
@@ -434,11 +443,11 @@ def _balanced(g: Graph, *, k: int, budget: Optional[int],
 # call the library through this module's globals, never through a stored
 # function object, so a wrapper installed on one of those names sees it.
 CHECKS: dict[str, Callable[..., CheckResult]] = {
-    "levi-props": lambda g, **_: _flag(
-        verify_levi_properties(g, infer_q(g)).all_ok),
-    "c4free": lambda g, **_: _flag(is_c4_free(g)),
-    "degeneracy": lambda g, **_: _at_most(
-        sqrt_degeneracy_bound(g.n), degeneracy_order(g).degeneracy),
+    "levi-props": lambda g, *, budget, **_: _flag(
+        verify_levi_properties(g, infer_q(g), budget).all_ok),
+    "c4free": lambda g, *, budget, **_: _flag(is_c4_free(g, budget)),
+    "degeneracy": lambda g, *, budget, **_: _at_most(
+        sqrt_degeneracy_bound(g.n), degeneracy_order(g, budget).degeneracy),
     "expansion": _verify_expansion,
     "product": lambda g, *, budget, **_: _at_most(
         side_product_bound(infer_q(g)), max_side_product(g, budget)[0]),

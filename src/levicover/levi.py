@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import BudgetExceededError, Graph, GraphError, codegree_range
+from .graphs import Budget, Graph, GraphError, codegree_range
 
 
 def is_prime(q: int) -> bool:
@@ -109,9 +109,7 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     memory is taken.
     """
     size = (q + 1) * plane_size(q)
-    if budget is not None and size > budget:
-        raise BudgetExceededError(f"the plane of order {q} has {size} "
-                                  f"edges, over the budget of {budget}")
+    Budget(budget).charge(size, f"the plane of order {q} has {size} edges")
     ix = LeviIndexing(require_prime(q))
     edges = []
     for x in range(q):
@@ -158,12 +156,14 @@ def _degree_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
     return min(degs, default=g.n), max(degs, default=0)
 
 
-def verify_levi_properties(g: Graph, q: int) -> LeviPropertyReport:
+def verify_levi_properties(g: Graph, q: int, budget: Optional[int] = None
+                           ) -> LeviPropertyReport:
     """Check side sizes, (q+1)-regularity, and the one-common-neighbor law.
 
     Failures are reported in the flags, never raised: the point of the
     report is to describe graphs that are *not* valid incidence graphs too
-    (e.g. after deleting an edge).
+    (e.g. after deleting an edge). Each side's codegree sweep is charged
+    against ``budget`` on its own.
     """
     require_prime(q)
     s = plane_size(q)
@@ -173,8 +173,8 @@ def verify_levi_properties(g: Graph, q: int) -> LeviPropertyReport:
     deg = q + 1
     p_deg = _degree_range(g, 0, g.side_p_size)
     l_deg = _degree_range(g, g.side_p_size, g.n)
-    p_common = codegree_range(g, 0, g.side_p_size)
-    l_common = codegree_range(g, g.side_p_size, g.n)
+    p_common = codegree_range(g, 0, g.side_p_size, budget)
+    l_common = codegree_range(g, g.side_p_size, g.n, budget)
     return LeviPropertyReport(
         n_ok=g.n == want_n,
         p_degree_ok=p_deg == (deg, deg),

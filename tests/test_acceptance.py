@@ -24,7 +24,7 @@ from levicover import (DesignParams, build_family_mc, check_cover_capacity,
                        sqrt_degeneracy_bound, substream, verify_family,
                        verify_levi_properties, vset, write_graph)
 from levicover.cli import main
-from levicover.independence import BudgetExceededError
+from levicover.graphs import BudgetExceededError
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 REL_MARGIN = 1e-6  # slack applied when a float bound meets an exact count

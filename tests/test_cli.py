@@ -134,6 +134,74 @@ def test_graph_vertex_count_over_budget_exits_3(argv, tmp_path, capsys,
     assert "1000000000000 vertices, over the budget of 10000000" in err
 
 
+def _singletons_family(n: int) -> str:
+    g = parse_graph(f"{n} 0 0\n")
+    return json.dumps({"graph_hash": graph_hash(g), "k": 1, "delta": 0.1,
+                       "seed": 0, "t": 1, "d": 0, "p": "1/1",
+                       "sets": [[v] for v in range(n)]})
+
+
+# Small files whose per-vertex rows, or whose column index, are over the
+# default budget. Each run exits 3 before it takes that memory, naming
+# the stage: (files, argv, message).
+ROW_CHARGES = {
+    "adjacency": (
+        # a star on 10^6 vertices: 800 edges fill 1,600 rows of 15,625
+        # words, in an 8.7 KB file
+        {"g.txt": "1000000 800 0\n"
+                  + "".join(f"{u} 999999\n" for u in range(800))},
+        ["verify", "--in", "g.txt", "--checks", "c4free"],
+        "the adjacency takes 1600 rows of 15625 words"),
+    "codegree": (
+        {"g.txt": "1000000 0 0\n"},
+        ["verify", "--in", "g.txt", "--checks", "c4free"],
+        "the codegree sweep takes 1000000 rows of 15625 words"),
+    "degeneracy": (
+        {"g.txt": "1000000 0 0\n"},
+        ["verify", "--in", "g.txt", "--checks", "degeneracy"],
+        "the degeneracy order takes 1000000 rows of 15625 words"),
+    "independent-set-sweep": (
+        {"g.txt": "100000 0 0\n"},
+        ["cover", "greedy", "--in", "g.txt", "--k", "1"],
+        "the independent-set sweep takes 100000 rows of 1563 words"),
+    "column-index": (
+        {"g.txt": "16000 0 0\n", "fam.json": _singletons_family(16000)},
+        ["cover", "verify", "--in", "g.txt", "--k", "1", "--family",
+         "fam.json"],
+        "the column index of 16000 sets takes 32000000 words"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CHARGES))
+def test_row_memory_over_budget_exits_3_at_once(name, tmp_path, capsys,
+                                                monkeypatch):
+    files, argv, message = ROW_CHARGES[name]
+    monkeypatch.chdir(tmp_path)
+    for path, text in files.items():
+        (tmp_path / path).write_text(text)
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert message + ", over the budget of 10000000" in err
+    assert time.monotonic() - started < 5
+
+
+@pytest.mark.parametrize("check", ["product", "coverbound"])
+def test_plane_certification_builds_no_plane_larger_than_the_graph(
+        check, tmp_path, capsys, monkeypatch):
+    # the side size of the plane of order 101, and no edges: the plane's
+    # 1,050,906 edges must not be built to compare with it
+    def refuse(q, budget=None):
+        raise AssertionError(f"built the plane of order {q}")
+    monkeypatch.setattr("levicover.independence.gen_levi", refuse)
+    path = tmp_path / "header.g"
+    path.write_text("20606 0 10303\n")
+    code, out, err = run(capsys, "verify", "--in", str(path), "--checks",
+                         check, "--no-timestamp", "--budget", "1000000")
+    assert code == 3 and out == ""
+    assert "the complement graph takes 20606 rows of 322 words" in err
+
+
 class TestVerify:
     def test_levi_props_and_c4free(self, capsys):
         code, out, _ = run(capsys, "verify", "--q", "2",
@@ -382,12 +450,16 @@ class TestCover:
         assert code == 2 and "different graph" in err
 
     def test_budget_exceeded_exits_3(self, fano_file, tmp_path, capsys):
+        # the 9 greedy sets take a 16-word column index and the graph
+        # 14 vertices, so the 105 steps of the target enumeration bind
         fam = str(tmp_path / "fam.json")
-        run(capsys, "cover", "build", "--in", fano_file, "--k", "2",
-            "--delta", "0.01", "--seed", "1", "--out", fam)
-        code, _, _ = run(capsys, "cover", "verify", "--in", fano_file,
-                         "--k", "2", "--family", fam, "--budget", "3")
-        assert code == 3
+        run(capsys, "cover", "greedy", "--in", fano_file, "--k", "2",
+            "--out", fam)
+        argv = ("cover", "verify", "--in", fano_file, "--k", "2",
+                "--family", fam, "--no-timestamp", "--budget")
+        code, _, err = run(capsys, *argv, "104")
+        assert code == 3 and "enumeration budget" in err
+        assert run(capsys, *argv, "105")[0] == 0
 
     def test_workers_do_not_change_bytes(self, fano_file, tmp_path, capsys):
         outs = []
@@ -490,6 +562,16 @@ class TestFamilyTrustBoundary:
                                    sets=[[0], [3, 10 ** 10]])
         assert code == 2 and "outside the graph" in err
         assert time.monotonic() - started < 5
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{", b"[" * 200000],
+                             ids=["not-utf-8", "nested-brackets"])
+    def test_undecodable_family_file_exits_2(self, tmp_path, fano_file,
+                                             capsys, data):
+        fam = tmp_path / "bad.json"
+        fam.write_bytes(data)
+        code, out, err = run(capsys, "cover", "verify", "--in", fano_file,
+                             "--k", "2", "--family", str(fam))
+        assert code == 2 and out == "" and "malformed family file" in err
 
     def test_non_integer_member_exits_2(self, tmp_path, fano_file, capsys):
         code, _, err = self.verify(capsys, tmp_path, fano_file,

@@ -14,7 +14,7 @@ from levicover import (Graph, GraphError, build_family_mc,
                        required_samples, sample_independent_set, substream,
                        verify_family, vset)
 from levicover import covering
-from levicover.independence import BudgetExceededError
+from levicover.graphs import BudgetExceededError
 from conftest import complete_graph, cycle_graph
 
 P_MIN_FANO = Fraction(729, 65536)  # (1/4)^2 (3/4)^6 for d=3, k=2
@@ -250,8 +250,12 @@ class TestVerifyFamily:
         assert not ok and witness == 1  # vertex 0
 
     def test_budget_error(self, fano):
-        with pytest.raises(BudgetExceededError):
-            verify_family(fano, 5, [fano.side_p], budget=5)
+        # the 37 maximal sets cover every target, so no witness ends the
+        # walk early; 65 covers their 65-word column index and the
+        # 14-word sweep, not the target enumeration
+        fam = list(enumerate_maximal_independent_sets(fano))
+        with pytest.raises(BudgetExceededError, match="enumeration"):
+            verify_family(fano, 5, fam, budget=65)
 
     def test_rejects_dependent_member(self, fano):
         with pytest.raises(GraphError, match="edge"):
@@ -355,6 +359,7 @@ class TestFamilyIO:
             family_from_json(self.doc(fano, sets=[[2, 1]]), fano)
 
     @pytest.mark.parametrize("bad", [{"p": "1/0"}, {"p": "a/b"},
+                                     {"p": "1" * 5000 + "/1"},
                                      {"sets": {"0": [1]}}, {"k": 0},
                                      {"sets": [[-1, 2]]}, {"extra": 1}])
     def test_rejects_malformed_document(self, fano, bad):

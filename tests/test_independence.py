@@ -16,7 +16,7 @@ from levicover import (Graph, GraphError, DesignParams, SideProfile,
                        max_side_product, members, neighborhood_of_set,
                        plane_size, profile_frontier, side_profile, vset)
 from levicover import independence
-from levicover.independence import BudgetExceededError
+from levicover.graphs import BudgetExceededError
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
                       edgeless_bipartite)
 
@@ -48,8 +48,9 @@ class TestEnumeration:
             assert plane3.is_independent(s)
 
     def test_budget_raises(self, fano):
-        with pytest.raises(BudgetExceededError):
-            list(enumerate_independent_sets(fano, 4, budget=10))
+        # 14 covers the first level's 14 one-word rows, not the walk
+        with pytest.raises(BudgetExceededError, match="enumeration"):
+            list(enumerate_independent_sets(fano, 4, budget=14))
 
 
 class TestMaximalEnumeration:
