@@ -92,8 +92,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    g = levi.gen_levi(args.q, args.budget) if args.exact else None
-    rep = evaluate_bounds(args.q, args.k, g=g, budget=args.budget)
+    rep = evaluate_bounds(args.q, args.k, exact=args.exact,
+                          budget=args.budget)
     frac = rep.balanced_count_lower_bound
     doc = dataclasses.asdict(rep)
     doc["balanced_count_lower_bound"] = f"{frac.numerator}/{frac.denominator}"

@@ -56,8 +56,12 @@ class CoveringFamily:
     seed: int
     t: int
     degeneracy: int
-    p: Fraction
     graph_hash: str
+
+    @property
+    def p(self) -> Fraction:
+        """The marking probability of the degeneracy, 1/(d+1)."""
+        return marking_probability(self.degeneracy)
 
 
 def marking_probability(d: int) -> Fraction:
@@ -203,13 +207,13 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     p = marking_probability(d)
     p_min = containment_probability_floor(d, k)
     t = required_samples(max(g.n, 1), p_min, delta)
-    Budget(budget).charge(t, f"sampling needs t>={t} samples")
+    Budget(budget).charge(t, "sampling needs t>={} samples")
     try:
         universe = max(count_independent_sets(g, k, budget), 1)
     except BudgetExceededError:
         universe = g.n ** k
     t = required_samples(universe, p_min, delta)
-    Budget(budget).charge(t, f"sampling needs t={t} samples")
+    Budget(budget).charge(t, "sampling needs t={} samples")
     forward = _forward_neighbors(g, order)
     seen: dict[VertexSet, None] = {}
     for b, start in enumerate(range(0, t, BLOCK)):
@@ -218,7 +222,7 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
         seen.update(dict.fromkeys(rows))
     seen.pop(0, None)
     return CoveringFamily(sets=tuple(seen), k=k, delta=delta, seed=seed,
-                          t=t, degeneracy=d, p=p, graph_hash=graph_hash(g))
+                          t=t, degeneracy=d, graph_hash=graph_hash(g))
 
 
 def verify_family(g: Graph, k: int, sets: Sequence[VertexSet],
@@ -299,8 +303,7 @@ def greedy_family(g: Graph, k: int,
     sets = greedy_cover(g, k, budget=budget)
     d = degeneracy_order(g, budget).degeneracy
     return CoveringFamily(sets=tuple(sets), k=k, delta=0.0, seed=0,
-                          t=len(sets), degeneracy=d,
-                          p=marking_probability(d), graph_hash=graph_hash(g))
+                          t=len(sets), degeneracy=d, graph_hash=graph_hash(g))
 
 
 def family_to_json(fam: CoveringFamily) -> dict:
@@ -320,7 +323,8 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
     """Parse a family document built for g; malformed input, a family for
     another graph or a member vertex outside g raises GraphError.
 
-    Everything but the member arrays is checked against FAMILY_SCHEMA.
+    Everything but the member arrays is checked against FAMILY_SCHEMA,
+    and p must be exactly "1/<d+1>".
     The arrays are checked in the loop that packs them, because schema
     validation walks them item by item and would dominate the load time
     of a large family. An index of g.n or more is rejected before it is
@@ -330,19 +334,19 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
     # time, and only family loading needs it.
     import jsonschema
 
-    from .schemas import validate_family
+    from .schemas import FAMILY_SCHEMA
     sets = doc.get("sets") if isinstance(doc, dict) else None
     try:
-        validate_family(dict(doc, sets=[]) if isinstance(sets, list)
-                        else doc)
+        jsonschema.validate(dict(doc, sets=[]) if isinstance(sets, list)
+                            else doc, FAMILY_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise GraphError(f"malformed family file: {exc.message}") from exc
     try:
-        num, den = map(int, doc["p"].split("/"))
-    except ValueError as exc:  # over int's 4300-digit limit
-        raise GraphError(f"malformed family file: p: {exc}") from exc
-    if den == 0:
-        raise GraphError("malformed family file: p has denominator 0")
+        p_ok = doc["p"] == f"1/{doc['d'] + 1}"
+    except ValueError:  # d + 1 has more digits than Python will print
+        p_ok = False
+    if not p_ok:
+        raise GraphError("malformed family file: p is not 1/(d+1)")
     if doc["graph_hash"] != graph_hash(g):
         raise GraphError("family file was built for a different graph "
                          f"(hash {doc['graph_hash'][:12]}...)")
@@ -358,8 +362,7 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
         masks.append(vset(arr))
     return CoveringFamily(
         sets=tuple(masks), k=doc["k"], delta=doc["delta"], seed=doc["seed"],
-        t=doc["t"], degeneracy=doc["d"], p=Fraction(num, den),
-        graph_hash=doc["graph_hash"])
+        t=doc["t"], degeneracy=doc["d"], graph_hash=doc["graph_hash"])
 
 
 def dump_family(fam: CoveringFamily) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Optional
 
 VertexSet = int
@@ -49,20 +50,32 @@ class Budget:
     def charge(self, cost: int = 1, why: Optional[str] = None):
         """Take ``cost`` steps. A charge that pays for a whole stage at
         once says ``why``, and the error then reads
-        "<why>, over the budget of <limit>"."""
+        "<why>, over the budget of <limit>", with a ``{}`` in ``why``
+        standing for the cost. The cost is printed here, and only on
+        refusal, because one too large to build may be too large for
+        Python to print too."""
         if self.left is None:
             return
         self.left -= cost
         if self.left < 0:
             raise BudgetExceededError(
-                f"{why}, over the budget of {self.limit}" if why
-                else f"{self.what} budget exceeded")
+                f"{why.format(_decimal(cost))}, over the budget of "
+                f"{self.limit}" if why else f"{self.what} budget exceeded")
 
     def charge_rows(self, rows: int, n: int, what: str):
         """Charge ``rows`` n-bit ints at words(n) each for the stage
         ``what``."""
         self.charge(rows * words(n),
                     f"{what} takes {rows} rows of {words(n)} words")
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, or "2^<e> or more" when it has more digits than
+    Python will print (sys.get_int_max_str_digits)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"2^{n.bit_length() - 1} or more"
 
 
 def words(bits: int) -> int:
@@ -143,8 +156,9 @@ class Graph:
         return self.adj[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
+        """Edges as (u, v) with u < v, in lexicographic order. Only the
+        non-empty rows are visited."""
+        for u in compress(range(self.n), self.adj):
             for v in iter_members(self.adj[u] >> (u + 1)):
                 yield u, u + 1 + v
 

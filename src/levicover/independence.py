@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 
 from .graphs import (Budget, Graph, GraphError, VertexSet, degeneracy_order,
                      is_c4_free, iter_members, members, neighborhood_of_set,
-                     sqrt_degeneracy_bound, vset)
+                     sqrt_degeneracy_bound, vset, words)
 from .levi import (LeviIndexing, gen_levi, infer_q, plane_size,
                    require_prime, verify_levi_properties)
 
@@ -105,15 +105,14 @@ def enumerate_maximal_independent_sets(g: Graph, containing: VertexSet = 0,
 
 @dataclass(frozen=True)
 class DesignParams:
-    """Side size, regular degree, and common-neighbor count of a design."""
+    """Regular degree and common-neighbor count of a design."""
 
-    eta: int
     delta: int
     lam: int
 
     @classmethod
     def for_plane(cls, q: int) -> "DesignParams":
-        return cls(eta=plane_size(q), delta=q + 1, lam=1)
+        return cls(delta=q + 1, lam=1)
 
     def expansion_bound(self, size: int) -> Fraction:
         """delta^2 size / (delta + lam (size-1)), the least |N(S)| of a
@@ -176,7 +175,7 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     rounded up, which is the same test. Each random set draws its side,
     its size and its members, in that order, from numpy's PCG64 seeded
     with ``seed``. The budget is charged s + C(s, 2) per side of size s
-    up front, then one step per sample.
+    plus one step per sample, all before the first set is tested.
     """
     if samples < 0:
         raise GraphError("sample count must be non-negative")
@@ -187,8 +186,7 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     if not all(sides):
         raise GraphError("expansion check needs two nonempty sides")
     fixed = sum(len(v) + math.comb(len(v), 2) for v in sides)
-    b = Budget(budget)
-    b.charge(fixed)
+    Budget(budget).charge(fixed + samples)
     adj = g.adj
     violations = 0
     for verts in sides:
@@ -200,7 +198,6 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     arrays = tuple(np.array(verts, dtype=np.intp) for verts in sides)
     for _ in range(samples):
-        b.charge()
         verts = arrays[rng.integers(2)]
         size = int(rng.integers(1, len(verts) + 1))
         union = 0
@@ -211,15 +208,16 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
             float(fixed + samples - violations))
 
 
-def _is_generated_plane(g: Graph) -> bool:
-    """True iff g equals the incidence graph gen_levi builds. The edge
-    counts are compared first, so the plane built is never larger than g,
-    whatever side size the header names."""
+def _plane_order(g: Graph) -> Optional[int]:
+    """q when g equals gen_levi(q), the generated plane of order q, else
+    None. The edge counts are compared first, so the plane built is never
+    larger than g, whatever side size the header names."""
     try:
         q = infer_q(g)
     except GraphError:
-        return False
-    return g.m == (q + 1) * g.side_p_size and g == gen_levi(q)
+        return None
+    return (q if g.m == (q + 1) * g.side_p_size and g == gen_levi(q)
+            else None)
 
 
 def _collinear_lines_missed(q: int, m: int) -> int:
@@ -261,8 +259,8 @@ def profile_frontier(g: Graph, budget: Optional[int] = None
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
     best = [0] * (g.side_p_size + 1)
-    if _is_generated_plane(g):
-        q = infer_q(g)
+    q = _plane_order(g)
+    if q:
         best[0] = plane_size(q)
         for m in range(1, q + 2):
             best[m] = _collinear_lines_missed(q, m)
@@ -292,17 +290,23 @@ def side_product_bound(q: int) -> int:
     return q * (q + 1) ** 2
 
 
+def _half(k: int) -> int:
+    """k/2, the members a balanced k-set has on each side; GraphError
+    unless k is an even integer >= 2."""
+    if k % 2 or k < 2:
+        raise GraphError("k must be an even integer >= 2")
+    return k // 2
+
+
 def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
     """Exact number of independent sets with k/2 members on each side.
 
     Any same-side set in a bipartite graph is independent, so the count is
     a sum over P-side (k/2)-subsets S of C(#L - |N(S)|, k/2).
     """
-    if k % 2 != 0 or k < 2:
-        raise GraphError("balanced counting is defined for even k >= 2 only")
+    half = _half(k)
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
-    half = k // 2
     b = Budget(budget, "balanced count")
     l_size = g.n - g.side_p_size
     total = 0
@@ -315,11 +319,9 @@ def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
     return total
 
 
-def _capacity(a: int, b: int, k: int) -> int:
-    """Balanced k-subsets of a set with side profile (a, b)."""
-    if k % 2 != 0 or k < 2:
-        raise GraphError("cover capacity is defined for even k >= 2 only")
-    return math.comb(a, k // 2) * math.comb(b, k // 2)
+def _capacity(a: int, b: int, half: int) -> int:
+    """Balanced (2 half)-subsets of a set with side profile (a, b)."""
+    return math.comb(a, half) * math.comb(b, half)
 
 
 def check_cover_capacity(g: Graph, i: VertexSet, k: int) -> int:
@@ -327,20 +329,32 @@ def check_cover_capacity(g: Graph, i: VertexSet, k: int) -> int:
     if not g.is_independent(i):
         raise GraphError("set is not independent")
     prof = side_profile(g, i)
-    return _capacity(prof.a, prof.b, k)
+    return _capacity(prof.a, prof.b, _half(k))
 
 
 def max_cover_capacity(g: Graph, k: int,
                        budget: Optional[int] = None) -> int:
     """Largest number of balanced k-subsets any independent set holds."""
-    _capacity(0, 0, k)  # reject a bad k before the enumeration
-    return max(_capacity(a, b, k)
+    half = _half(k)
+    return max(_capacity(a, b, half)
                for a, b in enumerate(profile_frontier(g, budget)))
 
 
 def balanced_count_lower_bound(n: int, k: int) -> Fraction:
     """(n/4k)^k, the floor on the number of balanced k-sets."""
     return Fraction(n, 4 * k) ** k
+
+
+def _charged_balanced_bound(n: int, k: int,
+                            budget: Optional[int]) -> Fraction:
+    """balanced_count_lower_bound(n, k), with the words of its numerator
+    and denominator charged against ``budget`` before the power."""
+    base = Fraction(n, 4 * k)
+    size = words(k * (base.numerator.bit_length()
+                      + base.denominator.bit_length()))
+    Budget(budget).charge(size, "the balanced count lower bound at "
+                                f"n={n}, k={k} takes {{}} words")
+    return balanced_count_lower_bound(n, k)
 
 
 def _float_bound(what: str, value: Callable[[], float]) -> float:
@@ -383,34 +397,35 @@ class BoundsReport:
     exact_cover_lower_bound: Optional[int] = None
 
 
-def evaluate_bounds(q: int, k: int, g: Optional[Graph] = None,
+def evaluate_bounds(q: int, k: int, exact: bool = False,
                     budget: Optional[int] = None) -> BoundsReport:
     """Evaluate the covering-family bound chain at concrete (q, k).
 
-    With a graph supplied, also measures the balanced independent-set
-    count and the largest per-set capacity over maximal independent sets,
-    giving the exact counting lower bound on any covering family.
+    With ``exact``, first builds gen_levi(q), then also measures on it
+    the balanced independent-set count and the largest per-set capacity
+    over maximal independent sets, giving the exact counting lower bound
+    on any covering family.
 
     The trial division that tests q for primality takes up to isqrt(q)
-    steps, and they are charged against ``budget`` first.
+    steps, and they are charged against ``budget`` before it.
     """
+    g = gen_levi(q, budget) if exact else None
     Budget(budget, "primality test").charge(math.isqrt(max(q, 0)))
     require_prime(q)
-    if k % 2 != 0 or k < 2:
-        raise GraphError("k must be an even integer >= 2")
+    _half(k)
     if k > q:
         raise GraphError(
             f"k must be at most q (covering bound hypothesis): k={k}, q={q}")
     n = 2 * plane_size(q)
     report = BoundsReport(
         q=q, k=k, n=n,
-        balanced_count_lower_bound=balanced_count_lower_bound(n, k),
+        balanced_count_lower_bound=_charged_balanced_bound(n, k, budget),
         per_set_capacity_bound=per_set_capacity_bound(n, k),
         family_size_lower_bound=_float_bound(
             f"family size lower bound at n={n}, k={k}",
             lambda: n ** (k / 4) / (4 * math.sqrt(2) * k) ** k),
     )
-    if g is None:
+    if not exact:
         return report
     count = count_balanced(g, k, budget=budget)
     max_cap = max_cover_capacity(g, k, budget=budget)
@@ -431,7 +446,7 @@ def _at_most(bound, observed) -> CheckResult:
 def _balanced(g: Graph, *, k: int, budget: Optional[int],
               **_) -> CheckResult:
     count = count_balanced(g, k, budget=budget)
-    bound = balanced_count_lower_bound(g.n, k)
+    bound = _charged_balanced_bound(g.n, k, budget)
     expected = _float_bound(f"balanced count lower bound at n={g.n}, k={k}",
                             lambda: float(bound))
     return expected, count, count >= bound, float(count - bound)

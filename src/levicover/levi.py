@@ -109,8 +109,8 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     memory is taken.
     """
     size = (q + 1) * plane_size(q)
-    Budget(budget).charge(size, f"the plane of order {q} has {size} edges")
-    ix = LeviIndexing(require_prime(q))
+    Budget(budget).charge(size, f"the plane of order {q} has {{}} edges")
+    ix = LeviIndexing(q)
     edges = []
     for x in range(q):
         for y in range(q):
@@ -127,7 +127,6 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     for x in range(q):
         edges.append((ix.vertical_point(), ix.vertical_line(x)))
     edges.append((ix.vertical_point(), ix.infinity_line()))
-    edges.sort()
     return Graph.from_edges(ix.n, edges, side_p_size=ix.side_size)
 
 

@@ -1,8 +1,5 @@
-"""JSON Schemas for the machine-readable CLI outputs."""
-
-from __future__ import annotations
-
-import jsonschema
+"""JSON Schemas for the machine-readable CLI outputs; callers check a
+document with jsonschema.validate(doc, SCHEMA)."""
 
 _SCALAR = {"type": ["number", "string", "boolean", "integer", "null"]}
 
@@ -77,14 +74,3 @@ FAMILY_SCHEMA = {
     },
 }
 
-
-def validate_run_report(doc: dict):
-    jsonschema.validate(doc, RUN_REPORT_SCHEMA)
-
-
-def validate_bounds_report(doc: dict):
-    jsonschema.validate(doc, BOUNDS_REPORT_SCHEMA)
-
-
-def validate_family(doc: dict):
-    jsonschema.validate(doc, FAMILY_SCHEMA)

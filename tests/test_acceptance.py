@@ -153,7 +153,7 @@ def test_06_cover_capacity():
 def test_07_counting_skeleton():
     c = Criterion("7 counting skeleton", 30)
     fano = gen_levi(2)
-    rep = evaluate_bounds(2, 2, g=fano)
+    rep = evaluate_bounds(2, 2, exact=True)
     c.check(rep.exact_cover_lower_bound == 7)
     fam = greedy_cover(fano, 2)
     c.check(len(fam) >= 7)

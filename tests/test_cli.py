@@ -5,14 +5,15 @@ import sys
 import time
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from levicover import (Graph, count_independent_sets, covering,
                        enumerate_maximal_independent_sets, gen_levi,
                        graph_hash, parse_graph, write_graph)
 from levicover.cli import main
-from levicover.schemas import (validate_bounds_report, validate_family,
-                               validate_run_report)
+from levicover.schemas import (BOUNDS_REPORT_SCHEMA, FAMILY_SCHEMA,
+                               RUN_REPORT_SCHEMA)
 
 
 @pytest.fixture()
@@ -52,6 +53,30 @@ class TestGen:
         assert code == 0
         assert out.startswith("14 21 7\n")
         assert "14 21 7" in err
+
+
+# Refusals whose cost has more digits than Python will print: a
+# 1,500-digit order has a plane of about 10^4497 edges, and at k=5000
+# the Fano plane needs more than 10^4800 samples.
+UNPRINTABLE_COSTS = {
+    "gen": (["gen", "--q", str(10 ** 1499 + 1)],
+            "has 2^14938 or more edges"),
+    "cover-build": (["cover", "build", "--in", "fano.g", "--k", "5000",
+                     "--delta", "0.5", "--seed", "0"],
+                    "sampling needs t>=2^16227 or more samples"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPRINTABLE_COSTS))
+def test_unprintable_cost_exits_3(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fano.g").write_text(write_graph(gen_levi(2)))
+    argv, message = UNPRINTABLE_COSTS[name]
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert message + ", over the budget of 10000000" in err
+    assert time.monotonic() - started < 5
 
 
 # Every command that builds the plane from --q; the Fano plane has 21
@@ -209,7 +234,7 @@ class TestVerify:
                            "--no-timestamp")
         assert code == 0
         doc = json.loads(out)
-        validate_run_report(doc)
+        jsonschema.validate(doc, RUN_REPORT_SCHEMA)
         assert doc["outcome"] == "pass"
         assert [c["name"] for c in doc["checks"]] == ["levi-props", "c4free"]
 
@@ -220,7 +245,7 @@ class TestVerify:
                            "--checks", "degeneracy", "--no-timestamp")
         assert code == 0
         doc = json.loads(out)
-        validate_run_report(doc)
+        jsonschema.validate(doc, RUN_REPORT_SCHEMA)
         chk = doc["checks"][0]
         assert chk["observed"] == 3 and chk["expected"] == 4
 
@@ -230,7 +255,7 @@ class TestVerify:
                            "product,balanced,coverbound",
                            "--samples", "200", "--no-timestamp")
         assert code == 0
-        validate_run_report(json.loads(out))
+        jsonschema.validate(json.loads(out), RUN_REPORT_SCHEMA)
 
     def test_unknown_check_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--q", "2",
@@ -268,6 +293,26 @@ class TestVerify:
                            "product,coverbound", "--no-timestamp")
         assert code == 0
         assert [c["observed"] for c in json.loads(out)["checks"]] == [16, 16]
+
+    def test_expansion_samples_charged_before_drawing(self, capsys,
+                                                      monkeypatch):
+        import numpy
+
+        def refuse(*args):
+            raise AssertionError("drew samples despite the budget")
+        monkeypatch.setattr(numpy.random, "default_rng", refuse)
+        started = time.monotonic()
+        code, out, err = run(capsys, "verify", "--q", "2", "--checks",
+                             "expansion", "--samples", "200000", "--budget",
+                             "100000", "--no-timestamp")
+        assert code == 3 and out == "" and "enumeration budget" in err
+        assert time.monotonic() - started < 5
+
+    def test_odd_k_coverbound_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--q", "2", "--checks",
+                             "coverbound", "--k", "3", "--no-timestamp")
+        assert code == 2 and out == ""
+        assert "k must be an even integer >= 2" in err
 
     @pytest.mark.parametrize("budget,code", [("156", 0), ("155", 3)])
     def test_expansion_budget(self, budget, code, capsys):
@@ -318,7 +363,7 @@ class TestVerify:
     def test_timestamp_present_by_default(self, capsys):
         _, out, _ = run(capsys, "verify", "--q", "2", "--checks", "c4free")
         doc = json.loads(out)
-        validate_run_report(doc)
+        jsonschema.validate(doc, RUN_REPORT_SCHEMA)
         assert "timestamp" in doc and "duration_s" in doc
 
 
@@ -328,7 +373,7 @@ class TestBounds:
                            "--exact")
         assert code == 0
         doc = json.loads(out)
-        validate_bounds_report(doc)
+        jsonschema.validate(doc, BOUNDS_REPORT_SCHEMA)
         assert doc["measured_balanced_count"] == 28
         assert doc["measured_max_capacity"] == 4
         assert doc["exact_cover_lower_bound"] == 7
@@ -378,6 +423,21 @@ class TestBounds:
         assert code == 3 and out == "" and "primality test budget" in err
         assert time.monotonic() - started < 5
 
+    @pytest.mark.parametrize("argv,words", [
+        (["verify", "--q", "2", "--checks", "balanced", "--k", "100000000",
+          "--no-timestamp"], "n=14, k=100000000 takes 48437500 words"),
+        (["bounds", "--q", "99999989", "--k", "99999988"],
+         "n=19999995800000222, k=99999988 takes 128124985 words"),
+    ], ids=["verify", "bounds"])
+    def test_balanced_bound_power_charged_first(self, argv, words, capsys):
+        # (n/4k)^k would take hundreds of millions of words
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert ("the balanced count lower bound at " + words
+                + ", over the budget of 10000000") in err
+        assert time.monotonic() - started < 5
+
     def test_overflowing_capacity_bound_exits_2(self, capsys):
         code, out, err = run(capsys, "bounds", "--q", "101", "--k", "96")
         assert code == 2 and out == "" and "does not fit a float" in err
@@ -386,7 +446,7 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", "--q", "101", "--k", "4")
         assert code == 0
         doc = json.loads(out)
-        validate_bounds_report(doc)
+        jsonschema.validate(doc, BOUNDS_REPORT_SCHEMA)
         assert doc["family_size_lower_bound"] == pytest.approx(
             20606 / 262144, rel=1e-9)
         assert doc["measured_balanced_count"] is None
@@ -399,12 +459,12 @@ class TestCover:
                            "--k", "2", "--delta", "0.001", "--seed", "42",
                            "--out", fam)
         assert code == 0 and "t=1020" in err
-        validate_family(json.loads(open(fam).read()))
+        jsonschema.validate(json.loads(open(fam).read()), FAMILY_SCHEMA)
         code, out, _ = run(capsys, "cover", "verify", "--in", fano_file,
                            "--k", "2", "--family", fam, "--no-timestamp")
         assert code == 0
         doc = json.loads(out)
-        validate_run_report(doc)
+        jsonschema.validate(doc, RUN_REPORT_SCHEMA)
         assert doc["outcome"] == "pass"
 
     def test_greedy_size(self, fano_file, capsys):
@@ -412,7 +472,7 @@ class TestCover:
                              "--k", "2")
         assert code == 0
         doc = json.loads(out)
-        validate_family(doc)
+        jsonschema.validate(doc, FAMILY_SCHEMA)
         assert len(doc["sets"]) >= 7
         assert "sets" in err or "greedy" in err
 
@@ -550,6 +610,17 @@ class TestFamilyTrustBoundary:
     def test_non_fraction_p_exits_2(self, tmp_path, fano_file, capsys):
         code, _, err = self.verify(capsys, tmp_path, fano_file, p="0.25")
         assert code == 2 and "malformed family" in err
+
+    @pytest.mark.parametrize("p,d", [
+        ("2/8", 3),             # the right value, not in lowest terms
+        ("1/3", 2.0),           # an integral float passes the schema
+        ("1/4", 10 ** 4300 - 1),  # d + 1 is too long for Python to print
+    ], ids=["unreduced", "float-d", "d-plus-one-unprintable"])
+    def test_p_other_than_one_over_d_plus_one_exits_2(
+            self, tmp_path, fano_file, capsys, p, d):
+        code, out, err = self.verify(capsys, tmp_path, fano_file, p=p, d=d)
+        assert code == 2 and out == ""
+        assert "malformed family file: p is not 1/(d+1)" in err
 
     def test_schema_violation_exits_2(self, tmp_path, fano_file, capsys):
         code, _, err = self.verify(capsys, tmp_path, fano_file, k="2")

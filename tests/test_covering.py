@@ -226,6 +226,16 @@ class TestBuildFamily:
         with pytest.raises(BudgetExceededError, match="t=1020"):
             build_family_mc(fano, 2, 1e-3, seed=0, budget=859)
 
+    def test_universe_falls_back_to_n_to_the_k(self):
+        # 20 + 190 + 1140 targets of size <= 3; counting them takes more
+        # than 100 steps, so the union bound runs over 20^3 targets
+        g = Graph.from_edges(20, [])
+        assert count_independent_sets(g, 3) == 1350
+        with pytest.raises(BudgetExceededError):
+            count_independent_sets(g, 3, budget=100)
+        fam = build_family_mc(g, 3, 0.1, seed=0, budget=100)
+        assert fam.t == required_samples(20 ** 3, Fraction(1), 0.1) == 12
+
     def test_sample_count_over_budget(self, fano, monkeypatch):
         def no_draws(*args):
             raise AssertionError("sampled despite the budget")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -289,8 +290,7 @@ class TestSymmetryReduction:
                                                monkeypatch):
         g = gen_levi(q)
         reduced = profile_frontier(g)
-        monkeypatch.setattr(independence, "_is_generated_plane",
-                            lambda g: False)
+        monkeypatch.setattr(independence, "_plane_order", lambda g: None)
         assert profile_frontier(g) == reduced
         assert [r[0] for r in bk_starts] == [frame(q), 0]
 
@@ -461,8 +461,8 @@ class TestBounds:
         assert rep.per_set_capacity_bound == \
             pytest.approx(2 * 14 ** 1.5, rel=1e-12)
 
-    def test_fano_exact_counts(self, fano):
-        rep = evaluate_bounds(2, 2, g=fano)
+    def test_fano_exact_counts(self):
+        rep = evaluate_bounds(2, 2, exact=True)
         assert rep.measured_balanced_count == 28
         assert rep.measured_max_capacity == 4
         assert rep.exact_cover_lower_bound == 7
@@ -481,7 +481,27 @@ class TestBounds:
         with pytest.raises(GraphError):
             evaluate_bounds(5, 3)
 
-    def test_skeleton_dominates_formula(self, fano, plane3):
-        for q, g in ((2, fano), (3, plane3)):
-            rep = evaluate_bounds(q, 2, g=g)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_exact_measures_the_generated_plane(self, q):
+        # the measured fields, taken on gen_levi(q) by hand
+        g = gen_levi(q)
+        count, cap = count_balanced(g, 2), max_cover_capacity(g, 2)
+        assert evaluate_bounds(q, 2, exact=True) == dataclasses.replace(
+            evaluate_bounds(q, 2), measured_balanced_count=count,
+            measured_max_capacity=cap,
+            exact_cover_lower_bound=-(-count // cap))
+
+    def test_skeleton_dominates_formula(self):
+        for q in (2, 3):
+            rep = evaluate_bounds(q, 2, exact=True)
             assert rep.exact_cover_lower_bound >= rep.family_size_lower_bound
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: side_profile(g, 1),
+    lambda g: check_expansion(g, DesignParams.for_plane(2), 1),
+    lambda g: count_balanced(g, 2),
+], ids=["side_profile", "check_expansion", "count_balanced"])
+def test_unflagged_graph_rejected(call):
+    with pytest.raises(GraphError, match="not flagged bipartite"):
+        call(Graph.from_edges(4, [(0, 2), (1, 3)]))

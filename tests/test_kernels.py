@@ -7,7 +7,8 @@ replaced one that checked each rule of the canonical format in turn, and
 the column index read from binary digits replaced a numpy transpose.
 Those paths stay here as the oracles, and every result must match them exactly: the
 whole elimination order, the (min, max) codegree, the full check tuple,
-the parser's verdict and graph, and every column.
+the parser's verdict and graph, and every column. The edge walk that
+skips empty rows keeps the walk over every row as its oracle.
 """
 
 import itertools
@@ -43,6 +44,12 @@ def scan_degeneracy_order(g: Graph) -> DegeneracyResult:
         d = max(d, best_deg)
         remaining &= ~(1 << best)
     return DegeneracyResult(order=tuple(order), degeneracy=d)
+
+
+def all_rows_edges(g: Graph) -> list[tuple[int, int]]:
+    """Oracle: the edges (u, v), u < v, from a walk over every row."""
+    return [(u, u + 1 + v) for u in range(g.n)
+            for v in iter_members(g.adj[u] >> (u + 1))]
 
 
 def pairwise_c4_free(g: Graph) -> bool:
@@ -204,6 +211,23 @@ class TestDegeneracyOrder:
     def test_empty_graph(self):
         assert degeneracy_order(Graph.from_edges(0, [])) == \
             DegeneracyResult(order=(), degeneracy=0)
+
+
+class TestEdges:
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs())
+    def test_random_graphs(self, g):
+        assert list(g.edges()) == all_rows_edges(g)
+
+    @pytest.mark.parametrize("name", sorted(PLANES) + sorted(DENSE))
+    def test_planes_and_seeded_graphs(self, name):
+        g = PLANES.get(name) or DENSE[name]
+        assert list(g.edges()) == all_rows_edges(g)
+
+    def test_sparse_wide_graph(self):
+        g = Graph.from_edges(10 ** 5, [(5, 99999), (0, 7), (7, 99998)])
+        assert list(g.edges()) == all_rows_edges(g) == [
+            (0, 7), (5, 99999), (7, 99998)]
 
 
 class TestCodegree:
