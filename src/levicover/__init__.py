@@ -8,14 +8,13 @@ Monte Carlo sampling through a degeneracy order.
 """
 
 from .graphs import (BudgetExceededError, DegeneracyResult, Graph,
-                     GraphError, ParseError, VertexSet, codegree_range,
-                     degeneracy_order, graph_hash, induced_subgraph,
-                     is_c4_free, iter_members, members, neighborhood_of_set,
-                     parse_graph, sqrt_degeneracy_bound, vset, write_graph)
-from .levi import (LeviIndexing, LeviPropertyReport, gen_levi, infer_q,
-                   is_prime, plane_size, verify_levi_properties)
+                     GraphError, ParseError, VertexSet, degeneracy_order,
+                     graph_hash, induced_subgraph, is_c4_free, iter_members,
+                     members, neighborhood_of_set, parse_graph,
+                     sqrt_degeneracy_bound, vset, write_graph)
+from .levi import (LeviIndexing, gen_levi, infer_q, is_prime, plane_size,
+                   verify_levi_properties)
 from .independence import (BoundsReport, DesignParams, ExpansionCheck,
-                           SideProfile,
                            balanced_count_lower_bound, check_cover_capacity,
                            check_expansion, count_balanced,
                            count_independent_sets,
@@ -23,8 +22,7 @@ from .independence import (BoundsReport, DesignParams, ExpansionCheck,
                            enumerate_maximal_independent_sets,
                            evaluate_bounds, max_cover_capacity,
                            max_side_product, per_set_capacity_bound,
-                           profile_frontier, side_product_bound,
-                           side_profile)
+                           profile_frontier, side_product_bound)
 from .covering import (CoveringFamily, build_family_mc,
                        containment_probability_floor, dump_family,
                        family_from_json, family_to_json, greedy_cover,

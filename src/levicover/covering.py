@@ -177,15 +177,39 @@ def required_samples(universe_size: int, p_min: Fraction,
     taken of the int universe and the division done exactly, so neither a
     huge universe nor a tiny p_min overflows a float.
     """
+    log_targets = _log_targets(universe_size, delta)
+    p_min = Fraction(p_min)
+    if not (0 < p_min <= 1):
+        raise GraphError("containment probability must be in (0, 1]")
+    return math.ceil(Fraction(log_targets) / p_min)
+
+
+def _log_targets(universe_size: int, delta: float) -> float:
+    """ln(universe_size / delta), the union bound's numerator."""
     if universe_size < 1:
         raise GraphError("universe size must be at least 1")
     if not (0 < delta < 1):
         raise GraphError("delta must be in (0, 1)")
-    p_min = Fraction(p_min)
-    if not (0 < p_min <= 1):
-        raise GraphError("containment probability must be in (0, 1]")
-    log_targets = Fraction(math.log(universe_size) - math.log(delta))
-    return math.ceil(log_targets / p_min)
+    return math.log(universe_size) - math.log(delta)
+
+
+def _samples_floor(universe_size: int, d: int, k: int,
+                   delta: float) -> int:
+    """A lower bound on required_samples(universe_size,
+    containment_probability_floor(d, k), delta) from floats alone.
+
+    log2 t is at least log2 ln(universe/delta) + k log2(d+1)
+    + k d log2(1 + 1/d). With x that sum less a relative 10^-12 for
+    rounding, the bound is 2^x rounded up in its top 53 bits. x is capped
+    at 2^24, so the int stays within 2 MB; no budget the command line can
+    read (4,300 digits at most) reaches 2^(2^24).
+    """
+    per_set = math.log2(d + 1) + (d * math.log1p(1 / d) / math.log(2)
+                                  if d else 0.0)
+    x = math.log2(_log_targets(universe_size, delta)) + k * per_set
+    x = min(x - 1e-12 * max(abs(x), 1.0), 2 ** 24)
+    shift = max(math.floor(x) - 52, 0)
+    return math.ceil(2 ** (x - shift)) << shift
 
 
 def build_family_mc(g: Graph, k: int, delta: float, seed: int,
@@ -196,18 +220,19 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     The union-bound universe is the exact count of independent sets of
     size <= k when it is enumerable within the budget, else the n^k
     fallback. A sample count t above the budget is refused before any
-    draw, and before the count when t at n targets (every vertex is a
-    target on its own, so that t is a lower bound) is already over it.
+    draw, and before the count and the exact powers of p_min when a float
+    lower bound on t at n targets (every vertex is a target on its own,
+    so that t is a lower bound too) is already over it.
     Duplicate samples keep their first occurrence.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
     order = degeneracy_order(g, budget)
     d = order.degeneracy
+    Budget(budget).charge(_samples_floor(max(g.n, 1), d, k, delta),
+                          "sampling needs t>={} samples")
     p = marking_probability(d)
     p_min = containment_probability_floor(d, k)
-    t = required_samples(max(g.n, 1), p_min, delta)
-    Budget(budget).charge(t, "sampling needs t>={} samples")
     try:
         universe = max(count_independent_sets(g, k, budget), 1)
     except BudgetExceededError:

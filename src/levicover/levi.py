@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Budget, Graph, GraphError, codegree_range
+from .graphs import Budget, Graph, GraphError, is_c4_free
 
 
 def is_prime(q: int) -> bool:
@@ -130,58 +130,22 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     return Graph.from_edges(ix.n, edges, side_p_size=ix.side_size)
 
 
-@dataclass(frozen=True)
-class LeviPropertyReport:
-    """Result of exhaustively checking the five incidence-graph properties."""
+def verify_levi_properties(g: Graph, q: int,
+                           budget: Optional[int] = None) -> bool:
+    """True iff g is C4-free, has two sides of s = q^2 + q + 1 vertices
+    and every degree is q + 1; GraphError unless q is prime and the side
+    P of g has s vertices.
 
-    n_ok: bool
-    p_degree_ok: bool
-    p_common_ok: bool
-    l_degree_ok: bool
-    l_common_ok: bool
-    observed_n: int
-    degree_range: tuple[int, int]
-    common_range: tuple[int, int]
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.n_ok and self.p_degree_ok and self.p_common_ok
-                and self.l_degree_ok and self.l_common_ok)
-
-
-def _degree_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
-    """Min and max degree over lo <= v < hi; (g.n, 0) when it is empty."""
-    degs = [g.degree(v) for v in range(lo, hi)]
-    return min(degs, default=g.n), max(degs, default=0)
-
-
-def verify_levi_properties(g: Graph, q: int, budget: Optional[int] = None
-                           ) -> LeviPropertyReport:
-    """Check side sizes, (q+1)-regularity, and the one-common-neighbor law.
-
-    Failures are reported in the flags, never raised: the point of the
-    report is to describe graphs that are *not* valid incidence graphs too
-    (e.g. after deleting an edge). Each side's codegree sweep is charged
-    against ``budget`` on its own.
+    Those facts give the one-common-neighbour law by double counting: the
+    s lines cover s C(q+1, 2) = C(s, 2) pairs of points, and with no C4
+    no pair is covered twice, so every two points share exactly one
+    line. The same count holds for lines. A graph that is not a valid
+    incidence graph (e.g. after deleting an edge) gives False, never an
+    error. The sweep is charged against ``budget`` as is_c4_free's.
     """
     require_prime(q)
     s = plane_size(q)
     if g.side_p_size != s:
         raise GraphError(f"graph not flagged bipartite with side size {s}")
-    want_n = 2 * s
-    deg = q + 1
-    p_deg = _degree_range(g, 0, g.side_p_size)
-    l_deg = _degree_range(g, g.side_p_size, g.n)
-    p_common = codegree_range(g, 0, g.side_p_size, budget)
-    l_common = codegree_range(g, g.side_p_size, g.n, budget)
-    return LeviPropertyReport(
-        n_ok=g.n == want_n,
-        p_degree_ok=p_deg == (deg, deg),
-        p_common_ok=p_common == (1, 1),
-        l_degree_ok=l_deg == (deg, deg),
-        l_common_ok=l_common == (1, 1),
-        observed_n=g.n,
-        degree_range=(min(p_deg[0], l_deg[0]), max(p_deg[1], l_deg[1])),
-        common_range=(min(p_common[0], l_common[0]),
-                      max(p_common[1], l_common[1])),
-    )
+    return (is_c4_free(g, budget) and g.n == 2 * s
+            and all(row.bit_count() == q + 1 for row in g.adj))

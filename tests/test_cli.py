@@ -211,6 +211,45 @@ def test_row_memory_over_budget_exits_3_at_once(name, tmp_path, capsys,
     assert time.monotonic() - started < 5
 
 
+@pytest.mark.parametrize("check", ["levi-props", "c4free"])
+def test_structural_checks_share_one_codegree_charge(check, capsys):
+    # the plane of order 17 has 614 vertices, rows of 10 words each
+    argv = ("verify", "--q", "17", "--checks", check, "--no-timestamp",
+            "--budget")
+    code, out, err = run(capsys, *argv, "6139")
+    assert code == 3 and out == ""
+    assert ("the codegree sweep takes 614 rows of 10 words, over the "
+            "budget of 6139") in err
+    assert run(capsys, *argv, "6140")[0] == 0
+
+
+# A k whose work is astronomically over the default budget: C(500000,
+# 100000) point subsets, and a t whose exact p_min has millions of bits.
+LARGE_K = {
+    "balanced": ({"g.txt": "1000000 0 500000\n"},
+                 ["verify", "--in", "g.txt", "--checks", "balanced", "--k",
+                  "200000"],
+                 "balanced count budget exceeded"),
+    "cover-build": ({"fano.g": write_graph(gen_levi(2))},
+                    ["cover", "build", "--in", "fano.g", "--k", "1000000",
+                     "--delta", "0.5", "--seed", "0"],
+                    "sampling needs t>=2^3245114 or more samples, over the "
+                    "budget of 10000000"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_K))
+def test_large_k_exits_3_at_once(name, tmp_path, capsys, monkeypatch):
+    files, argv, message = LARGE_K[name]
+    monkeypatch.chdir(tmp_path)
+    for path, text in files.items():
+        (tmp_path / path).write_text(text)
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and message in err
+    assert time.monotonic() - started < 2
+
+
 @pytest.mark.parametrize("check", ["product", "coverbound"])
 def test_plane_certification_builds_no_plane_larger_than_the_graph(
         check, tmp_path, capsys, monkeypatch):

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levicover import (Graph, GraphError, build_family_mc,
                        containment_probability_floor, count_independent_sets,
@@ -221,6 +223,27 @@ class TestBuildFamily:
         monkeypatch.setattr(covering, "count_independent_sets", no_count)
         with pytest.raises(BudgetExceededError, match="t>=859"):
             build_family_mc(fano, 2, 1e-3, seed=0, budget=858)
+
+    def test_sizing_lower_bound_refused_before_the_exact_powers(
+            self, fano, monkeypatch):
+        # at k = 10^6 the exact p_min has millions of bits; the float
+        # bound on t refuses first, with 2^3245114 <= t
+        def no_powers(*args):
+            raise AssertionError("built p_min despite the budget")
+        monkeypatch.setattr(covering, "containment_probability_floor",
+                            no_powers)
+        with pytest.raises(BudgetExceededError,
+                           match=r"t>=2\^3245114 or more samples"):
+            build_family_mc(fano, 10 ** 6, 0.5, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10 ** 7), st.integers(0, 60), st.integers(1, 60),
+           st.floats(1e-300, 1, exclude_max=True))
+    def test_float_sizing_floor_is_a_lower_bound(self, n, d, k, delta):
+        # oracle: the exact t from the exact p_min
+        t = required_samples(n, containment_probability_floor(d, k), delta)
+        floor = covering._samples_floor(n, d, k, delta)
+        assert t - t // 10 ** 9 - 1 <= floor <= t
 
     def test_sizing_lower_bound_within_budget_counts(self, fano):
         with pytest.raises(BudgetExceededError, match="t=1020"):

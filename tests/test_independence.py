@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicover import (Graph, GraphError, DesignParams, SideProfile,
-                       check_cover_capacity,
-                       check_expansion, count_balanced,
+from levicover import (Graph, GraphError, DesignParams,
+                       check_cover_capacity, check_expansion, count_balanced,
                        count_independent_sets, enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
                        gen_levi, graph_hash, max_cover_capacity,
                        max_side_product, members, neighborhood_of_set,
-                       plane_size, profile_frontier, side_profile, vset)
+                       plane_size, profile_frontier, vset)
 from levicover import independence
 from levicover.graphs import BudgetExceededError
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
@@ -132,31 +131,35 @@ class TestExpansion:
                                            budget=None)
 
 
+def profile(g, s):
+    """(a, b): the points and the lines of s."""
+    a = (s & g.side_p).bit_count()
+    return a, s.bit_count() - a
+
+
 class TestSideProduct:
     def test_fano_max_is_four(self, fano):
-        best, prof = max_side_product(fano)
-        assert best == 4
-        assert prof.a * prof.b == 4
+        assert max_side_product(fano) == 4
 
     def test_fano_brute_force_agreement(self, fano):
         # dual computation: global maximum over *all* independent sets
         brute = 0
         for mask in brute_independent_sets(fano, fano.n):
-            prof = side_profile(fano, mask)
-            brute = max(brute, prof.a * prof.b)
-        assert brute == max_side_product(fano)[0]
+            a, b = profile(fano, mask)
+            brute = max(brute, a * b)
+        assert brute == max_side_product(fano)
 
     def test_edgeless_bipartite(self):
-        assert max_side_product(edgeless_bipartite(2, 3))[0] == 6
+        assert max_side_product(edgeless_bipartite(2, 3)) == 6
 
     def test_plane3_bound(self, plane3):
-        assert max_side_product(plane3)[0] <= 3 * 16  # q(q+1)^2
+        assert max_side_product(plane3) <= 3 * 16  # q(q+1)^2
 
     def test_profile_product_bound_everywhere(self, fano):
         n32 = 2 * 14 ** 1.5
         for s in enumerate_independent_sets(fano, 14):
-            prof = side_profile(fano, s)
-            assert prof.a * prof.b <= 18 < n32
+            a, b = profile(fano, s)
+            assert a * b <= 18 < n32
 
     def test_non_bipartite_raises(self):
         with pytest.raises(GraphError):
@@ -180,16 +183,14 @@ def minus_one_edge(g):
 
 def full_path_best(g, score):
     """Oracle: score every maximal set, ties to the larger (a, b)."""
-    profiles = {(p.a, p.b) for p in (side_profile(g, s) for s in
-                                     enumerate_maximal_independent_sets(g))}
+    profiles = {profile(g, s) for s in enumerate_maximal_independent_sets(g)}
     a, b = max(profiles, key=lambda ab: (score(*ab), ab))
-    return score(a, b), SideProfile(a, b)
+    return score(a, b), (a, b)
 
 
 def brute_best(g, score):
     """Oracle: score every independent set of the subset lattice."""
-    return max(score(p.a, p.b) for p in (side_profile(g, s) for s in
-                                         brute_independent_sets(g, g.n)))
+    return max(score(*profile(g, s)) for s in brute_independent_sets(g, g.n))
 
 
 def brute_frontier(g):
@@ -198,8 +199,8 @@ def brute_frontier(g):
     independent, so each a has one)."""
     best = [0] * (g.side_p_size + 1)
     for s in brute_independent_sets(g, g.n):
-        p = side_profile(g, s)
-        best[p.a] = max(best[p.a], p.b)
+        a, b = profile(g, s)
+        best[a] = max(best[a], b)
     return tuple(best)
 
 
@@ -211,8 +212,8 @@ def two_point_frontier(g):
             *enumerate_maximal_independent_sets(g, 0b11)]
     best = [0] * (g.side_p_size + 1)
     for s in sets:
-        p = side_profile(g, s)
-        best[p.a] = max(best[p.a], p.b)
+        a, b = profile(g, s)
+        best[a] = max(best[a], b)
     return tuple(accumulate(reversed(best), max))[::-1]
 
 
@@ -230,7 +231,7 @@ def frontier_best(frontier, score):
     """The largest score over the frontier points (a, b*(a)), ties to
     the larger a."""
     a, b = max(enumerate(frontier), key=lambda ab: (score(*ab), ab[0]))
-    return score(a, b), SideProfile(a, b)
+    return score(a, b), (a, b)
 
 
 @st.composite
@@ -323,7 +324,7 @@ class TestSymmetryReduction:
     def test_public_maxima_take_reduced_path(self, q, bk_starts):
         g = gen_levi(q)
         assert max_side_product(g) == full_path_best(
-            g, MONOTONE_SCORES["product"])
+            g, MONOTONE_SCORES["product"])[0]
         for k in (2, 4):
             assert max_cover_capacity(g, k) == max(
                 check_cover_capacity(g, s, k)
@@ -331,7 +332,7 @@ class TestSymmetryReduction:
         assert [r[0] for r in bk_starts[:3]] == [frame(q)] * 3
 
     def test_plane3_values(self, plane3):
-        assert max_side_product(plane3)[0] == 12
+        assert max_side_product(plane3) == 12
         assert max_cover_capacity(plane3, 4) == 18
 
     @pytest.mark.parametrize("perturb", [lambda g: relabelled(g, 5),
@@ -363,7 +364,7 @@ class TestSymmetryReduction:
     def test_plane5_pinned(self, bk_starts):
         g = gen_levi(5)
         assert max_cover_capacity(g, 4) == 675
-        assert max_side_product(g)[0] == 60
+        assert max_side_product(g) == 60
         assert bk_starts == [[frame(5), 4398]] * 2
 
     def test_plane5_frontier_pinned(self, bk_starts):
@@ -376,9 +377,9 @@ class TestSymmetryReduction:
         # the tie
         assert frontier[6] == 10 and frontier[10] == 6
         assert frontier_best(frontier, MONOTONE_SCORES["product"]) == \
-            (60, SideProfile(10, 6))
+            (60, (10, 6))
         assert frontier_best(frontier, MONOTONE_SCORES["capacity4"]) == \
-            (675, SideProfile(10, 6))
+            (675, (10, 6))
 
     @pytest.mark.parametrize("q,frontier", [
         (2, (7, 4, 2, 1, 1, 0, 0, 0)),
@@ -391,12 +392,12 @@ class TestSymmetryReduction:
     def test_frontier_matches_brute_force(self, g):
         assert profile_frontier(g) == brute_frontier(g)
         assert max_side_product(g) == full_path_best(
-            g, MONOTONE_SCORES["product"])
+            g, MONOTONE_SCORES["product"])[0]
 
     def test_budget_covers_both_paths(self, plane3):
         # 27 Bron-Kerbosch calls on the reduced path; the full path on
         # this relabelling takes 1711 (pivots depend on the labels)
-        assert max_side_product(plane3, budget=27)[0] == 12
+        assert max_side_product(plane3, budget=27) == 12
         with pytest.raises(BudgetExceededError):
             max_side_product(plane3, budget=26)
         g = relabelled(plane3, 5)
@@ -415,7 +416,7 @@ class TestBalancedCounting:
     def test_agrees_with_enumeration(self, plane3):
         expect = sum(1 for s in enumerate_independent_sets(plane3, 4)
                      if s.bit_count() == 4
-                     and side_profile(plane3, s).a == 2)
+                     and profile(plane3, s)[0] == 2)
         assert count_balanced(plane3, 4) == expect
 
     def test_exceeds_formula_floor(self, fano):
@@ -431,11 +432,37 @@ class TestBalancedCounting:
             count_balanced(plane3, 2, budget=12)
         assert count_balanced(plane3, 2, budget=13) == 13 * 9
 
+    def test_budget_charges_the_words_of_the_line_side(self):
+        # 3 single points, each ORing rows over 65 lines, 2 words
+        g = edgeless_bipartite(3, 65)
+        with pytest.raises(BudgetExceededError, match="balanced count"):
+            count_balanced(g, 2, budget=5)
+        assert count_balanced(g, 2, budget=6) == 3 * 65
+
+    @settings(max_examples=100, deadline=None)
+    @given(bipartite_graphs(), st.sampled_from([2, 4, 6]))
+    def test_tally_matches_per_subset_sum(self, g, k):
+        # oracle: one binomial per point subset, as summed before the tally
+        half = k // 2
+        lines = g.n - g.side_p_size
+        expect = sum(math.comb(lines - neighborhood_of_set(
+                         g, vset(combo)).bit_count(), half)
+                     for combo in combinations(range(g.side_p_size), half))
+        assert count_balanced(g, k) == expect
+
+    @given(st.integers(0, 60), st.integers(0, 60), st.integers(0, 10 ** 6))
+    def test_comb_over(self, n, r, cap):
+        c = independence._comb_over(n, r, cap)
+        if math.comb(n, r) <= cap:
+            assert c == math.comb(n, r)
+        else:
+            assert cap < c <= math.comb(n, r)
+
 
 class TestCoverCapacity:
     def test_profile_41(self, fano):
         best_set = next(s for s in enumerate_maximal_independent_sets(fano)
-                        if side_profile(fano, s) == SideProfile(4, 1))
+                        if profile(fano, s) == (4, 1))
         assert check_cover_capacity(fano, best_set, 2) == 4
 
     def test_too_small_side_gives_zero(self, fano):
@@ -498,10 +525,10 @@ class TestBounds:
 
 
 @pytest.mark.parametrize("call", [
-    lambda g: side_profile(g, 1),
+    lambda g: check_cover_capacity(g, 1, 2),
     lambda g: check_expansion(g, DesignParams.for_plane(2), 1),
     lambda g: count_balanced(g, 2),
-], ids=["side_profile", "check_expansion", "count_balanced"])
+], ids=["check_cover_capacity", "check_expansion", "count_balanced"])
 def test_unflagged_graph_rejected(call):
     with pytest.raises(GraphError, match="not flagged bipartite"):
         call(Graph.from_edges(4, [(0, 2), (1, 3)]))

@@ -1,14 +1,16 @@
 """Differential tests for the kernels behind ``verify`` and ``cover``.
 
-The bucket-queue degeneracy order, the bit-sliced codegree kernel and the
+The bucket-queue degeneracy order, the seen-twice C4 sweep and the
 integer expansion test replaced a linear rescan, a loop over vertex
 pairs and one ``check_expansion`` call per set. The round-trip parser
 replaced one that checked each rule of the canonical format in turn, and
 the column index read from binary digits replaced a numpy transpose.
 Those paths stay here as the oracles, and every result must match them exactly: the
-whole elimination order, the (min, max) codegree, the full check tuple,
+whole elimination order, the C4 verdict, the full check tuple,
 the parser's verdict and graph, and every column. The edge walk that
-skips empty rows keeps the walk over every row as its oracle.
+skips empty rows keeps the walk over every row as its oracle, and the
+plane test from degrees and C4-freeness keeps the rule it replaced:
+each side's degrees and its pairwise codegree range.
 """
 
 import itertools
@@ -20,9 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levicover import (DegeneracyResult, DesignParams, Graph, GraphError,
-                       ParseError, check_expansion, codegree_range,
-                       degeneracy_order, gen_levi, infer_q, is_c4_free,
-                       iter_members, members, parse_graph, vset, write_graph)
+                       ParseError, check_expansion, degeneracy_order,
+                       gen_levi, infer_q, is_c4_free, iter_members, members,
+                       parse_graph, plane_size, verify_levi_properties, vset,
+                       write_graph)
 from levicover.covering import _columns, _pack_rows
 from levicover.independence import _verify_expansion
 from test_graphs import random_graphs
@@ -69,6 +72,16 @@ def pairwise_common_range(g: Graph, lo: int, hi: int) -> tuple[int, int]:
             c = (g.adj[u] & g.adj[v]).bit_count()
             cmin, cmax = min(cmin, c), max(cmax, c)
     return cmin, cmax
+
+
+def pairwise_levi_rule(g: Graph, q: int) -> bool:
+    """Oracle: both sides have q^2 + q + 1 vertices of degree q + 1, and
+    each side's codegree range is (1, 1)."""
+    s = plane_size(q)
+    return g.n == 2 * s and all(
+        all(g.degree(v) == q + 1 for v in range(lo, hi))
+        and pairwise_common_range(g, lo, hi) == (1, 1)
+        for lo, hi in ((0, s), (s, g.n)))
 
 
 def expansion_by_check(g: Graph, samples: int, seed: int):
@@ -235,38 +248,54 @@ class TestCodegree:
     @given(random_graphs())
     def test_c4_free_random_graphs(self, g):
         assert is_c4_free(g) == pairwise_c4_free(g)
-        assert codegree_range(g, 0, g.n) == pairwise_common_range(g, 0, g.n)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_arbitrary_ranges(self, data):
-        g = data.draw(random_graphs())
-        lo = data.draw(st.integers(0, g.n))
-        hi = data.draw(st.integers(0, g.n))
-        assert codegree_range(g, lo, hi) == pairwise_common_range(g, lo, hi)
 
     @pytest.mark.parametrize("name", sorted(PLANES) + sorted(DENSE))
     def test_planes_and_seeded_graphs(self, name):
         g = PLANES.get(name) or DENSE[name]
         assert is_c4_free(g) == pairwise_c4_free(g)
-        s = g.side_p_size
-        for lo, hi in [(0, g.n), (0, s), (s, g.n), (1, g.n - 1), (3, 4),
-                       (2, 2)]:
-            hi = min(hi, g.n)
-            assert codegree_range(g, lo, hi) == \
-                pairwise_common_range(g, lo, hi)
 
-    def test_short_ranges(self, fano):
-        for lo in range(fano.n + 1):
-            assert codegree_range(fano, lo, lo) == (fano.n, 0)
-            if lo < fano.n:
-                assert codegree_range(fano, lo, lo + 1) == (fano.n, 0)
 
-    def test_range_out_of_bounds(self, fano):
-        with pytest.raises(GraphError):
-            codegree_range(fano, -1, 3)
-        with pytest.raises(GraphError):
-            codegree_range(fano, 0, fano.n + 1)
+@st.composite
+def perturbed_planes(draw):
+    """Hypothesis strategy: (q, g) for the plane of order 2, 3 or 5 after
+    up to four edits, each a degree-preserving switch of two edges, a
+    deleted edge, an added point-line edge or an added line vertex."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    s = plane_size(q)
+    n = 2 * s
+    edges = set(gen_levi(q).edges())
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["switch", "delete", "add", "vertex"]))
+        ordered = sorted(edges)
+        if kind == "switch":
+            (p1, l1), (p2, l2) = (draw(st.sampled_from(ordered)),
+                                  draw(st.sampled_from(ordered)))
+            if len({p1, p2}) == len({l1, l2}) == 2 and not \
+                    {(p1, l2), (p2, l1)} & edges:
+                edges -= {(p1, l1), (p2, l2)}
+                edges |= {(p1, l2), (p2, l1)}
+        elif kind == "delete":
+            edges.discard(draw(st.sampled_from(ordered)))
+        elif kind == "add":
+            edges.add((draw(st.integers(0, s - 1)),
+                       draw(st.integers(s, n - 1))))
+        else:
+            n += 1
+    return q, Graph.from_edges(n, sorted(edges), side_p_size=s)
+
+
+class TestLeviProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_planes())
+    def test_perturbed_planes(self, qg):
+        q, g = qg
+        assert verify_levi_properties(g, q) == pairwise_levi_rule(g, q)
+
+    @pytest.mark.parametrize("name", sorted(PLANES))
+    def test_planes_and_cut_planes(self, name):
+        g = PLANES[name]
+        q = infer_q(g)
+        assert verify_levi_properties(g, q) == pairwise_levi_rule(g, q)
 
 
 class TestExpansion:
