@@ -14,15 +14,16 @@ from .graphs import (BudgetExceededError, DegeneracyResult, Graph,
                      sqrt_degeneracy_bound, vset, write_graph)
 from .levi import (LeviIndexing, gen_levi, infer_q, is_prime, plane_size,
                    verify_levi_properties)
-from .independence import (BoundsReport, DesignParams, ExpansionCheck,
+from .independence import (BoundsReport, ExpansionCheck,
                            balanced_count_lower_bound, check_cover_capacity,
                            check_expansion, count_balanced,
                            count_independent_sets,
                            enumerate_independent_sets,
                            enumerate_maximal_independent_sets,
-                           evaluate_bounds, max_cover_capacity,
-                           max_side_product, per_set_capacity_bound,
-                           profile_frontier, side_product_bound)
+                           evaluate_bounds, expansion_bound,
+                           max_cover_capacity, max_side_product,
+                           per_set_capacity_bound, profile_frontier,
+                           side_product_bound)
 from .covering import (CoveringFamily, build_family_mc,
                        containment_probability_floor, dump_family,
                        family_from_json, family_to_json, greedy_cover,

@@ -285,13 +285,18 @@ def greedy_cover(g: Graph, k: int,
     Ties go to the lexicographically smallest candidate (by sorted member
     list). Useful as an upper-bound oracle against the exact counting
     lower bound. Target sets are bits of a universe-wide mask: a
-    candidate holds the targets with no member outside it. Each candidate
-    held is charged against the budget on its own account: its mask
-    words, ceil(#targets / 64), plus its member count.
+    candidate holds the targets with no member outside it. Each target
+    held is charged its n-bit set, ceil(n / 64) words, as it streams in,
+    and each candidate held its mask words, ceil(#targets / 64), plus its
+    member count, each on its own account.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
-    universe = list(enumerate_independent_sets(g, k, budget))
+    targets = Budget(budget, "greedy target memory")
+    universe = []
+    for z in enumerate_independent_sets(g, k, budget):
+        targets.charge(words(g.n))
+        universe.append(z)
     held = Budget(budget, "greedy candidate memory")
     mask_words = words(len(universe))
     candidates = []

@@ -34,25 +34,33 @@ def enumerate_independent_sets(g: Graph, k: int,
     Emission order is lexicographic on the sorted member lists, i.e. a
     depth-first walk that extends by increasing vertex index. The n-bit
     sets of the first level are charged against ``budget`` before the
-    walk, which then takes one step per vertex it tries.
+    walk, which then takes one step per vertex it tries. The walk keeps
+    one vertex iterator per level on an explicit stack, so its depth is
+    bounded by k, not by Python's recursion limit.
     """
     if k < 0:
         raise GraphError("size limit must be non-negative")
+    if k < 1:
+        return
+    Budget(budget).charge_rows(g.n, g.n, "the independent-set sweep")
     b = Budget(budget)
-
-    def extend(mask: int, start: int, depth: int) -> Iterator[VertexSet]:
-        for v in range(start, g.n):
+    adj, n = g.adj, g.n
+    masks, tries = [0], [iter(range(n))]
+    while tries:
+        mask = masks[-1]
+        for v in tries[-1]:
             b.charge()
-            if g.adj[v] & mask:
+            if adj[v] & mask:
                 continue
             new = mask | (1 << v)
             yield new
-            if depth + 1 < k:
-                yield from extend(new, v + 1, depth + 1)
-
-    if k >= 1:
-        Budget(budget).charge_rows(g.n, g.n, "the independent-set sweep")
-        yield from extend(0, 0, 0)
+            if len(tries) < k:
+                masks.append(new)
+                tries.append(iter(range(v + 1, n)))
+                break
+        else:
+            masks.pop()
+            tries.pop()
 
 
 def count_independent_sets(g: Graph, k: int,
@@ -69,57 +77,54 @@ def enumerate_maximal_independent_sets(g: Graph, containing: VertexSet = 0,
     Bron-Kerbosch with pivoting on the complement graph (independent sets
     of g are cliques of its complement), started at R = ``containing``
     with P its common non-neighbors and X empty. The n complement rows
-    are charged against ``budget`` before they are built, and each
-    recursive call costs one budget step.
+    are charged against ``budget`` before they are built, and each call
+    costs one budget step. A call that branches pushes [R, P, X, the
+    candidates left] on an explicit stack, so the depth is bounded by
+    the largest independent set, not by Python's recursion limit.
     """
     if containing & ~g.all_vertices:
         raise GraphError("vertex index out of range")
     if not g.is_independent(containing):
         raise GraphError("set is not independent")
     Budget(budget).charge_rows(g.n, g.n, "the complement graph")
+    if not g.n:
+        return
     b = Budget(budget)
     full = g.all_vertices
     comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
-
-    def bk(r: int, p: int, x: int) -> Iterator[VertexSet]:
+    r, p, x = containing, full, 0
+    for v in iter_members(containing):
+        p &= comp[v]
+    stack = []
+    while True:
         b.charge()
-        if not p and not x:
+        if p | x:
+            pivot, best = -1, -1
+            for u in iter_members(p | x):
+                score = (p & comp[u]).bit_count()
+                if score > best:
+                    pivot, best = u, score
+            stack.append([r, p, x, p & ~comp[pivot]])
+        else:
             yield r
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
             return
-        pivot, best = -1, -1
-        for u in iter_members(p | x):
-            score = (p & comp[u]).bit_count()
-            if score > best:
-                pivot, best = u, score
-        for v in iter_members(p & ~comp[pivot]):
-            nb = comp[v]
-            yield from bk(r | (1 << v), p & nb, x & nb)
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    if g.n:
-        p = full
-        for v in iter_members(containing):
-            p &= comp[v]
-        yield from bk(containing, p, 0)
+        top = stack[-1]
+        r, p, x, cands = top
+        low = cands & -cands
+        top[1:] = p & ~low, x | low, cands ^ low
+        nb = comp[low.bit_length() - 1]
+        r, p, x = r | low, p & nb, x & nb
 
 
-@dataclass(frozen=True)
-class DesignParams:
-    """Regular degree and common-neighbor count of a design."""
-
-    delta: int
-    lam: int
-
-    @classmethod
-    def for_plane(cls, q: int) -> "DesignParams":
-        return cls(delta=q + 1, lam=1)
-
-    def expansion_bound(self, size: int) -> Fraction:
-        """delta^2 size / (delta + lam (size-1)), the least |N(S)| of a
-        one-side set S of ``size`` >= 1 vertices."""
-        return Fraction(self.delta ** 2 * size,
-                        self.delta + self.lam * (size - 1))
+def expansion_bound(q: int, size: int) -> Fraction:
+    """(q+1)^2 size / (q + size), the least |N(S)| of a one-side set S
+    of ``size`` >= 1 vertices of the plane of order q: delta^2 |S| /
+    (delta + lambda (|S|-1)) with degree delta = q+1 and lambda = 1
+    common neighbour per pair."""
+    return Fraction((q + 1) ** 2 * size, q + size)
 
 
 @dataclass(frozen=True)
@@ -129,16 +134,15 @@ class ExpansionCheck:
     bound: Fraction
 
 
-def check_expansion(g: Graph, params: DesignParams,
-                    s: VertexSet) -> ExpansionCheck:
-    """Compare |N(S)| against params.expansion_bound(|S|) exactly."""
+def check_expansion(g: Graph, q: int, s: VertexSet) -> ExpansionCheck:
+    """Compare |N(S)| against expansion_bound(q, |S|) exactly."""
     if not s:
         raise GraphError("expansion check needs a nonempty set")
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
     if (s & g.side_p) and (s & g.side_l):
         raise GraphError("set straddles both sides")
-    bound = params.expansion_bound(s.bit_count())
+    bound = expansion_bound(q, s.bit_count())
     nsize = neighborhood_of_set(g, s).bit_count()
     return ExpansionCheck(holds=nsize >= bound, neighborhood_size=nsize,
                           bound=bound)
@@ -156,7 +160,7 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     sets that violate it.
 
     A one-side set S has no edge inside it, so N(S) is the union of its
-    rows, and S violates the bound iff |N(S)| < expansion_bound(|S|).
+    rows, and S violates the bound iff |N(S)| < expansion_bound(q, |S|).
     The one- and two-vertex sets compare the int |N(S)| with the bound
     rounded up, which is the same test. Each random set draws its side,
     its size and its members, in that order, from numpy's PCG64 seeded
@@ -165,9 +169,9 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     """
     if samples < 0:
         raise GraphError("sample count must be non-negative")
-    params = DesignParams.for_plane(infer_q(g))
-    one = math.ceil(params.expansion_bound(1))
-    two = math.ceil(params.expansion_bound(2))
+    q = infer_q(g)
+    one = math.ceil(expansion_bound(q, 1))
+    two = math.ceil(expansion_bound(q, 2))
     sides = (members(g.side_p), members(g.side_l))
     if not all(sides):
         raise GraphError("expansion check needs two nonempty sides")
@@ -189,40 +193,24 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
         union = 0
         for v in rng.choice(verts, size=size, replace=False).tolist():
             union |= adj[v]
-        violations += union.bit_count() < params.expansion_bound(size)
+        violations += union.bit_count() < expansion_bound(q, size)
     return (0, violations, violations == 0,
             float(fixed + samples - violations))
 
 
-def _plane_order(g: Graph) -> Optional[int]:
-    """q when g equals gen_levi(q), the generated plane of order q, else
-    None. The edge counts are compared first, so the plane built is never
-    larger than g, whatever side size the header names."""
+def _frame(g: Graph) -> VertexSet:
+    """The frame {0, 1, q, q+1} when g equals gen_levi(q), the generated
+    plane of order q, else the empty set. Those are the affine points
+    (0,0), (0,1), (1,0), (1,1); the lines through two of them, x = 0,
+    x = 1, y = 0, y = 1, y = x and y = 1 - x, each hold just two. The
+    edge counts are compared first, so the plane built is never larger
+    than g, whatever side size the header names."""
     try:
         q = infer_q(g)
     except GraphError:
-        return None
-    return (q if g.m == (q + 1) * g.side_p_size and g == gen_levi(q)
-            else None)
-
-
-def _collinear_lines_missed(q: int, m: int) -> int:
-    """Lines of the plane of order q that miss m >= 1 collinear points:
-    all but their common line and the q other lines through each point."""
-    return plane_size(q) - 1 - m * q
-
-
-def _line_plus_point_lines_missed(q: int, m: int) -> int:
-    """Lines that miss m >= 1 collinear points and one point off their
-    line: those missing the m points, less the q + 1 - m lines through
-    the extra point that meet none of the m."""
-    return _collinear_lines_missed(q, m) - (q + 1 - m)
-
-
-def _frame(q: int) -> VertexSet:
-    """A frame of the generated plane: the affine points (0,0), (0,1),
-    (1,0), (1,1). The lines through two of them, x = 0, x = 1, y = 0,
-    y = 1, y = x and y = 1 - x, each hold just two."""
+        return 0
+    if g.m != (q + 1) * g.side_p_size or g != gen_levi(q):
+        return 0
     ix = LeviIndexing(q)
     return vset(ix.affine_point(x, y) for x in (0, 1) for y in (0, 1))
 
@@ -232,31 +220,28 @@ def profile_frontier(g: Graph, budget: Optional[int] = None
     """b*(a) for a = 0..|P|: the most lines (L members) of an independent
     set with a points (P members). A best such set extends to a maximal
     set by adding points only, so b*(a) is the running maximum, from the
-    top a down, of the most lines of a maximal set with exactly a points.
+    top a down, of the most lines of a maximal set with exactly a points;
+    b*(0) = |L|.
 
-    On the generated plane of order q, a point set either holds a frame
-    (four points, no three collinear), lies on one line, or lies on one
-    line plus one point. The collineation group maps any ordered frame
-    to any other and keeps profiles, so the first kind is covered by the
-    maximal sets through one frame; the other two have closed forms
-    (_collinear_lines_missed, _line_plus_point_lines_missed), and a = 0
-    misses all q^2+q+1 lines.
+    On the generated plane only the maximal sets through its frame
+    (four points, no three collinear) are enumerated, and b*(1..3) are
+    the lines that miss the frame's first 1..3 points. The collineation
+    group maps any ordered frame to any other and keeps profiles; every
+    triangle extends to a frame, and a set of four or more points with
+    no frame misses fewer lines than some set of its size with one. Any
+    other graph has no frame, and every maximal set is enumerated.
     """
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
     best = [0] * (g.side_p_size + 1)
-    q = _plane_order(g)
-    if q:
-        best[0] = plane_size(q)
-        for m in range(1, q + 2):
-            best[m] = _collinear_lines_missed(q, m)
-        for m in range(2, q + 2):
-            best[m + 1] = max(best[m + 1],
-                              _line_plus_point_lines_missed(q, m))
-        sets = enumerate_maximal_independent_sets(g, _frame(q), budget)
-    else:
-        sets = enumerate_maximal_independent_sets(g, budget=budget)
+    best[0] = g.n - g.side_p_size
+    frame = _frame(g)
+    blocked = 0
+    for a, v in enumerate(members(frame)[:3], 1):
+        blocked |= g.adj[v]
+        best[a] = (g.side_l & ~blocked).bit_count()
     side_p = g.side_p
+    sets = enumerate_maximal_independent_sets(g, frame, budget)
     for a, size in {((s & side_p).bit_count(), s.bit_count()) for s in sets}:
         best[a] = max(best[a], size - a)
     return tuple(accumulate(reversed(best), max))[::-1]

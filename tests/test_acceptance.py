@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levicover import (DesignParams, build_family_mc, check_cover_capacity,
+from levicover import (build_family_mc, check_cover_capacity,
                        check_expansion, containment_probability_floor,
                        count_balanced, degeneracy_order, dump_family,
                        enumerate_independent_sets,
@@ -79,16 +79,15 @@ def test_03_expansion():
     c = Criterion("3 expansion", 30)
     for q in (2, 3):
         g = gen_levi(q)
-        params = DesignParams.for_plane(q)
         for side in (g.side_p, g.side_l):
             verts = members(side)
             for size in (1, 2, 3):
                 for combo in itertools.combinations(verts, size):
-                    chk = check_expansion(g, params, vset(combo))
+                    chk = check_expansion(g, q, vset(combo))
                     c.check(chk.holds)
                     if size == 1:
                         c.check(chk.neighborhood_size == chk.bound)
-            full = check_expansion(g, params, side)
+            full = check_expansion(g, q, side)
             c.check(full.holds and full.neighborhood_size == full.bound)
         rng = np.random.default_rng(31)
         sides = [members(g.side_p), members(g.side_l)]
@@ -97,7 +96,7 @@ def test_03_expansion():
             verts = sides[rng.integers(2)]
             size = int(rng.integers(4, eta + 1)) if eta > 4 else eta
             s = vset(rng.choice(verts, size=size, replace=False))
-            c.check(check_expansion(g, params, s).holds)
+            c.check(check_expansion(g, q, s).holds)
     c.done()
 
 

@@ -610,6 +610,18 @@ class TestCover:
         assert "greedy candidate memory budget" in err
         assert run(capsys, *argv, str(need))[0] == 0
 
+    def test_greedy_target_memory_over_budget_exits_3(self, tmp_path,
+                                                      capsys):
+        # edgeless on 25,000 vertices: the sweeps fit the default budget,
+        # but the 312.5 million targets at 391 words each do not, and
+        # the first 25,576 of them already run it out
+        path = tmp_path / "edgeless.g"
+        path.write_text("25000 0 0\n")
+        code, out, err = run(capsys, "cover", "greedy", "--in", str(path),
+                             "--k", "2")
+        assert code == 3 and out == ""
+        assert "greedy target memory budget" in err
+
     def test_sample_count_over_budget_exits_3(self, fano_file, tmp_path,
                                               capsys):
         fam = tmp_path / "fam.json"

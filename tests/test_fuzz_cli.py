@@ -5,12 +5,16 @@ Hypothesis generates graph files, family files and argument vectors, and
 run must end in a documented exit code (0 pass, 1 check failed, 2 usage,
 3 budget) with no exception escaping, and a ``cover verify`` that passes
 must pass the brute-force coverage oracle too. Graphs have at most 64
-vertices and plane orders stay small, so no run allocates much.
+vertices and plane orders stay small, so no run allocates much. The
+wide graphs, on 900 to 1,200 vertices with a few edges, run the
+enumerating commands with sizes k up to 1,000 and budgets up to 10^5,
+so a walk goes deeper than Python's recursion limit.
 """
 
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -43,11 +47,7 @@ def graph_files(draw, canonical: bool = False, max_n: int = MAX_N) -> bytes:
         ends = st.integers(0, n + 1)
         edges = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
         if kind == "graph":
-            side = min(side, n)
-            keep = {(min(u, v), max(u, v)) for u, v in edges
-                    if u != v and max(u, v) < n
-                    and (side == 0 or (u < side) != (v < side))}
-            text = write_graph(Graph.from_edges(n, keep, side_p_size=side))
+            text = _canonical(n, min(side, n), edges)
         else:
             m = draw(st.sampled_from([len(edges), 0, n]))
             text = "".join([f"{n} {m} {side}\n"]
@@ -57,6 +57,26 @@ def graph_files(draw, canonical: bool = False, max_n: int = MAX_N) -> bytes:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.binary(max_size=3)) + data[at:]
     return data
+
+
+def _canonical(n: int, side: int, edges) -> str:
+    """The canonical text of the graph on n vertices with those of
+    ``edges`` that join two vertices of it, across the sides when
+    ``side`` > 0."""
+    keep = {(min(u, v), max(u, v)) for u, v in edges
+            if u != v and max(u, v) < n
+            and (side == 0 or (u < side) != (v < side))}
+    return write_graph(Graph.from_edges(n, keep, side_p_size=side))
+
+
+@st.composite
+def wide_graph_files(draw) -> bytes:
+    """Canonical texts of graphs on 900 to 1,200 vertices with at most
+    three edges, unflagged or with sides of n/2."""
+    n = draw(st.integers(900, 1200))
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=3))
+    return _canonical(n, draw(st.sampled_from([0, n // 2])), edges).encode()
 
 
 def _parsed(data: bytes):
@@ -164,6 +184,33 @@ def argument_vectors(draw, graph, family, out):
     return argv
 
 
+@st.composite
+def wide_vectors(draw, graph, family, out):
+    """A valid command that enumerates the graph: sizes k of 1, 2, 990
+    and 1,000, and a budget of 20,000 to 10^5, about what the n-bit rows
+    of a wide graph take."""
+    command = draw(st.sampled_from([
+        ["verify", "--checks", "product,coverbound", "--no-timestamp"],
+        ["cover", "build", "--delta", "0.5", "--seed", "0", "--out", out],
+        ["cover", "verify", "--family", family, "--no-timestamp"],
+        ["cover", "greedy", "--out", out]]))
+    k = draw(st.sampled_from(["1", "2", "990", "1000"]))
+    budget = draw(st.integers(20000, 10 ** 5))
+    return [*command, "--in", graph, "--k", k, "--budget", str(budget)]
+
+
+@contextlib.contextmanager
+def default_recursion_limit():
+    """Python's default recursion limit of 1,000 frames, which a command
+    run from a shell has and Hypothesis raises while a test runs."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
 def run(argv) -> int:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
@@ -208,6 +255,19 @@ def test_every_command_ends_in_a_documented_exit_code(data):
     with written(graph_bytes, family_bytes) as (graph, family, out):
         argv = data.draw(argument_vectors(graph, family, out), label="argv")
         assert run(argv) in (0, 1, 2, 3), argv
+
+
+@settings(FUZZ, max_examples=15)
+@given(st.data())
+def test_wide_graphs_end_in_a_documented_exit_code(data):
+    graph_bytes = data.draw(wide_graph_files(), label="graph file")
+    family_bytes = data.draw(family_files(parse_graph(graph_bytes)),
+                             label="family file")
+    with written(graph_bytes, family_bytes) as (graph, family, out):
+        argv = data.draw(wide_vectors(graph, family, out), label="argv")
+        with default_recursion_limit():
+            code = run(argv)
+        assert code in (0, 1, 2, 3), argv
 
 
 @settings(FUZZ, max_examples=100)

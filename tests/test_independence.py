@@ -1,14 +1,15 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicover import (Graph, GraphError, DesignParams,
+from levicover import (Graph, GraphError,
                        check_cover_capacity, check_expansion, count_balanced,
                        count_independent_sets, enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
@@ -16,7 +17,7 @@ from levicover import (Graph, GraphError, DesignParams,
                        max_side_product, members, neighborhood_of_set,
                        plane_size, profile_frontier, vset)
 from levicover import independence
-from levicover.graphs import BudgetExceededError
+from levicover.graphs import Budget, BudgetExceededError
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
                       edgeless_bipartite)
 
@@ -51,6 +52,119 @@ class TestEnumeration:
         # 14 covers the first level's 14 one-word rows, not the walk
         with pytest.raises(BudgetExceededError, match="enumeration"):
             list(enumerate_independent_sets(fano, 4, budget=14))
+
+
+def recursive_independent_sets(g, k, budget=None):
+    """Oracle: the recursive depth-first walk, with the same charges as
+    enumerate_independent_sets."""
+    if k < 0:
+        raise GraphError("size limit must be non-negative")
+    b = Budget(budget)
+
+    def extend(mask, start, depth):
+        for v in range(start, g.n):
+            b.charge()
+            if g.adj[v] & mask:
+                continue
+            new = mask | (1 << v)
+            yield new
+            if depth + 1 < k:
+                yield from extend(new, v + 1, depth + 1)
+
+    if k >= 1:
+        Budget(budget).charge_rows(g.n, g.n, "the independent-set sweep")
+        yield from extend(0, 0, 0)
+
+
+def recursive_maximal_sets(g, containing=0, budget=None):
+    """Oracle: recursive Bron-Kerbosch with pivoting, with the same
+    charges as enumerate_maximal_independent_sets."""
+    if containing & ~g.all_vertices:
+        raise GraphError("vertex index out of range")
+    if not g.is_independent(containing):
+        raise GraphError("set is not independent")
+    Budget(budget).charge_rows(g.n, g.n, "the complement graph")
+    b = Budget(budget)
+    full = g.all_vertices
+    comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
+
+    def bk(r, p, x):
+        b.charge()
+        if not p and not x:
+            yield r
+            return
+        pivot, best = -1, -1
+        for u in members(p | x):
+            score = (p & comp[u]).bit_count()
+            if score > best:
+                pivot, best = u, score
+        for v in members(p & ~comp[pivot]):
+            nb = comp[v]
+            yield from bk(r | (1 << v), p & nb, x & nb)
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    if g.n:
+        p = full
+        for v in members(containing):
+            p &= comp[v]
+        yield from bk(containing, p, 0)
+
+
+def drained(sets):
+    """The sets a generator yields, and the message of the error that
+    ended it, if any."""
+    out = []
+    try:
+        out.extend(sets)
+    except (BudgetExceededError, GraphError) as exc:
+        return out, f"{type(exc).__name__}: {exc}"
+    return out, None
+
+
+@st.composite
+def small_graphs(draw):
+    """Hypothesis strategy: graphs on 0..9 vertices with random edges."""
+    n = draw(st.integers(0, 9))
+    pairs = list(combinations(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, on in zip(pairs, bits) if on])
+
+
+class TestIterativeMatchesRecursive:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.integers(-1, 10), st.integers(0, 300),
+           st.just(0) | st.integers(0, 2 ** 9 - 1))
+    def test_same_sets_same_budget(self, g, k, budget, start):
+        # set for set, up to the same budget step or error
+        for limit in (None, budget):
+            assert drained(enumerate_independent_sets(g, k, limit)) == \
+                drained(recursive_independent_sets(g, k, limit))
+            assert drained(enumerate_maximal_independent_sets(
+                g, start, limit)) == drained(
+                recursive_maximal_sets(g, start, limit))
+
+    @pytest.mark.parametrize("name", ["fano", "plane3"])
+    def test_every_budget_on_the_planes(self, name, request):
+        g = request.getfixturevalue(name)
+        start = frame(3) if name == "plane3" else 0
+        for budget in range(0, 400, 3):
+            assert drained(enumerate_independent_sets(g, 2, budget)) == \
+                drained(recursive_independent_sets(g, 2, budget))
+            assert drained(enumerate_maximal_independent_sets(
+                g, start, budget)) == drained(
+                recursive_maximal_sets(g, start, budget))
+
+    def test_depth_beyond_the_recursion_limit(self):
+        # edgeless: the walk reaches all n vertices through n nested
+        # levels, and Bron-Kerbosch takes one vertex per call
+        n = sys.getrecursionlimit() + 100
+        g = Graph.from_edges(n, [])
+        walk = enumerate_independent_sets(g, n)
+        assert next(islice(walk, n - 1, None)) == g.all_vertices
+        assert list(enumerate_maximal_independent_sets(g)) == \
+            [g.all_vertices]
 
 
 class TestMaximalEnumeration:
@@ -99,31 +213,29 @@ class TestMaximalEnumeration:
 
 class TestExpansion:
     def test_singleton_equality(self, fano):
-        chk = check_expansion(fano, DesignParams.for_plane(2), 1 << 0)
+        chk = check_expansion(fano, 2, 1 << 0)
         assert chk.holds
         assert chk.neighborhood_size == 3 and chk.bound == 3
 
     def test_full_side_equality(self, fano):
-        chk = check_expansion(fano, DesignParams.for_plane(2), fano.side_p)
+        chk = check_expansion(fano, 2, fano.side_p)
         assert chk.neighborhood_size == 7
         assert chk.bound == Fraction(9 * 7, 2 + 7) == 7
 
     def test_random_subsets_plane3(self, plane3):
-        params = DesignParams.for_plane(3)
         rng = np.random.default_rng(7)
         sides = [members(plane3.side_p), members(plane3.side_l)]
         for _ in range(1000):
             verts = sides[rng.integers(2)]
             size = int(rng.integers(1, len(verts) + 1))
             s = vset(rng.choice(verts, size=size, replace=False))
-            assert check_expansion(plane3, params, s).holds
+            assert check_expansion(plane3, 3, s).holds
 
     def test_empty_or_straddling_raises(self, fano):
-        params = DesignParams.for_plane(2)
         with pytest.raises(GraphError):
-            check_expansion(fano, params, 0)
+            check_expansion(fano, 2, 0)
         with pytest.raises(GraphError):
-            check_expansion(fano, params, vset([0, 7]))
+            check_expansion(fano, 2, vset([0, 7]))
 
     def test_negative_samples_rejected(self, fano):
         with pytest.raises(GraphError, match="non-negative"):
@@ -291,14 +403,14 @@ class TestSymmetryReduction:
                                                monkeypatch):
         g = gen_levi(q)
         reduced = profile_frontier(g)
-        monkeypatch.setattr(independence, "_plane_order", lambda g: None)
+        monkeypatch.setattr(independence, "_frame", lambda g: 0)
         assert profile_frontier(g) == reduced
         assert [r[0] for r in bk_starts] == [frame(q), 0]
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_frame_frontier_equals_two_point_path(self, q):
         g = gen_levi(q)
-        f = independence._frame(q)
+        f = independence._frame(g)
         assert f == frame(q) and not f & g.side_l
         # a frame: no line holds three of its four points
         assert all((g.adj[line] & f).bit_count() <= 2
@@ -306,19 +418,28 @@ class TestSymmetryReduction:
         assert profile_frontier(g) == two_point_frontier(g)
 
     @pytest.mark.parametrize("q", [2, 3, 5])
-    def test_closed_forms_count_missed_lines(self, q):
-        # every collinear set, and every line-plus-point set, of the plane
+    def test_frame_prefixes_and_frameless_sets(self, q):
+        # a <= 3: the frame's first a points miss the most lines of any a
+        # points; a >= 4: every collinear and every line-plus-point set
+        # misses fewer lines than b*(a), so sets with a frame attain it
         g = gen_levi(q)
+        frontier = profile_frontier(g)
+        prefix = members(frame(q))
+        for a in range(4):
+            assert frontier[a] == lines_missed(g, prefix[:a]) == max(
+                lines_missed(g, pts)
+                for pts in combinations(range(plane_size(q)), a))
         lines = [members(g.adj[v]) for v in range(plane_size(q), g.n)]
         for line in lines:
             off = [v for v in range(plane_size(q)) if v not in line]
-            for m in range(1, q + 2):
+            for m in range(2, q + 2):
                 for pts in combinations(line, m):
-                    assert lines_missed(g, pts) == \
-                        independence._collinear_lines_missed(q, m)
+                    if m >= 4:
+                        assert lines_missed(g, pts) < frontier[m]
                     for v in off:
-                        assert lines_missed(g, (*pts, v)) == \
-                            independence._line_plus_point_lines_missed(q, m)
+                        if m >= 3:
+                            assert lines_missed(g, (*pts, v)) < \
+                                frontier[m + 1]
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_public_maxima_take_reduced_path(self, q, bk_starts):
@@ -526,7 +647,7 @@ class TestBounds:
 
 @pytest.mark.parametrize("call", [
     lambda g: check_cover_capacity(g, 1, 2),
-    lambda g: check_expansion(g, DesignParams.for_plane(2), 1),
+    lambda g: check_expansion(g, 2, 1),
     lambda g: count_balanced(g, 2),
 ], ids=["check_cover_capacity", "check_expansion", "count_balanced"])
 def test_unflagged_graph_rejected(call):

@@ -21,11 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicover import (DegeneracyResult, DesignParams, Graph, GraphError,
-                       ParseError, check_expansion, degeneracy_order,
-                       gen_levi, infer_q, is_c4_free, iter_members, members,
-                       parse_graph, plane_size, verify_levi_properties, vset,
-                       write_graph)
+from levicover import (DegeneracyResult, Graph, GraphError, ParseError,
+                       check_expansion, degeneracy_order, gen_levi, infer_q,
+                       is_c4_free, iter_members, members, parse_graph,
+                       plane_size, verify_levi_properties, vset, write_graph)
 from levicover.covering import _columns, _pack_rows
 from levicover.independence import _verify_expansion
 from test_graphs import random_graphs
@@ -86,7 +85,7 @@ def pairwise_levi_rule(g: Graph, q: int) -> bool:
 
 def expansion_by_check(g: Graph, samples: int, seed: int):
     """Oracle: check_expansion applied set by set, with the same draws."""
-    params = DesignParams.for_plane(infer_q(g))
+    q = infer_q(g)
     sides = (members(g.side_p), members(g.side_l))
     fixed = [s for verts in sides
              for s in itertools.chain(
@@ -102,7 +101,7 @@ def expansion_by_check(g: Graph, samples: int, seed: int):
     total = violations = 0
     for s in fixed + drawn:
         total += 1
-        violations += not check_expansion(g, params, s).holds
+        violations += not check_expansion(g, q, s).holds
     return 0, violations, violations == 0, float(total - violations)
 
 
