@@ -68,36 +68,31 @@ def count_independent_sets(g: Graph, k: int,
     return sum(1 for _ in enumerate_independent_sets(g, k, budget))
 
 
-def enumerate_maximal_independent_sets(g: Graph, containing: VertexSet = 0,
+def enumerate_maximal_independent_sets(g: Graph,
                                        budget: Optional[int] = None
                                        ) -> Iterator[VertexSet]:
-    """Yield every inclusion-maximal independent set containing
-    ``containing`` exactly once (by default, every maximal set).
+    """Yield every inclusion-maximal independent set exactly once.
 
     Bron-Kerbosch with pivoting on the complement graph (independent sets
-    of g are cliques of its complement), started at R = ``containing``
-    with P its common non-neighbors and X empty. The n complement rows
-    are charged against ``budget`` before they are built, and each call
-    costs one budget step. A call that branches pushes [R, P, X, the
-    candidates left] on an explicit stack, so the depth is bounded by
-    the largest independent set, not by Python's recursion limit.
+    of g are cliques of its complement), started at R and X empty and
+    P = every vertex. The n complement rows are charged against
+    ``budget`` before they are built. Each call scans P ∪ X for its
+    pivot, one n-bit popcount per vertex, and is charged |P ∪ X| rows
+    of words(n) before the scan. A call that branches pushes [R, P, X,
+    the candidates left] on an explicit stack, so the depth is bounded
+    by the largest independent set, not by Python's recursion limit.
     """
-    if containing & ~g.all_vertices:
-        raise GraphError("vertex index out of range")
-    if not g.is_independent(containing):
-        raise GraphError("set is not independent")
     Budget(budget).charge_rows(g.n, g.n, "the complement graph")
     if not g.n:
         return
     b = Budget(budget)
+    row = words(g.n)
     full = g.all_vertices
     comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
-    r, p, x = containing, full, 0
-    for v in iter_members(containing):
-        p &= comp[v]
+    r, p, x = 0, full, 0
     stack = []
     while True:
-        b.charge()
+        b.charge((p | x).bit_count() * row)
         if p | x:
             pivot, best = -1, -1
             for u in iter_members(p | x):
@@ -218,33 +213,116 @@ def _frame(g: Graph) -> VertexSet:
 def profile_frontier(g: Graph, budget: Optional[int] = None
                      ) -> tuple[int, ...]:
     """b*(a) for a = 0..|P|: the most lines (L members) of an independent
-    set with a points (P members). A best such set extends to a maximal
-    set by adding points only, so b*(a) is the running maximum, from the
-    top a down, of the most lines of a maximal set with exactly a points;
-    b*(0) = |L|.
+    set with a points (P members); b*(0) = |L|.
 
-    On the generated plane only the maximal sets through its frame
-    (four points, no three collinear) are enumerated, and b*(1..3) are
-    the lines that miss the frame's first 1..3 points. The collineation
-    group maps any ordered frame to any other and keeps profiles; every
-    triangle extends to a frame, and a set of four or more points with
-    no frame misses fewer lines than some set of its size with one. Any
-    other graph has no frame, and every maximal set is enumerated.
+    On the generated plane (``_frame(g)`` is not empty) this is
+    ``_plane_frontier``. On any other graph a best set with a points
+    extends to a maximal set by adding points only, so b*(a) is the
+    running maximum, from the top a down, of the most lines of a maximal
+    set with exactly a points, and every maximal set is enumerated.
     """
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
+    frame = _frame(g)
+    if frame:
+        return _plane_frontier(g, frame, budget)
     best = [0] * (g.side_p_size + 1)
     best[0] = g.n - g.side_p_size
-    frame = _frame(g)
-    blocked = 0
-    for a, v in enumerate(members(frame)[:3], 1):
-        blocked |= g.adj[v]
-        best[a] = (g.side_l & ~blocked).bit_count()
     side_p = g.side_p
-    sets = enumerate_maximal_independent_sets(g, frame, budget)
+    sets = enumerate_maximal_independent_sets(g, budget)
     for a, size in {((s & side_p).bit_count(), s.bit_count()) for s in sets}:
         best[a] = max(best[a], size - a)
     return tuple(accumulate(reversed(best), max))[::-1]
+
+
+def _plane_frontier(g: Graph, frame: VertexSet,
+                    budget: Optional[int]) -> tuple[int, ...]:
+    """The frontier of the plane with the given frame (four points, no
+    three collinear) from b*(a) = |L| - mu(a), where mu(a) is the fewest
+    lines that a points meet; README, "Maxima over maximal independent
+    sets", gives the reasons. b*(1..3) are the lines that miss the
+    frame's first 1..3 points, and mu(4..top) comes from
+    ``_fewest_lines_met``. A, the first a with b*(a) < a, is at most
+    top, and above A self-duality gives b*(a) = max{c <= A : b*(c) >= a}
+    (c = 0 always qualifies).
+    """
+    lines = g.n - g.side_p_size
+    best, hit = [lines], 0
+    for v in members(frame)[:3]:
+        hit |= g.adj[v]
+        best.append(lines - hit.bit_count())
+    mu, _ = _fewest_lines_met(g, frame, budget)
+    best += [lines - m for m in mu[len(best):]]
+    top = next(a for a, b in enumerate(best) if b < a)
+    head = best[:top + 1]
+    return tuple(head + [max(c for c, b in enumerate(head) if b >= a)
+                         for a in range(top + 1, g.side_p_size + 1)])
+
+
+def _fewest_lines_met(g: Graph, frame: VertexSet, budget: Optional[int]
+                      ) -> tuple[list[int], int]:
+    """mu(a), the fewest lines that a points through ``frame`` meet, for
+    a = |frame|..top, and the number of nodes visited. floor(a) =
+    ceil(expansion_bound(q, a)) <= mu(a), and top is the first a with
+    |L| - floor(a) < a. Entries of mu below |frame| are |L| + 1.
+
+    Depth-first branch and bound over point sets S through the frame. A
+    node sorts its candidates by (new lines met, index), and child i
+    adds candidate i and keeps the later ones, so each set is visited
+    once. A node of s points is expanded only if some j >= 1 with
+    s + j <= top has max(|N(S)| + ceil(T^2 / (T + j(j - 1))),
+    floor(s + j)) below the best mu(s + j) found, T the sum of the j
+    smallest new-line counts of its candidates (0 when T is 0): two
+    points share one line, so by Cauchy-Schwarz j added points meet at
+    least that many new lines. The bound is first tried at T = 0; only
+    a node that leaves some j open is charged 1 + its candidates rows of
+    words(|L|) and scores them. Each expanded node keeps [N(S), its
+    sorted candidates, the next child] on an explicit stack.
+    """
+    q = infer_q(g)
+    lines = g.n - g.side_p_size
+    floors = [0]
+    while lines - floors[-1] >= len(floors) - 1:
+        floors.append(math.ceil(expansion_bound(q, len(floors))))
+    top = len(floors) - 1
+    start = frame.bit_count()
+    mu = [lines + 1] * (max(top, start) + 1)
+    b = Budget(budget, "frontier search")
+    row = words(lines)
+    rows = g.adj
+    hit = 0
+    for v in iter_members(frame):
+        hit |= rows[v]
+    size = g.side_p_size
+    cands = [v for v in range(size) if not frame >> v & 1]
+    stack: list[list] = []
+    nodes = 0
+    while True:
+        nodes += 1
+        s = start + len(stack)
+        met = hit.bit_count()
+        mu[s] = min(mu[s], met)
+        last = min(top, s + len(cands))
+        if any(max(met, floors[a]) < mu[a] for a in range(s + 1, last + 1)):
+            b.charge((1 + len(cands)) * row)
+            free = ~hit
+            scored = sorted([(rows[c] & free).bit_count() * size + c
+                             for c in cands])
+            t = 0
+            for j, key in enumerate(scored[:last - s], 1):
+                t += key // size
+                low = met + (-(-t * t // (t + j * (j - 1))) if t else 0)
+                if max(low, floors[s + j]) < mu[s + j]:
+                    stack.append([hit, [key % size for key in scored], 0])
+                    break
+        while stack and stack[-1][2] == len(stack[-1][1]):
+            stack.pop()
+        if not stack:
+            return mu, nodes
+        parent = stack[-1]
+        above, order, i = parent
+        parent[2] = i + 1
+        hit, cands = above | rows[order[i]], order[i + 1:]
 
 
 def max_side_product(g: Graph, budget: Optional[int] = None) -> int:

@@ -311,15 +311,18 @@ class TestVerify:
 
     @pytest.mark.parametrize("check", ["product", "coverbound"])
     def test_maximal_set_budget_exits_3(self, check, tmp_path, capsys):
-        # the reduced path at q=3 takes 27 Bron-Kerbosch calls; the plane
-        # is read from a file, as --q would charge its 52 edges first
-        path = tmp_path / "plane3.g"
-        path.write_text(write_graph(gen_levi(3)))
+        # without its last edge the q=3 plane takes the full path, whose
+        # Bron-Kerbosch calls are charged 4,251 one-word rows; the graph
+        # is read from a file, as --q would charge the plane's 52 edges
+        g = gen_levi(3)
+        path = tmp_path / "cut.g"
+        path.write_text(write_graph(Graph.from_edges(
+            g.n, list(g.edges())[:-1], side_p_size=g.side_p_size)))
         argv = ("verify", "--in", str(path), "--checks", check,
                 "--no-timestamp", "--budget")
-        code, _, err = run(capsys, *argv, "26")
+        code, _, err = run(capsys, *argv, "4250")
         assert code == 3 and "enumeration budget" in err
-        assert run(capsys, *argv, "27")[0] == 0
+        assert run(capsys, *argv, "4251")[0] == 0
 
     def test_uncertified_plane_file_takes_full_path(self, tmp_path, capsys):
         # without its last edge the plane holds a 4 + 4 independent set,
@@ -437,15 +440,15 @@ class TestBounds:
         code, out, err = run(capsys, *argv, "464")
         assert code == 3 and out == "" and "balanced count budget" in err
         code, _, err = run(capsys, *argv, "465")
-        assert code == 3 and "enumeration budget" in err
+        assert code == 3 and "frontier search budget" in err
 
     def test_frontier_budget_exits_3(self, capsys):
         # at q=5 the plane (186 edges) and the balanced count (31 steps)
-        # fit; the frontier takes 11,933 Bron-Kerbosch calls
+        # fit; the frontier search is charged 6,731 one-word rows
         argv = ("bounds", "--q", "5", "--k", "2", "--exact", "--budget")
-        code, out, err = run(capsys, *argv, "11932")
-        assert code == 3 and out == "" and "enumeration budget" in err
-        assert run(capsys, *argv, "11933")[0] == 0
+        code, out, err = run(capsys, *argv, "6730")
+        assert code == 3 and out == "" and "frontier search budget" in err
+        assert run(capsys, *argv, "6731")[0] == 0
 
     def test_negative_budget_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

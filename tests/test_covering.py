@@ -315,21 +315,24 @@ class TestGreedyCover:
         assert got == [vset([0, 2]), vset([1, 3])]
 
     def test_budget_covers_candidates(self, fano):
-        # each of the 37 candidates held is charged one mask word (14
-        # targets) plus its member count, 205 in all; the targets and the
-        # 93 Bron-Kerbosch calls take fewer steps
-        for budget in (20, 204):
+        # each of the 37 candidates held is charged two mask words (84
+        # targets) plus its member count, 74 + 168 = 242 in all; the
+        # targets (84 words), their walk and the 215 rows charged to the
+        # Bron-Kerbosch calls take fewer steps
+        for budget in (215, 241):
             with pytest.raises(BudgetExceededError, match="candidate memory"):
-                greedy_cover(fano, 1, budget=budget)
-        assert len(greedy_cover(fano, 1, budget=205)) == 2
+                greedy_cover(fano, 2, budget=budget)
+        assert len(greedy_cover(fano, 2, budget=242)) == len(
+            greedy_cover(fano, 2))
 
     def test_budget_covers_maximal_set_enumeration(self):
         # edgeless on 6 vertices: the 6 targets take 6 steps and the one
-        # candidate 1 + 6 words, but Bron-Kerbosch makes 7 calls to reach it
+        # candidate 1 + 6 words, but Bron-Kerbosch makes 7 calls to reach
+        # it, which scan 6 + 5 + ... + 0 = 21 one-word rows
         g = Graph.from_edges(6, [])
         with pytest.raises(BudgetExceededError, match="enumeration"):
-            greedy_cover(g, 1, budget=6)
-        assert greedy_cover(g, 1, budget=7) == [g.all_vertices]
+            greedy_cover(g, 1, budget=20)
+        assert greedy_cover(g, 1, budget=21) == [g.all_vertices]
 
     def test_fano_size_and_coverage(self, fano):
         fam = greedy_cover(fano, 2)

@@ -8,7 +8,9 @@ must pass the brute-force coverage oracle too. Graphs have at most 64
 vertices and plane orders stay small, so no run allocates much. The
 wide graphs, on 900 to 1,200 vertices with a few edges, run the
 enumerating commands with sizes k up to 1,000 and budgets up to 10^5,
-so a walk goes deeper than Python's recursion limit.
+so a walk goes deeper than Python's recursion limit. The q=5 frontier
+commands run with budgets around the 6,731 steps of their frontier
+search, and must print the pinned values or exit 3.
 """
 
 import contextlib
@@ -211,14 +213,20 @@ def default_recursion_limit():
         sys.setrecursionlimit(saved)
 
 
-def run(argv) -> int:
+def captured(argv) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one in-process run."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:  # argparse refuses the vector
-            return exc.code
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run(argv) -> int:
+    return captured(argv)[0]
 
 
 def covers(g: Graph, k: int, family: bytes) -> bool:
@@ -268,6 +276,33 @@ def test_wide_graphs_end_in_a_documented_exit_code(data):
         with default_recursion_limit():
             code = run(argv)
         assert code in (0, 1, 2, 3), argv
+
+
+# The q=5 commands that read the plane's frontier, and the values each
+# prints when its budget fits the 6,731 steps of the frontier search.
+FRONTIER_STEPS = 6731
+PLANE5_VALUES = {
+    ("bounds", "--q", "5", "--k", "4", "--exact"): lambda doc: (
+        doc["measured_balanced_count"], doc["measured_max_capacity"],
+        doc["exact_cover_lower_bound"]) == (88350, 675, 131),
+    ("verify", "--q", "5", "--checks", "product,coverbound", "--k", "4",
+     "--no-timestamp"): lambda doc: [
+        c["observed"] for c in doc["checks"]] == [60, 675],
+}
+
+
+@settings(FUZZ, max_examples=24)
+@given(st.sampled_from(sorted(PLANE5_VALUES)),
+       st.sampled_from([FRONTIER_STEPS - 1, FRONTIER_STEPS])
+       | st.integers(FRONTIER_STEPS - 50, FRONTIER_STEPS + 50)
+       | st.integers(0, 2 * FRONTIER_STEPS))
+def test_plane5_frontier_prints_its_values_or_exits_3(argv, budget):
+    code, out, err = captured([*argv, "--budget", str(budget)])
+    assert code == (0 if budget >= FRONTIER_STEPS else 3), budget
+    if code == 0:
+        assert PLANE5_VALUES[argv](json.loads(out))
+    else:
+        assert out == "" and err.startswith("error: ") and "budget" in err
 
 
 @settings(FUZZ, max_examples=100)

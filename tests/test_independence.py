@@ -17,7 +17,7 @@ from levicover import (Graph, GraphError,
                        max_side_product, members, neighborhood_of_set,
                        plane_size, profile_frontier, vset)
 from levicover import independence
-from levicover.graphs import Budget, BudgetExceededError
+from levicover.graphs import Budget, BudgetExceededError, words
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
                       edgeless_bipartite)
 
@@ -77,8 +77,9 @@ def recursive_independent_sets(g, k, budget=None):
 
 
 def recursive_maximal_sets(g, containing=0, budget=None):
-    """Oracle: recursive Bron-Kerbosch with pivoting, with the same
-    charges as enumerate_maximal_independent_sets."""
+    """Oracle: recursive Bron-Kerbosch with pivoting, started at
+    R = ``containing``, with the same charges as
+    enumerate_maximal_independent_sets (which starts at R = 0)."""
     if containing & ~g.all_vertices:
         raise GraphError("vertex index out of range")
     if not g.is_independent(containing):
@@ -89,7 +90,7 @@ def recursive_maximal_sets(g, containing=0, budget=None):
     comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
 
     def bk(r, p, x):
-        b.charge()
+        b.charge(len(members(p | x)) * words(g.n))
         if not p and not x:
             yield r
             return
@@ -134,27 +135,23 @@ def small_graphs(draw):
 
 class TestIterativeMatchesRecursive:
     @settings(max_examples=150, deadline=None)
-    @given(small_graphs(), st.integers(-1, 10), st.integers(0, 300),
-           st.just(0) | st.integers(0, 2 ** 9 - 1))
-    def test_same_sets_same_budget(self, g, k, budget, start):
+    @given(small_graphs(), st.integers(-1, 10), st.integers(0, 300))
+    def test_same_sets_same_budget(self, g, k, budget):
         # set for set, up to the same budget step or error
         for limit in (None, budget):
             assert drained(enumerate_independent_sets(g, k, limit)) == \
                 drained(recursive_independent_sets(g, k, limit))
             assert drained(enumerate_maximal_independent_sets(
-                g, start, limit)) == drained(
-                recursive_maximal_sets(g, start, limit))
+                g, limit)) == drained(recursive_maximal_sets(g, 0, limit))
 
     @pytest.mark.parametrize("name", ["fano", "plane3"])
     def test_every_budget_on_the_planes(self, name, request):
         g = request.getfixturevalue(name)
-        start = frame(3) if name == "plane3" else 0
-        for budget in range(0, 400, 3):
+        for budget in [*range(0, 400, 3), None]:
             assert drained(enumerate_independent_sets(g, 2, budget)) == \
                 drained(recursive_independent_sets(g, 2, budget))
             assert drained(enumerate_maximal_independent_sets(
-                g, start, budget)) == drained(
-                recursive_maximal_sets(g, start, budget))
+                g, budget)) == drained(recursive_maximal_sets(g, 0, budget))
 
     def test_depth_beyond_the_recursion_limit(self):
         # edgeless: the walk reaches all n vertices through n nested
@@ -190,25 +187,32 @@ class TestMaximalEnumeration:
 
     @pytest.mark.parametrize("name", ["fano", "plane3", "c4"])
     def test_containing_filters_full_enumeration(self, name, request):
+        # the oracle's start at R = r, which the frame-path and two-point
+        # oracles take, yields the maximal sets through r
         g = cycle_graph(4) if name == "c4" else request.getfixturevalue(name)
         full = list(enumerate_maximal_independent_sets(g))
         for r in [0, *enumerate_independent_sets(g, 2)]:
-            got = list(enumerate_maximal_independent_sets(g, r))
+            got = list(recursive_maximal_sets(g, r))
             assert len(got) == len(set(got))
             assert set(got) == {s for s in full if s & r == r}
 
-    def test_containing_rejects_dependent_or_outside(self, fano):
-        with pytest.raises(GraphError, match="not independent"):
-            list(enumerate_maximal_independent_sets(fano, fano.all_vertices))
-        with pytest.raises(GraphError, match="out of range"):
-            list(enumerate_maximal_independent_sets(fano, 1 << 14))
-
     def test_budget_counts_recursive_calls(self, fano):
-        # 93 Bron-Kerbosch calls enumerate Fano's 37 maximal sets
+        # 93 Bron-Kerbosch calls enumerate Fano's 37 maximal sets; each
+        # is charged its |P | X| one-word rows, 215 in all
         assert len(list(enumerate_maximal_independent_sets(
-            fano, budget=93))) == 37
-        with pytest.raises(BudgetExceededError):
-            list(enumerate_maximal_independent_sets(fano, budget=92))
+            fano, budget=215))) == 37
+        with pytest.raises(BudgetExceededError, match="enumeration"):
+            list(enumerate_maximal_independent_sets(fano, budget=214))
+
+    def test_budget_covers_the_pivot_scans(self):
+        # edgeless on 130 vertices: the calls scan 130, 129, ..., 0
+        # vertices of three words each
+        g = Graph.from_edges(130, [])
+        need = 3 * 130 * 131 // 2
+        assert list(enumerate_maximal_independent_sets(
+            g, budget=need)) == [g.all_vertices]
+        with pytest.raises(BudgetExceededError, match="enumeration"):
+            list(enumerate_maximal_independent_sets(g, budget=need - 1))
 
 
 class TestExpansion:
@@ -316,12 +320,9 @@ def brute_frontier(g):
     return tuple(best)
 
 
-def two_point_frontier(g):
-    """Oracle for the plane: the frontier from the maximal sets through
-    points 0 and 1 (2-transitivity), the line side (a = 0) and point 0
-    with the lines off it (a = 1)."""
-    sets = [g.side_l, 1 | (g.side_l & ~g.adj[0]),
-            *enumerate_maximal_independent_sets(g, 0b11)]
+def staircase(g, sets):
+    """The running maximum, from the top a down, of the most lines of a
+    set in ``sets`` with a points."""
     best = [0] * (g.side_p_size + 1)
     for s in sets:
         a, b = profile(g, s)
@@ -329,8 +330,27 @@ def two_point_frontier(g):
     return tuple(accumulate(reversed(best), max))[::-1]
 
 
+def two_point_frontier(g):
+    """Oracle for the plane: the frontier from the maximal sets through
+    points 0 and 1 (2-transitivity), the line side (a = 0) and point 0
+    with the lines off it (a = 1)."""
+    return staircase(g, [g.side_l, 1 | (g.side_l & ~g.adj[0]),
+                         *recursive_maximal_sets(g, 0b11)])
+
+
+def frame_path_frontier(g, q):
+    """Oracle for the plane: the frontier from the maximal sets through
+    the frame, and from the frame's first 0..3 points with every line
+    that misses them."""
+    prefix = members(frame(q))[:3]
+    return staircase(g, [vset(prefix[:a]) | (g.side_l & ~neighborhood_of_set(
+        g, vset(prefix[:a]))) for a in range(4)]
+        + list(recursive_maximal_sets(g, frame(q))))
+
+
 def frame(q):
-    """The frame profile_frontier starts from on the plane of order q."""
+    """The frame profile_frontier searches through on the plane of order
+    q."""
     return vset([0, 1, q, q + 1])
 
 
@@ -373,14 +393,14 @@ MONOTONE_SCORES = {
 
 @pytest.fixture()
 def bk_starts(monkeypatch):
-    """Records the start set and yield count of each maximal-set run."""
+    """Records the yield count of each maximal-set run."""
     runs = []
     orig = independence.enumerate_maximal_independent_sets
 
-    def spy(g, containing=0, budget=None):
-        runs.append([containing, 0])
-        for s in orig(g, containing, budget):
-            runs[-1][1] += 1
+    def spy(g, budget=None):
+        runs.append(0)
+        for s in orig(g, budget):
+            runs[-1] += 1
             yield s
 
     monkeypatch.setattr(independence, "enumerate_maximal_independent_sets",
@@ -396,7 +416,7 @@ class TestSymmetryReduction:
         fn = MONOTONE_SCORES[score]
         expect = full_path_best(g, fn)
         assert frontier_best(profile_frontier(g), fn) == expect
-        assert [r[0] for r in bk_starts] == [frame(q)]
+        assert bk_starts == []
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_reduced_frontier_equals_full_path(self, q, bk_starts,
@@ -405,7 +425,7 @@ class TestSymmetryReduction:
         reduced = profile_frontier(g)
         monkeypatch.setattr(independence, "_frame", lambda g: 0)
         assert profile_frontier(g) == reduced
-        assert [r[0] for r in bk_starts] == [frame(q), 0]
+        assert len(bk_starts) == 1
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_frame_frontier_equals_two_point_path(self, q):
@@ -416,6 +436,11 @@ class TestSymmetryReduction:
         assert all((g.adj[line] & f).bit_count() <= 2
                    for line in range(plane_size(q), g.n))
         assert profile_frontier(g) == two_point_frontier(g)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_search_equals_frame_path(self, q):
+        g = gen_levi(q)
+        assert profile_frontier(g) == frame_path_frontier(g, q)
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_frame_prefixes_and_frameless_sets(self, q):
@@ -450,7 +475,7 @@ class TestSymmetryReduction:
             assert max_cover_capacity(g, k) == max(
                 check_cover_capacity(g, s, k)
                 for s in enumerate_maximal_independent_sets(g))
-        assert [r[0] for r in bk_starts[:3]] == [frame(q)] * 3
+        assert bk_starts == []
 
     def test_plane3_values(self, plane3):
         assert max_side_product(plane3) == 12
@@ -465,7 +490,7 @@ class TestSymmetryReduction:
         assert graph_hash(g) != graph_hash(fano)
         frontier = profile_frontier(g)
         assert frontier == brute_frontier(g)
-        assert [r[0] for r in bk_starts] == [0]
+        assert len(bk_starts) == 1
         for score in MONOTONE_SCORES.values():
             assert frontier_best(frontier, score)[0] == brute_best(g, score)
 
@@ -477,7 +502,7 @@ class TestSymmetryReduction:
         g = perturb(plane3)
         assert graph_hash(g) != graph_hash(plane3)
         frontier = profile_frontier(g)
-        assert [r[0] for r in bk_starts] == [0]
+        assert len(bk_starts) == 1
         for score in MONOTONE_SCORES.values():
             expect = full_path_best(g, score)
             assert frontier_best(frontier, score) == expect
@@ -486,14 +511,14 @@ class TestSymmetryReduction:
         g = gen_levi(5)
         assert max_cover_capacity(g, 4) == 675
         assert max_side_product(g) == 60
-        assert bk_starts == [[frame(5), 4398]] * 2
+        assert bk_starts == []
 
     def test_plane5_frontier_pinned(self, bk_starts):
         frontier = profile_frontier(gen_levi(5))
         assert frontier == (31, 25, 20, 16, 13, 11, 10, 8, 7, 6, 6, 5, 4, 4,
                             3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1,
                             0, 0, 0, 0, 0, 0)
-        assert bk_starts == [[frame(5), 4398]]
+        assert bk_starts == []
         # both maxima sit at (6, 10) and at its mirror (10, 6), which wins
         # the tie
         assert frontier[6] == 10 and frontier[10] == 6
@@ -516,15 +541,49 @@ class TestSymmetryReduction:
             g, MONOTONE_SCORES["product"])[0]
 
     def test_budget_covers_both_paths(self, plane3):
-        # 27 Bron-Kerbosch calls on the reduced path; the full path on
-        # this relabelling takes 1711 (pivots depend on the labels)
-        assert max_side_product(plane3, budget=27) == 12
-        with pytest.raises(BudgetExceededError):
-            max_side_product(plane3, budget=26)
+        # the search at q=5 is charged 6,731 one-word rows, 1 plus the
+        # candidates of each of the 441 nodes that score them; the full
+        # path on this relabelling of the q=3 plane takes 1711
+        # Bron-Kerbosch calls, charged 4540 one-word rows (pivots depend
+        # on the labels)
+        plane5 = gen_levi(5)
+        assert max_side_product(plane5, budget=6731) == 60
+        with pytest.raises(BudgetExceededError, match="frontier search"):
+            max_side_product(plane5, budget=6730)
         g = relabelled(plane3, 5)
-        assert max_cover_capacity(g, 2, budget=1711) == 12
-        with pytest.raises(BudgetExceededError):
-            max_cover_capacity(g, 2, budget=1710)
+        assert max_cover_capacity(g, 2, budget=4540) == 12
+        with pytest.raises(BudgetExceededError, match="enumeration"):
+            max_cover_capacity(g, 2, budget=4539)
+
+    def test_plane5_search_nodes(self):
+        # top = 9, and mu(4..9) = 31 - b*(a)
+        mu, nodes = independence._fewest_lines_met(gen_levi(5), frame(5),
+                                                   None)
+        assert nodes == 1183
+        assert mu[4:] == [18, 20, 21, 23, 24, 25]
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_search_bounds_are_sound(self, q, data):
+        # for S through the frame, candidates C and j more points J from
+        # C, |N(S + J)| is at least both floors the search prunes with
+        g = gen_levi(q)
+        points = range(plane_size(q))
+        rest = [v for v in points if not frame(q) >> v & 1]
+        extra = data.draw(st.lists(st.sampled_from(rest), unique=True,
+                                   max_size=2 * q), label="S - frame")
+        s = frame(q) | vset(extra)
+        outside = st.sampled_from([v for v in points if not s >> v & 1])
+        pick = data.draw(st.lists(outside, unique=True, min_size=1,
+                                  max_size=2 * q), label="J")
+        cands = set(pick) | set(data.draw(st.lists(outside), label="C - J"))
+        j, hit = len(pick), neighborhood_of_set(g, s)
+        t = sum(sorted((g.adj[c] & ~hit).bit_count() for c in cands)[:j])
+        met = neighborhood_of_set(g, s | vset(pick)).bit_count()
+        assert met >= hit.bit_count() + (
+            -(-t * t // (t + j * (j - 1))) if t else 0)
+        assert met >= independence.expansion_bound(q, s.bit_count() + j)
 
 
 class TestBalancedCounting:
