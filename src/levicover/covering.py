@@ -319,8 +319,6 @@ def greedy_cover(g: Graph, k: int,
             gain = (inside & uncovered).bit_count()
             if gain > best_gain:
                 best, best_gain = i, gain
-        if best is None:
-            raise GraphError("universe not coverable by maximal sets")
         chosen.append(candidates[best])
         uncovered &= ~contained[best]
     return chosen

@@ -215,19 +215,28 @@ def profile_frontier(g: Graph, budget: Optional[int] = None
     """b*(a) for a = 0..|P|: the most lines (L members) of an independent
     set with a points (P members); b*(0) = |L|.
 
-    On the generated plane (``_frame(g)`` is not empty) this is
-    ``_plane_frontier``. On any other graph a best set with a points
+    On the generated plane (``_frame(g)`` is not empty) b*(a) = |L| -
+    mu(a), mu from ``_fewest_lines_met``, up to A, the first a with
+    b*(a) < a; above A self-duality gives b*(a) = max{c <= A : b*(c) >=
+    a} (c = 0 always qualifies). README, "Maxima over maximal independent
+    sets", gives the reasons. On any other graph a best set with a points
     extends to a maximal set by adding points only, so b*(a) is the
     running maximum, from the top a down, of the most lines of a maximal
     set with exactly a points, and every maximal set is enumerated.
     """
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
+    lines = g.n - g.side_p_size
     frame = _frame(g)
     if frame:
-        return _plane_frontier(g, frame, budget)
+        mu, _ = _fewest_lines_met(g, frame, budget)
+        best = [lines - m for m in mu]
+        cross = next(a for a, b in enumerate(best) if b < a)
+        head = best[:cross + 1]
+        return tuple(head + [max(c for c, b in enumerate(head) if b >= a)
+                             for a in range(cross + 1, g.side_p_size + 1)])
     best = [0] * (g.side_p_size + 1)
-    best[0] = g.n - g.side_p_size
+    best[0] = lines
     side_p = g.side_p
     sets = enumerate_maximal_independent_sets(g, budget)
     for a, size in {((s & side_p).bit_count(), s.bit_count()) for s in sets}:
@@ -235,49 +244,26 @@ def profile_frontier(g: Graph, budget: Optional[int] = None
     return tuple(accumulate(reversed(best), max))[::-1]
 
 
-def _plane_frontier(g: Graph, frame: VertexSet,
-                    budget: Optional[int]) -> tuple[int, ...]:
-    """The frontier of the plane with the given frame (four points, no
-    three collinear) from b*(a) = |L| - mu(a), where mu(a) is the fewest
-    lines that a points meet; README, "Maxima over maximal independent
-    sets", gives the reasons. b*(1..3) are the lines that miss the
-    frame's first 1..3 points, and mu(4..top) comes from
-    ``_fewest_lines_met``. A, the first a with b*(a) < a, is at most
-    top, and above A self-duality gives b*(a) = max{c <= A : b*(c) >= a}
-    (c = 0 always qualifies).
-    """
-    lines = g.n - g.side_p_size
-    best, hit = [lines], 0
-    for v in members(frame)[:3]:
-        hit |= g.adj[v]
-        best.append(lines - hit.bit_count())
-    mu, _ = _fewest_lines_met(g, frame, budget)
-    best += [lines - m for m in mu[len(best):]]
-    top = next(a for a, b in enumerate(best) if b < a)
-    head = best[:top + 1]
-    return tuple(head + [max(c for c, b in enumerate(head) if b >= a)
-                         for a in range(top + 1, g.side_p_size + 1)])
-
-
 def _fewest_lines_met(g: Graph, frame: VertexSet, budget: Optional[int]
                       ) -> tuple[list[int], int]:
-    """mu(a), the fewest lines that a points through ``frame`` meet, for
-    a = |frame|..top, and the number of nodes visited. floor(a) =
+    """mu(a), the fewest lines that a points meet, for a from 0 to the
+    larger of top and |frame|, and the number of nodes visited. The
+    plane's frame is ``frame``, four points no three collinear. mu(a)
+    for a <= |frame| is |N| of the frame's first a points; above, it is
+    the least |N(S)| over point sets S through the frame. floor(a) =
     ceil(expansion_bound(q, a)) <= mu(a), and top is the first a with
-    |L| - floor(a) < a. Entries of mu below |frame| are |L| + 1.
+    |L| - floor(a) < a.
 
-    Depth-first branch and bound over point sets S through the frame. A
-    node sorts its candidates by (new lines met, index), and child i
-    adds candidate i and keeps the later ones, so each set is visited
-    once. A node of s points is expanded only if some j >= 1 with
-    s + j <= top has max(|N(S)| + ceil(T^2 / (T + j(j - 1))),
-    floor(s + j)) below the best mu(s + j) found, T the sum of the j
-    smallest new-line counts of its candidates (0 when T is 0): two
-    points share one line, so by Cauchy-Schwarz j added points meet at
-    least that many new lines. The bound is first tried at T = 0; only
-    a node that leaves some j open is charged 1 + its candidates rows of
-    words(|L|) and scores them. Each expanded node keeps [N(S), its
-    sorted candidates, the next child] on an explicit stack.
+    Depth-first branch and bound: child i of a node adds its i-th
+    candidate, in (new lines met, index) order, and keeps the later
+    ones, so each set is visited once. A node of s points is expanded
+    only if some j >= 1 with s + j <= top has max(|N(S)| + ceil(T^2 /
+    (T + j(j - 1))), floor(s + j)) below the best mu(s + j) found, T the
+    sum of the j smallest new-line counts of its candidates (0 when T is
+    0). The bound is first tried at T = 0; only a node that leaves some
+    j open is charged 1 + its candidates rows of words(|L|) and scores
+    them. Each expanded node keeps [N(S), its sorted candidates, the
+    next child] on an explicit stack.
     """
     q = infer_q(g)
     lines = g.n - g.side_p_size
@@ -285,14 +271,15 @@ def _fewest_lines_met(g: Graph, frame: VertexSet, budget: Optional[int]
     while lines - floors[-1] >= len(floors) - 1:
         floors.append(math.ceil(expansion_bound(q, len(floors))))
     top = len(floors) - 1
-    start = frame.bit_count()
-    mu = [lines + 1] * (max(top, start) + 1)
-    b = Budget(budget, "frontier search")
-    row = words(lines)
     rows = g.adj
-    hit = 0
+    mu, hit = [0], 0
     for v in iter_members(frame):
         hit |= rows[v]
+        mu.append(hit.bit_count())
+    start = len(mu) - 1
+    mu += [lines + 1] * (top - start)
+    b = Budget(budget, "frontier search")
+    row = words(lines)
     size = g.side_p_size
     cands = [v for v in range(size) if not frame >> v & 1]
     stack: list[list] = []
@@ -405,21 +392,17 @@ def max_cover_capacity(g: Graph, k: int,
                for a, b in enumerate(profile_frontier(g, budget)))
 
 
-def balanced_count_lower_bound(n: int, k: int) -> Fraction:
-    """(n/4k)^k, the floor on the number of balanced k-sets."""
-    return Fraction(n, 4 * k) ** k
-
-
-def _charged_balanced_bound(n: int, k: int,
-                            budget: Optional[int]) -> Fraction:
-    """balanced_count_lower_bound(n, k), with the words of its numerator
-    and denominator charged against ``budget`` before the power."""
+def balanced_count_lower_bound(n: int, k: int,
+                               budget: Optional[int] = None) -> Fraction:
+    """(n/4k)^k, the floor on the number of balanced k-sets; the words of
+    the power's numerator and denominator are charged against ``budget``
+    before it is taken."""
     base = Fraction(n, 4 * k)
     size = words(k * (base.numerator.bit_length()
                       + base.denominator.bit_length()))
     Budget(budget).charge(size, "the balanced count lower bound at "
                                 f"n={n}, k={k} takes {{}} words")
-    return balanced_count_lower_bound(n, k)
+    return base ** k
 
 
 def _float_bound(what: str, value: Callable[[], float]) -> float:
@@ -484,7 +467,7 @@ def evaluate_bounds(q: int, k: int, exact: bool = False,
     n = 2 * plane_size(q)
     report = BoundsReport(
         q=q, k=k, n=n,
-        balanced_count_lower_bound=_charged_balanced_bound(n, k, budget),
+        balanced_count_lower_bound=balanced_count_lower_bound(n, k, budget),
         per_set_capacity_bound=per_set_capacity_bound(n, k),
         family_size_lower_bound=_float_bound(
             f"family size lower bound at n={n}, k={k}",
@@ -496,8 +479,7 @@ def evaluate_bounds(q: int, k: int, exact: bool = False,
     max_cap = max_cover_capacity(g, k, budget=budget)
     return replace(report, measured_balanced_count=count,
                    measured_max_capacity=max_cap,
-                   exact_cover_lower_bound=(-(-count // max_cap)
-                                            if max_cap > 0 else 0))
+                   exact_cover_lower_bound=-(-count // max_cap))
 
 
 def _flag(ok: bool) -> CheckResult:
@@ -511,7 +493,7 @@ def _at_most(bound, observed) -> CheckResult:
 def _balanced(g: Graph, *, k: int, budget: Optional[int],
               **_) -> CheckResult:
     count = count_balanced(g, k, budget=budget)
-    bound = _charged_balanced_bound(g.n, k, budget)
+    bound = balanced_count_lower_bound(g.n, k, budget)
     expected = _float_bound(f"balanced count lower bound at n={g.n}, k={k}",
                             lambda: float(bound))
     return expected, count, count >= bound, float(count - bound)
@@ -524,7 +506,7 @@ def _balanced(g: Graph, *, k: int, budget: Optional[int],
 # function object, so a wrapper installed on one of those names sees it.
 CHECKS: dict[str, Callable[..., CheckResult]] = {
     "levi-props": lambda g, *, budget, **_: _flag(
-        verify_levi_properties(g, infer_q(g), budget)),
+        verify_levi_properties(g, budget)),
     "c4free": lambda g, *, budget, **_: _flag(is_c4_free(g, budget)),
     "degeneracy": lambda g, *, budget, **_: _at_most(
         sqrt_degeneracy_bound(g.n), degeneracy_order(g, budget).degeneracy),

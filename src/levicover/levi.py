@@ -130,11 +130,10 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     return Graph.from_edges(ix.n, edges, side_p_size=ix.side_size)
 
 
-def verify_levi_properties(g: Graph, q: int,
-                           budget: Optional[int] = None) -> bool:
+def verify_levi_properties(g: Graph, budget: Optional[int] = None) -> bool:
     """True iff g is C4-free, has two sides of s = q^2 + q + 1 vertices
-    and every degree is q + 1; GraphError unless q is prime and the side
-    P of g has s vertices.
+    and every degree is q + 1, where q is ``infer_q(g)``; GraphError
+    when the side P of g fits no prime-order plane.
 
     Those facts give the one-common-neighbour law by double counting: the
     s lines cover s C(q+1, 2) = C(s, 2) pairs of points, and with no C4
@@ -143,9 +142,6 @@ def verify_levi_properties(g: Graph, q: int,
     incidence graph (e.g. after deleting an edge) gives False, never an
     error. The sweep is charged against ``budget`` as is_c4_free's.
     """
-    require_prime(q)
-    s = plane_size(q)
-    if g.side_p_size != s:
-        raise GraphError(f"graph not flagged bipartite with side size {s}")
-    return (is_c4_free(g, budget) and g.n == 2 * s
+    q = infer_q(g)
+    return (is_c4_free(g, budget) and g.n == 2 * g.side_p_size
             and all(row.bit_count() == q + 1 for row in g.adj))

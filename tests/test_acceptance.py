@@ -52,7 +52,7 @@ def test_01_structural_suite():
     c = Criterion("1 levi structural suite", 10)
     for q in PRIMES:
         g = gen_levi(q)
-        c.check(verify_levi_properties(g, q) is True)
+        c.check(verify_levi_properties(g) is True)
         c.check(is_c4_free(g))
     c.done()
 

@@ -560,6 +560,7 @@ class TestSymmetryReduction:
         mu, nodes = independence._fewest_lines_met(gen_levi(5), frame(5),
                                                    None)
         assert nodes == 1183
+        assert mu[:4] == [0, 6, 11, 15]
         assert mu[4:] == [18, 20, 21, 23, 24, 25]
 
     @pytest.mark.parametrize("q", [3, 5, 7])

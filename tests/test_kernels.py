@@ -288,13 +288,12 @@ class TestLeviProperties:
     @given(perturbed_planes())
     def test_perturbed_planes(self, qg):
         q, g = qg
-        assert verify_levi_properties(g, q) == pairwise_levi_rule(g, q)
+        assert verify_levi_properties(g) == pairwise_levi_rule(g, q)
 
     @pytest.mark.parametrize("name", sorted(PLANES))
     def test_planes_and_cut_planes(self, name):
         g = PLANES[name]
-        q = infer_q(g)
-        assert verify_levi_properties(g, q) == pairwise_levi_rule(g, q)
+        assert verify_levi_properties(g) == pairwise_levi_rule(g, infer_q(g))
 
 
 class TestExpansion:

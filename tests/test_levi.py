@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from levicover import (Graph, GraphError, LeviIndexing, gen_levi, infer_q,
-                       is_c4_free, is_prime, verify_levi_properties,
-                       write_graph)
+                       is_c4_free, is_prime, parse_graph,
+                       verify_levi_properties, write_graph)
 
 
 class TestPrimality:
@@ -81,23 +81,23 @@ class TestPropertyReport:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_all_properties_hold(self, q):
         g = gen_levi(q)
-        assert verify_levi_properties(g, q) is True
+        assert verify_levi_properties(g) is True
         assert g.n == 2 * (q * q + q + 1)
 
     def test_plane5_values(self):
         g = gen_levi(5)
-        assert verify_levi_properties(g, 5) is True
+        assert verify_levi_properties(g) is True
         assert g.n == 62 and {g.degree(v) for v in range(g.n)} == {6}
 
     def test_deleted_edge_breaks_degree(self, fano):
         edges = list(fano.edges())[1:]
         broken = Graph.from_edges(14, edges, side_p_size=7)
         assert is_c4_free(broken)
-        assert verify_levi_properties(broken, 2) is False
+        assert verify_levi_properties(broken) is False
 
-    def test_wrong_side_size_raises(self, fano):
+    def test_wrong_side_size_raises(self):
         with pytest.raises(GraphError):
-            verify_levi_properties(fano, 3)
+            verify_levi_properties(parse_graph("12 0 6"))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
