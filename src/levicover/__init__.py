@@ -9,9 +9,9 @@ Monte Carlo sampling through a degeneracy order.
 
 from .graphs import (BudgetExceededError, DegeneracyResult, Graph,
                      GraphError, ParseError, VertexSet, degeneracy_order,
-                     graph_hash, induced_subgraph, is_c4_free, iter_members,
-                     members, neighborhood_of_set, parse_graph,
-                     sqrt_degeneracy_bound, vset, write_graph)
+                     graph_hash, is_c4_free, iter_members, members,
+                     neighborhood_of_set, parse_graph, sqrt_degeneracy_bound,
+                     vset, write_graph)
 from .levi import (LeviIndexing, gen_levi, infer_q, is_prime, plane_size,
                    verify_levi_properties)
 from .independence import (BoundsReport, ExpansionCheck,

@@ -90,17 +90,9 @@ def sample_independent_set(g: Graph, order: DegeneracyResult, p,
     for v in range(g.n):
         if draws[v] < pf:
             marked |= 1 << v
-    pos = [0] * g.n
-    for i, v in enumerate(order.order):
-        pos[v] = i
     out = 0
     for v in iter_members(marked):
-        keep = True
-        for u in iter_members(g.adj[v] & marked):
-            if pos[u] > pos[v]:
-                keep = False
-                break
-        if keep:
+        if not order.forward[v] & marked:
             out |= 1 << v
     return out
 
@@ -141,16 +133,6 @@ def _columns(sets: Sequence[VertexSet], n: int,
     top = 1 << n
     digits = "".join([bin(s | top)[3:] for s in reversed(sets)])
     return [int(digits[n - 1 - v::n] or "0", 2) for v in range(n)]
-
-
-def _forward_neighbors(g: Graph, order: DegeneracyResult) -> list[np.ndarray]:
-    """For each vertex, its neighbors later in the degeneracy order."""
-    import numpy as np
-    pos = [0] * g.n
-    for i, v in enumerate(order.order):
-        pos[v] = i
-    return [np.array([u for u in iter_members(g.adj[v]) if pos[u] > pos[v]],
-                     dtype=np.intp) for v in range(g.n)]
 
 
 def _sample_block(rng: np.random.Generator, rows: int, p,
@@ -239,7 +221,8 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
         universe = g.n ** k
     t = required_samples(universe, p_min, delta)
     Budget(budget).charge(t, "sampling needs t={} samples")
-    forward = _forward_neighbors(g, order)
+    import numpy as np
+    forward = [np.array(members(f), dtype=np.intp) for f in order.forward]
     seen: dict[VertexSet, None] = {}
     for b, start in enumerate(range(0, t, BLOCK)):
         rows = _sample_block(substream(seed, b), min(BLOCK, t - start), p,

@@ -171,10 +171,13 @@ class Graph:
 
 @dataclass(frozen=True)
 class DegeneracyResult:
-    """Min-degree elimination order and the resulting degeneracy."""
+    """Min-degree elimination order, the resulting degeneracy, and each
+    vertex's forward neighbourhood: ``forward[v]`` is the set of v's
+    neighbours removed after v."""
 
     order: tuple[int, ...]
     degeneracy: int
+    forward: tuple[VertexSet, ...]
 
 
 def neighborhood_of_set(g: Graph, s: VertexSet) -> VertexSet:
@@ -216,8 +219,9 @@ def degeneracy_order(g: Graph,
     removed vertex at removal time. A bucket queue (Matula and Beck,
     JACM 1983) holds the remaining vertices of each current degree as a
     bitmask; a removal moves each remaining neighbour down one bucket, so
-    the lowest non-empty bucket drops by at most one per step. Its n
-    rows are charged against ``budget`` first.
+    the lowest non-empty bucket drops by at most one per step. The
+    neighbours still remaining when v is removed are v's ``forward`` set.
+    Its n rows are charged against ``budget`` first.
     """
     Budget(budget).charge_rows(g.n, g.n, "the degeneracy order")
     deg = [a.bit_count() for a in g.adj]
@@ -226,6 +230,7 @@ def degeneracy_order(g: Graph,
         buckets[d] |= 1 << v
     remaining = g.all_vertices
     order = []
+    forward = [0] * g.n
     degeneracy = low = 0
     for _ in range(g.n):
         while not buckets[low]:
@@ -236,30 +241,15 @@ def degeneracy_order(g: Graph,
         remaining ^= bit
         order.append(v)
         degeneracy = max(degeneracy, low)
-        for w in iter_members(g.adj[v] & remaining):
+        forward[v] = g.adj[v] & remaining
+        for w in iter_members(forward[v]):
             d = deg[w]
             buckets[d] ^= 1 << w
             buckets[d - 1] |= 1 << w
             deg[w] = d - 1
         low = max(low - 1, 0)
-    return DegeneracyResult(order=tuple(order), degeneracy=degeneracy)
-
-
-def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
-    """Subgraph on s, relabeled to 0..|s|-1 in ascending original order."""
-    if not s:
-        raise GraphError("induced subgraph of an empty vertex set")
-    if s & ~g.all_vertices:
-        raise GraphError("vertex index out of range")
-    keep = members(s)
-    new_index = {v: i for i, v in enumerate(keep)}
-    edges = [(new_index[u], new_index[v]) for u, v in g.edges()
-             if (s >> u) & 1 and (s >> v) & 1]
-    side = sum(1 for v in keep if v < g.side_p_size) if g.side_p_size else 0
-    # A bipartite flag survives only if both sides are still inhabited.
-    if side == 0 or side == len(keep):
-        side = 0
-    return Graph.from_edges(len(keep), edges, side_p_size=side)
+    return DegeneracyResult(order=tuple(order), degeneracy=degeneracy,
+                            forward=tuple(forward))
 
 
 def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:

@@ -129,12 +129,14 @@ class ExpansionCheck:
     bound: Fraction
 
 
-def check_expansion(g: Graph, q: int, s: VertexSet) -> ExpansionCheck:
-    """Compare |N(S)| against expansion_bound(q, |S|) exactly."""
+def check_expansion(g: Graph, s: VertexSet) -> ExpansionCheck:
+    """Compare |N(S)| against expansion_bound(q, |S|) exactly, q the
+    plane order read off g (see infer_q)."""
     if not s:
         raise GraphError("expansion check needs a nonempty set")
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
+    q = infer_q(g)
     if (s & g.side_p) and (s & g.side_l):
         raise GraphError("set straddles both sides")
     bound = expansion_bound(q, s.bit_count())
@@ -181,13 +183,12 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
             violations += sum((x | y).bit_count() < two for y in rows[i + 1:])
     import numpy as np
     rng = np.random.default_rng(seed)
-    arrays = tuple(np.array(verts, dtype=np.intp) for verts in sides)
     for _ in range(samples):
-        verts = arrays[rng.integers(2)]
+        verts = sides[rng.integers(2)]
         size = int(rng.integers(1, len(verts) + 1))
         union = 0
-        for v in rng.choice(verts, size=size, replace=False).tolist():
-            union |= adj[v]
+        for i in rng.choice(len(verts), size=size, replace=False).tolist():
+            union |= adj[verts[i]]
         violations += union.bit_count() < expansion_bound(q, size)
     return (0, violations, violations == 0,
             float(fixed + samples - violations))
@@ -449,21 +450,22 @@ def evaluate_bounds(q: int, k: int, exact: bool = False,
                     budget: Optional[int] = None) -> BoundsReport:
     """Evaluate the covering-family bound chain at concrete (q, k).
 
-    With ``exact``, first builds gen_levi(q), then also measures on it
-    the balanced independent-set count and the largest per-set capacity
-    over maximal independent sets, giving the exact counting lower bound
-    on any covering family.
+    k is checked first, before any plane is built. With ``exact``, it
+    then builds gen_levi(q), and also measures on it the balanced
+    independent-set count and the largest per-set capacity over maximal
+    independent sets, giving the exact counting lower bound on any
+    covering family.
 
     The trial division that tests q for primality takes up to isqrt(q)
     steps, and they are charged against ``budget`` before it.
     """
-    g = gen_levi(q, budget) if exact else None
-    Budget(budget, "primality test").charge(math.isqrt(max(q, 0)))
-    require_prime(q)
     _half(k)
     if k > q:
         raise GraphError(
             f"k must be at most q (covering bound hypothesis): k={k}, q={q}")
+    g = gen_levi(q, budget) if exact else None
+    Budget(budget, "primality test").charge(math.isqrt(max(q, 0)))
+    require_prime(q)
     n = 2 * plane_size(q)
     report = BoundsReport(
         q=q, k=k, n=n,

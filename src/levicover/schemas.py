@@ -10,7 +10,7 @@ RUN_REPORT_SCHEMA = {
     "properties": {
         "command": {"type": "string"},
         "parameters": {"type": "object"},
-        "outcome": {"enum": ["pass", "fail", "error"]},
+        "outcome": {"enum": ["pass", "fail"]},
         "checks": {
             "type": "array",
             "items": {

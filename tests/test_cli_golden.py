@@ -1,4 +1,5 @@
-"""Byte-identity guard for the ``verify`` and ``bounds`` output.
+"""Byte-identity guard for the output of ``gen``, ``verify``, ``bounds``,
+``cover build`` and ``cover greedy``.
 
 ``cli_golden.json`` maps each command line to its exit code, stdout and
 stderr as recorded before the checks moved from the CLI into the
@@ -7,7 +8,10 @@ expansion check were recorded before the structural checks got their
 fast kernels. The q = 5 cases, whose frontier search visits more nodes
 than its root, and the order-3 plane without its first edge, whose
 frontier comes from Bron-Kerbosch, were recorded before the frontier,
-the plane order and (n/4k)^k each got one source. Every byte must still
+the plane order and (n/4k)^k each got one source. The ``gen`` and
+``cover`` cases, which pin a canonical graph, two seeded families and
+two greedy ones byte for byte, were recorded before the forward
+neighbourhoods came from the degeneracy order. Every byte must still
 match: the reports are a stable contract, and a refactor that changes
 one is not a refactor.
 """

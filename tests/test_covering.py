@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,7 +105,8 @@ class TestBlockSampler:
         g = gen_levi(q)
         order = degeneracy_order(g)
         p = Fraction(1, order.degeneracy + 1)
-        forward = covering._forward_neighbors(g, order)
+        forward = [np.array(members(f), dtype=np.intp)
+                   for f in order.forward]
         for b in range(3):
             rows = covering._sample_block(substream(11, b), 300, p, forward)
             rng = substream(11, b)

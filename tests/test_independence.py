@@ -217,12 +217,12 @@ class TestMaximalEnumeration:
 
 class TestExpansion:
     def test_singleton_equality(self, fano):
-        chk = check_expansion(fano, 2, 1 << 0)
+        chk = check_expansion(fano, 1 << 0)
         assert chk.holds
         assert chk.neighborhood_size == 3 and chk.bound == 3
 
     def test_full_side_equality(self, fano):
-        chk = check_expansion(fano, 2, fano.side_p)
+        chk = check_expansion(fano, fano.side_p)
         assert chk.neighborhood_size == 7
         assert chk.bound == Fraction(9 * 7, 2 + 7) == 7
 
@@ -233,13 +233,13 @@ class TestExpansion:
             verts = sides[rng.integers(2)]
             size = int(rng.integers(1, len(verts) + 1))
             s = vset(rng.choice(verts, size=size, replace=False))
-            assert check_expansion(plane3, 3, s).holds
+            assert check_expansion(plane3, s).holds
 
     def test_empty_or_straddling_raises(self, fano):
         with pytest.raises(GraphError):
-            check_expansion(fano, 2, 0)
+            check_expansion(fano, 0)
         with pytest.raises(GraphError):
-            check_expansion(fano, 2, vset([0, 7]))
+            check_expansion(fano, vset([0, 7]))
 
     def test_negative_samples_rejected(self, fano):
         with pytest.raises(GraphError, match="non-negative"):
@@ -689,6 +689,18 @@ class TestBounds:
         with pytest.raises(GraphError):
             evaluate_bounds(5, 3)
 
+    @pytest.mark.parametrize("q,k,match", [
+        (109, 3, "even"), (109, 200, "at most q"), (4, 3, "even"),
+    ])
+    def test_bad_k_rejected_before_the_plane(self, q, k, match,
+                                             monkeypatch):
+        built = []
+        monkeypatch.setattr(independence, "gen_levi",
+                            lambda *args: built.append(args))
+        with pytest.raises(GraphError, match=match):
+            evaluate_bounds(q, k, exact=True)
+        assert built == []
+
     @pytest.mark.parametrize("q", [2, 3])
     def test_exact_measures_the_generated_plane(self, q):
         # the measured fields, taken on gen_levi(q) by hand
@@ -707,7 +719,7 @@ class TestBounds:
 
 @pytest.mark.parametrize("call", [
     lambda g: check_cover_capacity(g, 1, 2),
-    lambda g: check_expansion(g, 2, 1),
+    lambda g: check_expansion(g, 1),
     lambda g: count_balanced(g, 2),
 ], ids=["check_cover_capacity", "check_expansion", "count_balanced"])
 def test_unflagged_graph_rejected(call):

@@ -34,6 +34,7 @@ def scan_degeneracy_order(g: Graph) -> DegeneracyResult:
     """Oracle: rescan every remaining vertex at each removal."""
     remaining = g.all_vertices
     order = []
+    forward = [0] * g.n
     d = 0
     while remaining:
         best = -1
@@ -45,7 +46,9 @@ def scan_degeneracy_order(g: Graph) -> DegeneracyResult:
         order.append(best)
         d = max(d, best_deg)
         remaining &= ~(1 << best)
-    return DegeneracyResult(order=tuple(order), degeneracy=d)
+        forward[best] = g.adj[best] & remaining
+    return DegeneracyResult(order=tuple(order), degeneracy=d,
+                            forward=tuple(forward))
 
 
 def all_rows_edges(g: Graph) -> list[tuple[int, int]]:
@@ -85,7 +88,6 @@ def pairwise_levi_rule(g: Graph, q: int) -> bool:
 
 def expansion_by_check(g: Graph, samples: int, seed: int):
     """Oracle: check_expansion applied set by set, with the same draws."""
-    q = infer_q(g)
     sides = (members(g.side_p), members(g.side_l))
     fixed = [s for verts in sides
              for s in itertools.chain(
@@ -101,7 +103,7 @@ def expansion_by_check(g: Graph, samples: int, seed: int):
     total = violations = 0
     for s in fixed + drawn:
         total += 1
-        violations += not check_expansion(g, q, s).holds
+        violations += not check_expansion(g, s).holds
     return 0, violations, violations == 0, float(total - violations)
 
 
@@ -222,7 +224,7 @@ class TestDegeneracyOrder:
 
     def test_empty_graph(self):
         assert degeneracy_order(Graph.from_edges(0, [])) == \
-            DegeneracyResult(order=(), degeneracy=0)
+            DegeneracyResult(order=(), degeneracy=0, forward=())
 
 
 class TestEdges:
