@@ -19,7 +19,7 @@ from pathlib import Path
 from . import covering, levi
 from .graphs import (BudgetExceededError, GraphError, members, parse_graph,
                      write_graph)
-from .independence import CHECKS, evaluate_bounds
+from .independence import CHECKS, evaluate_bounds, select_checks
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -73,10 +73,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    names = args.checks.split(",")
-    for name in names:
-        if name not in CHECKS:
-            raise GraphError(f"unknown check name: {name}")
+    names = select_checks(args.checks, args.k)
     g = (parse_graph(Path(args.infile).read_bytes(), args.budget)
          if args.infile else levi.gen_levi(args.q, args.budget))
     checks = [_check(name, *CHECKS[name](g, k=args.k, samples=args.samples,

@@ -28,13 +28,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .graphs import (Budget, BudgetExceededError, DegeneracyResult, Graph,
                      GraphError, VertexSet, degeneracy_order, graph_hash,
-                     iter_members, members, vset, words)
+                     iter_members, members, words)
 from .independence import (count_independent_sets,
                            enumerate_independent_sets,
                            enumerate_maximal_independent_sets)
@@ -108,11 +110,13 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
     import numpy as np
     rows, cols = bits.shape
     words = -(-cols // 64)
+    if not words:
+        return [0] * rows
     padded = np.zeros((rows, 64 * words), dtype=bool)
     padded[:, :cols] = bits
     packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-    out = [0] * rows
-    for i in range(words):
+    out = packed[:, 0].tolist()
+    for i in range(1, words):
         out = [a | (w << (64 * i))
                for a, w in zip(out, packed[:, i].tolist())]
     return out
@@ -227,7 +231,7 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     for b, start in enumerate(range(0, t, BLOCK)):
         rows = _sample_block(substream(seed, b), min(BLOCK, t - start), p,
                              forward)
-        seen.update(dict.fromkeys(rows))
+        seen.update(zip(rows, repeat(None)))
     seen.pop(0, None)
     return CoveringFamily(sets=tuple(seen), k=k, delta=delta, seed=seed,
                           t=t, degeneracy=d, graph_hash=graph_hash(g))
@@ -266,12 +270,14 @@ def greedy_cover(g: Graph, k: int,
     """Greedy set cover of the size-<=k independent sets by maximal ones.
 
     Ties go to the lexicographically smallest candidate (by sorted member
-    list). Useful as an upper-bound oracle against the exact counting
-    lower bound. Target sets are bits of a universe-wide mask: a
-    candidate holds the targets with no member outside it. Each target
-    held is charged its n-bit set, ceil(n / 64) words, as it streams in,
-    and each candidate held its mask words, ceil(#targets / 64), plus its
-    member count, each on its own account.
+    list). Gains are evaluated lazily (Minoux's accelerated greedy), with
+    the picks of a scan of every gain in every round. Useful as an
+    upper-bound oracle against the exact counting lower bound. Target
+    sets are bits of a universe-wide mask: a candidate holds the targets
+    with no member outside it. Each target held is charged its n-bit set,
+    ceil(n / 64) words, as it streams in, and each candidate held its
+    mask words, ceil(#targets / 64), plus its member count, each on its
+    own account.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
@@ -295,15 +301,22 @@ def greedy_cover(g: Graph, k: int,
         for v in iter_members(g.all_vertices & ~c):
             outside |= cols[v]
         contained.append(uncovered & ~outside)
+    import heapq  # here, so that only the greedy cover loads _heapq
+    # Gains only fall as targets are covered, so the heap's stale gains
+    # bound the fresh ones from above: a popped candidate whose fresh
+    # (-gain, index) still sorts first is the one an eager scan of all
+    # gains would pick, ties to the lower index included.
+    heap = [(-inside.bit_count(), i) for i, inside in enumerate(contained)]
+    heapq.heapify(heap)
     chosen: list[VertexSet] = []
     while uncovered:
-        best, best_gain = None, 0
-        for i, inside in enumerate(contained):
-            gain = (inside & uncovered).bit_count()
-            if gain > best_gain:
-                best, best_gain = i, gain
-        chosen.append(candidates[best])
-        uncovered &= ~contained[best]
+        _, i = heapq.heappop(heap)
+        key = (-(contained[i] & uncovered).bit_count(), i)
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
+        chosen.append(candidates[i])
+        uncovered &= ~contained[i]
     return chosen
 
 
@@ -334,24 +347,23 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
     """Parse a family document built for g; malformed input, a family for
     another graph or a member vertex outside g raises GraphError.
 
-    Everything but the member arrays is checked against FAMILY_SCHEMA,
-    and p must be exactly "1/<d+1>".
-    The arrays are checked in the loop that packs them, because schema
-    validation walks them item by item and would dominate the load time
-    of a large family. An index of g.n or more is rejected before it is
-    turned into a bitmask, which would take memory linear in the index.
+    Everything but the member arrays is checked against FAMILY_SCHEMA by
+    schemas.validate, and p must be exactly "1/<d+1>".
+    The arrays are checked in the loop that packs them, with maps over
+    each array rather than a schema walk item by item, which would
+    dominate the load time of a large family. An index of g.n or more is
+    rejected before it is turned into a bitmask, which would take memory
+    linear in the index.
     """
-    # Imported here: jsonschema adds about half to the CLI's start-up
-    # time, and only family loading needs it.
-    import jsonschema
-
-    from .schemas import FAMILY_SCHEMA
+    # Imported here, so that only the commands that read a family file
+    # load the schemas and their checker.
+    from . import schemas
     sets = doc.get("sets") if isinstance(doc, dict) else None
     try:
-        jsonschema.validate(dict(doc, sets=[]) if isinstance(sets, list)
-                            else doc, FAMILY_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise GraphError(f"malformed family file: {exc.message}") from exc
+        schemas.validate(dict(doc, sets=[]) if isinstance(sets, list)
+                         else doc, schemas.FAMILY_SCHEMA)
+    except schemas.SchemaError as exc:
+        raise GraphError(f"malformed family file: {exc}") from exc
     try:
         p_ok = doc["p"] == f"1/{doc['d'] + 1}"
     except ValueError:  # d + 1 has more digits than Python will print
@@ -363,14 +375,16 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
                          f"(hash {doc['graph_hash'][:12]}...)")
     masks = []
     for arr in sets:
-        if not (isinstance(arr, list) and all(type(v) is int for v in arr)
-                and arr == sorted(set(arr)) and (not arr or arr[0] >= 0)):
+        if not (isinstance(arr, list) and set(map(type, arr)) <= {int}
+                and all(map(operator.lt, arr, arr[1:]))
+                and (not arr or arr[0] >= 0)):
             raise GraphError("family set is not a strictly ascending array "
                              "of vertex indices")
         if arr and arr[-1] >= g.n:
             raise GraphError("family member has a vertex outside the graph: "
                              f"{arr[-1]}")
-        masks.append(vset(arr))
+        # The members are distinct, so the sum of their bits is their OR.
+        masks.append(sum(map((1).__lshift__, arr)))
     return CoveringFamily(
         sets=tuple(masks), k=doc["k"], delta=doc["delta"], seed=doc["seed"],
         t=doc["t"], degeneracy=doc["d"], graph_hash=doc["graph_hash"])

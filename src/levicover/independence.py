@@ -519,3 +519,17 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {
     "coverbound": lambda g, *, k, budget, **_: _at_most(
         per_set_capacity_bound(g.n, k), max_cover_capacity(g, k, budget)),
 }
+
+
+def select_checks(names: str, k: int) -> list[str]:
+    """The check names of the comma list ``names``; GraphError on an
+    unknown name, or when ``balanced`` or ``coverbound`` is named and k is
+    not an even integer >= 2, so a bad option fails before any graph is
+    built."""
+    names = names.split(",")
+    for name in names:
+        if name not in CHECKS:
+            raise GraphError(f"unknown check name: {name}")
+        if name in ("balanced", "coverbound"):
+            _half(k)
+    return names

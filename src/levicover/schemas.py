@@ -1,5 +1,14 @@
-"""JSON Schemas for the machine-readable CLI outputs; callers check a
-document with jsonschema.validate(doc, SCHEMA)."""
+"""JSON Schemas for the machine-readable CLI outputs, and ``validate``,
+which checks a document against one of them.
+
+``validate(doc, SCHEMA)`` accepts exactly the documents that
+``jsonschema.validate(doc, SCHEMA)`` accepts under Draft 2020-12, for the
+keywords these schemas use; the tests hold it to jsonschema. It reads the
+schema itself and raises ValueError on any other keyword, so a schema
+that grows one fails loudly instead of being half checked.
+"""
+
+import re
 
 _SCALAR = {"type": ["number", "string", "boolean", "integer", "null"]}
 
@@ -74,3 +83,65 @@ FAMILY_SCHEMA = {
     },
 }
 
+
+class SchemaError(ValueError):
+    """A document that does not match its schema."""
+
+
+# Draft 2020-12 types: an integral float is an integer, a bool is neither
+# an integer nor a number.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, (int, float)) and type(x) is not bool,
+    "integer": lambda x: (type(x) is int
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+KEYWORDS = frozenset({"type", "enum", "required", "properties",
+                      "additionalProperties", "items", "minimum",
+                      "exclusiveMaximum", "pattern"})
+
+
+def validate(doc, schema: dict, path: str = "$") -> None:
+    """Raise SchemaError naming the first place where doc breaks schema.
+
+    A bound fails only on x < minimum or x >= exclusiveMaximum, so NaN
+    passes both, and ``pattern`` is found with re.search, as jsonschema
+    does. ``enum`` lists strings and ``additionalProperties`` is a bool
+    in every schema here.
+    """
+    unknown = set(schema) - KEYWORDS
+    if unknown:
+        raise ValueError(f"unsupported schema keywords: {sorted(unknown)}")
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_TYPES[t](doc) for t in types):
+        raise SchemaError(f"{path} is not of type {' or '.join(types)}")
+    if "enum" in schema and doc not in schema["enum"]:
+        raise SchemaError(f"{path} is not one of {schema['enum']}")
+    if isinstance(doc, dict):
+        for key in schema.get("required", ()):
+            if key not in doc:
+                raise SchemaError(f"{path}.{key} is required")
+        props = schema.get("properties", {})
+        for key, value in doc.items():
+            if key in props:
+                validate(value, props[key], f"{path}.{key}")
+            elif schema.get("additionalProperties") is False:
+                raise SchemaError(f"{path}.{key!s:.80} is not allowed")
+    if isinstance(doc, list) and "items" in schema:
+        for i, item in enumerate(doc):
+            validate(item, schema["items"], f"{path}[{i}]")
+    if _TYPES["number"](doc):
+        if "minimum" in schema and doc < schema["minimum"]:
+            raise SchemaError(f"{path} is less than {schema['minimum']}")
+        if "exclusiveMaximum" in schema and doc >= schema["exclusiveMaximum"]:
+            raise SchemaError(f"{path} is not less than "
+                              f"{schema['exclusiveMaximum']}")
+    if isinstance(doc, str) and "pattern" in schema:
+        if not re.search(schema["pattern"], doc):
+            raise SchemaError(f"{path} does not match {schema['pattern']!r}")

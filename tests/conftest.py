@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from levicover import Graph, gen_levi
 
@@ -56,3 +57,13 @@ def complete_graph(n: int) -> Graph:
 
 def edgeless_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [], side_p_size=a)
+
+
+@st.composite
+def small_graphs(draw):
+    """Hypothesis strategy: graphs on 0..9 vertices with random edges."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, on in zip(pairs, bits) if on])

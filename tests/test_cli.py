@@ -100,28 +100,27 @@ def test_plane_edges_charged_before_generation(name, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-# Commands that run without numpy, with the modules each may load: the
-# plane commands at q=3, the structural checks, the checks on the profile
-# frontier, coverage verification and the greedy cover.
+# Commands that run without loading numpy or jsonschema: the plane
+# commands at q=3, the structural checks, the checks on the profile
+# frontier, coverage verification of a family file and the greedy cover.
 NUMPY_FREE = {
-    "gen": (["gen", "--q", "3"], ()),
-    "verify": (["verify", "--q", "3", "--checks",
-                "levi-props,c4free,degeneracy,product,balanced,coverbound",
-                "--no-timestamp"], ()),
-    "bounds": (["bounds", "--q", "3", "--k", "2", "--exact"], ()),
-    "cover-verify": (["cover", "verify", "--in", "plane3.g", "--k", "2",
-                      "--family", "greedy.json", "--no-timestamp"],
-                     ("jsonschema",)),
-    "cover-greedy": (["cover", "greedy", "--in", "plane3.g", "--k", "2",
-                      "--out", "greedy.json"], ()),
+    "gen": ["gen", "--q", "3"],
+    "verify": ["verify", "--q", "3", "--checks",
+               "levi-props,c4free,degeneracy,product,balanced,coverbound",
+               "--no-timestamp"],
+    "bounds": ["bounds", "--q", "3", "--k", "2", "--exact"],
+    "cover-verify": ["cover", "verify", "--in", "plane3.g", "--k", "2",
+                     "--family", "greedy.json", "--no-timestamp"],
+    "cover-greedy": ["cover", "greedy", "--in", "plane3.g", "--k", "2",
+                     "--out", "greedy.json"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(NUMPY_FREE))
 def test_plane_commands_do_not_load_numpy(name, tmp_path):
-    """A fresh interpreter runs the command without importing numpy, and
-    without jsonschema unless it reads a family file."""
-    argv, allowed = NUMPY_FREE[name]
+    """A fresh interpreter runs the command without importing numpy or
+    jsonschema, reading a family file included."""
+    argv = NUMPY_FREE[name]
     g = gen_levi(3)
     (tmp_path / "plane3.g").write_text(write_graph(g))
     (tmp_path / "greedy.json").write_text(
@@ -138,7 +137,7 @@ def test_plane_commands_do_not_load_numpy(name, tmp_path):
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
     rc, loaded = json.loads(proc.stderr.splitlines()[-1])
-    assert rc == 0 and set(loaded) <= set(allowed)
+    assert rc == 0 and loaded == []
 
 
 # A graph header whose vertex count alone is over the default budget.
@@ -353,6 +352,16 @@ class TestVerify:
     def test_odd_k_coverbound_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--q", "2", "--checks",
                              "coverbound", "--k", "3", "--no-timestamp")
+        assert code == 2 and out == ""
+        assert "k must be an even integer >= 2" in err
+
+    @pytest.mark.parametrize("check", ["balanced", "coverbound"])
+    @pytest.mark.parametrize("k", ["3", "0"])
+    def test_bad_k_exits_2_before_the_plane_is_built(self, check, k, capsys):
+        # the order-109 plane alone is over a budget of 1
+        code, out, err = run(capsys, "verify", "--q", "109", "--checks",
+                             f"degeneracy,{check}", "--k", k, "--budget",
+                             "1")
         assert code == 2 and out == ""
         assert "k must be an even integer >= 2" in err
 

@@ -18,7 +18,7 @@ from levicover import (Graph, GraphError, build_family_mc,
                        verify_family, vset)
 from levicover import covering
 from levicover.graphs import BudgetExceededError
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, small_graphs
 
 P_MIN_FANO = Fraction(729, 65536)  # (1/4)^2 (3/4)^6 for d=3, k=2
 
@@ -97,10 +97,36 @@ def oracle_greedy(g, k):
     return chosen
 
 
+def eager_greedy(g, k):
+    """The bitmask greedy cover that scans every candidate's gain in
+    every round, as greedy_cover did before its gains were lazy."""
+    universe = list(enumerate_independent_sets(g, k))
+    candidates = sorted(enumerate_maximal_independent_sets(g), key=members)
+    cols = covering._columns(universe, g.n)
+    uncovered = (1 << len(universe)) - 1
+    contained = []
+    for c in candidates:
+        outside = 0
+        for v in members(g.all_vertices & ~c):
+            outside |= cols[v]
+        contained.append(uncovered & ~outside)
+    chosen = []
+    while uncovered:
+        best, best_gain = None, 0
+        for i, inside in enumerate(contained):
+            gain = (inside & uncovered).bit_count()
+            if gain > best_gain:
+                best, best_gain = i, gain
+        chosen.append(candidates[best])
+        uncovered &= ~contained[best]
+    return chosen
+
+
 class TestBlockSampler:
     """The vectorised sampler against sequential scalar samples."""
 
-    @pytest.mark.parametrize("q", [2, 3, 5])
+    # q=7 has n=114 vertices, so each row packs two 64-bit words
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_block_rows_equal_sequential_calls(self, q):
         g = gen_levi(q)
         order = degeneracy_order(g)
@@ -112,6 +138,11 @@ class TestBlockSampler:
             rng = substream(11, b)
             assert rows == [sample_independent_set(g, order, p, rng)
                             for _ in range(300)]
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_pack_rows_of_no_columns(self, rows):
+        assert covering._pack_rows(np.zeros((rows, 0), dtype=bool)) == (
+            [0] * rows)
 
     def test_family_is_deduplicated_block_stream(self, monkeypatch):
         # t = 1020 in blocks of 300, 300, 300 and a partial 120
@@ -155,6 +186,25 @@ class TestFastPathsAgainstOracles:
     def test_greedy_matches_scalar_greedy(self, q, k):
         g = gen_levi(q)
         assert greedy_cover(g, k) == oracle_greedy(g, k)
+
+    @pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3)
+                                     for k in range(1, 5)])
+    def test_lazy_greedy_matches_eager_scan_on_planes(self, q, k):
+        g = gen_levi(q)
+        assert greedy_cover(g, k) == eager_greedy(g, k)
+
+    @pytest.mark.parametrize("g", [Graph.from_edges(n, []) for n in (1, 5)]
+                             + [cycle_graph(n) for n in (4, 5, 8, 9)],
+                             ids=["edgeless1", "edgeless5", "C4", "C5", "C8",
+                                  "C9"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lazy_greedy_matches_eager_scan_on_ties(self, g, k):
+        assert greedy_cover(g, k) == eager_greedy(g, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs(), k=st.integers(1, 3))
+    def test_lazy_greedy_matches_eager_scan(self, g, k):
+        assert greedy_cover(g, k) == eager_greedy(g, k)
 
 
 class TestRequiredSamples:

@@ -19,7 +19,7 @@ from levicover import (Graph, GraphError,
 from levicover import independence
 from levicover.graphs import Budget, BudgetExceededError, words
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
-                      edgeless_bipartite)
+                      edgeless_bipartite, small_graphs)
 
 
 class TestEnumeration:
@@ -121,16 +121,6 @@ def drained(sets):
     except (BudgetExceededError, GraphError) as exc:
         return out, f"{type(exc).__name__}: {exc}"
     return out, None
-
-
-@st.composite
-def small_graphs(draw):
-    """Hypothesis strategy: graphs on 0..9 vertices with random edges."""
-    n = draw(st.integers(0, 9))
-    pairs = list(combinations(range(n), 2))
-    bits = draw(st.lists(st.booleans(), min_size=len(pairs),
-                         max_size=len(pairs)))
-    return Graph.from_edges(n, [e for e, on in zip(pairs, bits) if on])
 
 
 class TestIterativeMatchesRecursive:
