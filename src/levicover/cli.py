@@ -73,14 +73,14 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    names = select_checks(args.checks, args.k)
+    names, options = select_checks(args.checks, k=args.k,
+                                   samples=args.samples, seed=args.seed)
     g = (parse_graph(Path(args.infile).read_bytes(), args.budget)
          if args.infile else levi.gen_levi(args.q, args.budget))
-    checks = [_check(name, *CHECKS[name](g, k=args.k, samples=args.samples,
-                                         seed=args.seed, budget=args.budget))
+    checks = [_check(name, *CHECKS[name](g, **options, budget=args.budget))
               for name in names]
     doc = _run_report("verify", {"q": args.q, "in": args.infile,
-                                 "checks": args.checks, "k": args.k},
+                                 "checks": args.checks, "k": options["k"]},
                       checks, started, args.no_timestamp)
     _emit_json(doc)
     _summary(f"verify: {doc['outcome']} "
@@ -168,9 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--in", dest="infile")
     p.add_argument("--checks", required=True,
                    help="comma list from: " + ",".join(CHECKS))
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=_uint, default=0)
+    # None when not given: select_checks refuses an option that no named
+    # check reads, and fills in the default of one that is not given
+    p.add_argument("--k", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=_uint)
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_verify)
 

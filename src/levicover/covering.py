@@ -348,7 +348,8 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
     another graph or a member vertex outside g raises GraphError.
 
     Everything but the member arrays is checked against FAMILY_SCHEMA by
-    schemas.validate, and p must be exactly "1/<d+1>".
+    schemas.validate, p must be exactly "1/<d+1>", k, seed, t and d must
+    be ints, not integral floats, and delta must be finite.
     The arrays are checked in the loop that packs them, with maps over
     each array rather than a schema walk item by item, which would
     dominate the load time of a large family. An index of g.n or more is
@@ -370,6 +371,12 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
         p_ok = False
     if not p_ok:
         raise GraphError("malformed family file: p is not 1/(d+1)")
+    # Draft 2020-12 lets an integral float through as an integer, and NaN
+    # through both bounds of delta
+    if not (all(type(doc[key]) is int for key in ("k", "seed", "t", "d"))
+            and math.isfinite(doc["delta"])):
+        raise GraphError("malformed family file: k, seed, t and d must be "
+                         "integers and delta finite")
     if doc["graph_hash"] != graph_hash(g):
         raise GraphError("family file was built for a different graph "
                          f"(hash {doc['graph_hash'][:12]}...)")

@@ -15,7 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 VertexSet = int
 
@@ -103,12 +103,47 @@ def members(s: VertexSet) -> list[int]:
     return list(iter_members(s))
 
 
+def _members_above(row: VertexSet, u: int) -> list[int]:
+    """Ascending list of the members of ``row`` above u (all of them when
+    u is -1), read off one bin(row) by scans for "1" from its low end: a
+    sparse n-bit row costs a few C scans, not the three n-bit operations
+    per member of iter_members."""
+    s = bin(row)
+    top = len(s) - 1  # the index of bit 0
+    out = []
+    j = s.rfind("1", 2, max(top - u, 0))
+    while j > 0:
+        out.append(top - j)
+        j = s.rfind("1", 2, j)
+    return out
+
+
+def _index_of(n: int, tokens: int) -> Callable[[str, int], int]:
+    """``index(token, default)``: the vertex below n whose decimal name is
+    exactly ``token``, else default. When n is at most the ``tokens`` to
+    be read, this is a lookup in a table of every name, built once, which
+    stays within a constant factor of the text; otherwise int and str
+    per token."""
+    if n <= tokens:
+        return dict(zip(map(str, range(n)), range(n))).get
+
+    def index(token: str, default: int) -> int:
+        try:
+            v = int(token)
+        except ValueError:
+            return default
+        return v if 0 <= v < n and str(v) == token else default
+    return index
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph; ``adj[v]`` is the neighbor bitmask of v.
 
     ``side_p_size`` > 0 flags the graph bipartite with side P occupying
-    indices 0..side_p_size-1 and side L the rest.
+    indices 0..side_p_size-1 and side L the rest; every edge then
+    crosses the bipartition, as from_edges, parse_graph and gen_levi
+    check or build.
     """
 
     n: int
@@ -159,8 +194,8 @@ class Graph:
         """Edges as (u, v) with u < v, in lexicographic order. Only the
         non-empty rows are visited."""
         for u in compress(range(self.n), self.adj):
-            for v in iter_members(self.adj[u] >> (u + 1)):
-                yield u, u + 1 + v
+            for v in _members_above(self.adj[u], u):
+                yield u, v
 
     def is_independent(self, s: VertexSet) -> bool:
         for v in iter_members(s):
@@ -196,14 +231,17 @@ def is_c4_free(g: Graph, budget: Optional[int] = None) -> bool:
     For each u, the rows of u's neighbours w, cut to the vertices after
     u, are ORed into ``seen``: a later vertex shares two neighbours with u
     exactly when a row names it after an earlier row did. That is
-    O(n + m) operations, and the first C4 found ends the sweep. Its n
-    rows are charged against ``budget`` first.
+    O(n + m) operations, and the first C4 found ends the sweep. On a
+    graph flagged bipartite only the vertices of side P are swept: every
+    edge crosses the bipartition, so a C4 has two vertices on each side,
+    and the sweep from the first of its P vertices finds it. Its n rows
+    are charged against ``budget`` first.
     """
     Budget(budget).charge_rows(g.n, g.n, "the codegree sweep")
     adj = g.adj
-    for u in range(g.n):
+    for u in range(g.side_p_size or g.n):
         seen = 0
-        for w in iter_members(adj[u]):
+        for w in _members_above(adj[u], -1):
             row = adj[w] >> (u + 1)
             if seen & row:
                 return False
@@ -258,7 +296,13 @@ def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
 
     The header's vertex count is charged against ``budget`` before any
     memory is taken for it, then, on a budget of its own, the rows the
-    edges fill: two per edge line, at most n.
+    edges fill: two per edge line, at most n. The text is then checked
+    line by line as it is read, with no second serialisation: the header
+    must be "n m side" in decimal with 0 <= side <= n and m edge lines
+    after it, each edge line must be the decimal names "u v" of an edge
+    with u < v < n, crossing the bipartition when side > 0, in strictly
+    ascending order, and the text must end in one newline. Those are
+    exactly the texts write_graph prints.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -268,25 +312,48 @@ def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
     else:
         text = data
     lines = text.split("\n")
+    m = len(lines) - 2
     try:
         n, _, side = map(int, lines[0].split(" "))
-        Budget(budget).charge(n, f"the graph has {n} vertices")
-        Budget(budget).charge_rows(min(2 * (len(lines) - 2), n), n,
-                                   "the adjacency")
-        g = Graph.from_edges(n, (map(int, line.split(" "))
-                                 for line in lines[1:-1]), side_p_size=side)
     except ValueError as exc:
-        raise ParseError(f"malformed graph: {exc}") from exc
-    if write_graph(g) != text:
-        raise ParseError("not the canonical text of the graph it describes "
-                         "(see write_graph)")
-    return g
+        raise ParseError(f"malformed header: {exc}") from exc
+    Budget(budget).charge(n, f"the graph has {n} vertices")
+    Budget(budget).charge_rows(min(2 * m, n), n, "the adjacency")
+    if not (0 <= side <= n and lines[0] == f"{n} {m} {side}"
+            and lines[-1] == ""):
+        raise ParseError(f"header {lines[0][:80]!r} is not 'n m side' for "
+                         f"the {m} edge lines after it and one final "
+                         "newline")
+    index = _index_of(n, 2 * m)
+    adj = [0] * n
+    last = -1
+    for i in range(1, m + 1):
+        first, _, second = lines[i].partition(" ")
+        u, v = index(first, -1), index(second, -1)
+        if not (0 <= u < v and u * n + v > last
+                and (u < side <= v or not side)):
+            raise ParseError(f"line {i + 1}: {lines[i][:80]!r} is not the "
+                             "next edge of the canonical text (see "
+                             "write_graph)")
+        last = u * n + v
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n=n, m=m, adj=tuple(adj), side_p_size=side)
 
 
 def write_graph(g: Graph) -> str:
-    """Canonical edge-list text: round-trips bit-exactly through parse."""
+    """Canonical edge-list text: round-trips bit-exactly through parse.
+    The header "n m side", then each edge "u v", u < v, in ascending
+    order, one per line, each line ended by a newline."""
+    # a table of every name when it is no larger than the text
+    name = (list(map(str, range(g.n))).__getitem__ if g.n <= 2 * g.m
+            else str)
     out = [f"{g.n} {g.m} {g.side_p_size}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
+    for u in compress(range(g.n), g.adj):
+        later = _members_above(g.adj[u], u)
+        if later:
+            head = name(u) + " "
+            out.append(head + ("\n" + head).join(map(name, later)))
     return "\n".join(out) + "\n"
 
 

@@ -521,15 +521,31 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {
 }
 
 
-def select_checks(names: str, k: int) -> list[str]:
-    """The check names of the comma list ``names``; GraphError on an
-    unknown name, or when ``balanced`` or ``coverbound`` is named and k is
-    not an even integer >= 2, so a bad option fails before any graph is
-    built."""
+# The options of ``levicover verify`` that only some checks read: the
+# checks that read each, and its value when it is not given.
+CHECK_OPTIONS = {"k": (("balanced", "coverbound"), 2),
+                 "samples": (("expansion",), 1000),
+                 "seed": (("expansion",), 0)}
+
+
+def select_checks(names: str, **given) -> tuple[list[str], dict]:
+    """The check names of the comma list ``names``, and the options of
+    CHECK_OPTIONS that the checks are called with: each as given, or its
+    default where it is None or not given. GraphError on an unknown name,
+    on an option given for checks of which none is named, or when
+    ``balanced`` or ``coverbound`` is named and k is not an even integer
+    >= 2, so a bad option fails before any graph is built."""
     names = names.split(",")
     for name in names:
         if name not in CHECKS:
             raise GraphError(f"unknown check name: {name}")
-        if name in ("balanced", "coverbound"):
-            _half(k)
-    return names
+    options = {}
+    for option, (readers, default) in CHECK_OPTIONS.items():
+        value = given.get(option)
+        if value is not None and not set(readers) & set(names):
+            raise GraphError(f"--{option} is given, but none of the checks "
+                             f"that read it ({', '.join(readers)}) is named")
+        options[option] = default if value is None else value
+    if set(CHECK_OPTIONS["k"][0]) & set(names):
+        _half(options["k"])
+    return names, options

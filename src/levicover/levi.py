@@ -104,6 +104,13 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     for a lies on every line of slope a and on the infinity line; the
     vertical point lies on every vertical line and on the infinity line.
 
+    The rows are built directly. Affine points and sloped lines are both
+    numbered in q blocks of q (LeviIndexing), and if (x, y) lies on
+    (a, b) then (x, y + 1) lies on (a, b + 1). So the sloped lines of
+    (x, y + 1), and the points of (a, b + 1), are those of (x, y), and of
+    (a, b), each moved one place up within its block, the top place
+    wrapping to the bottom: a few n-bit operations per row.
+
     The (q+1)(q^2+q+1) edges are charged against ``budget`` first, so an
     order too large to build is refused before primality is tested or any
     memory is taken.
@@ -111,23 +118,37 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     size = (q + 1) * plane_size(q)
     Budget(budget).charge(size, f"the plane of order {q} has {{}} edges")
     ix = LeviIndexing(q)
-    edges = []
-    for x in range(q):
-        for y in range(q):
-            p = ix.affine_point(x, y)
-            for a in range(q):
-                b = (y - a * x) % q
-                edges.append((p, ix.sloped_line(a, b)))
-            edges.append((p, ix.vertical_line(x)))
-    for a in range(q):
-        p = ix.slope_point(a)
-        for b in range(q):
-            edges.append((p, ix.sloped_line(a, b)))
-        edges.append((p, ix.infinity_line()))
-    for x in range(q):
-        edges.append((ix.vertical_point(), ix.vertical_line(x)))
-    edges.append((ix.vertical_point(), ix.infinity_line()))
-    return Graph.from_edges(ix.n, edges, side_p_size=ix.side_size)
+    r = range(q)
+    block = (1 << q) - 1
+    tops = sum(1 << (i * q + q - 1) for i in r)
+
+    def up(row: int) -> int:
+        return (row & ~tops) << 1 | (row & tops) >> (q - 1)
+
+    adj = [0] * ix.n
+    sloped = ix.sloped_line(0, 0)
+    for x in r:
+        # (x, 0) lies on the lines (a, -a*x mod q), a*q + b past line (0, 0)
+        lines = sum(1 << (a * q + -a * x % q) for a in r)
+        for y in r:
+            adj[ix.affine_point(x, y)] = (lines << sloped
+                                          | 1 << ix.vertical_line(x))
+            lines = up(lines)
+        adj[ix.vertical_line(x)] = (block << ix.affine_point(x, 0)
+                                    | 1 << ix.vertical_point())
+    for a in r:
+        # (a, 0) holds the points (x, a*x mod q)
+        points = sum(1 << ix.affine_point(x, a * x % q) for x in r)
+        for b in r:
+            adj[ix.sloped_line(a, b)] = points | 1 << ix.slope_point(a)
+            points = up(points)
+        adj[ix.slope_point(a)] = (block << ix.sloped_line(a, 0)
+                                  | 1 << ix.infinity_line())
+    adj[ix.vertical_point()] = (block << ix.vertical_line(0)
+                                | 1 << ix.infinity_line())
+    adj[ix.infinity_line()] = (block << ix.slope_point(0)
+                               | 1 << ix.vertical_point())
+    return Graph(n=ix.n, m=size, adj=tuple(adj), side_p_size=ix.side_size)
 
 
 def verify_levi_properties(g: Graph, budget: Optional[int] = None) -> bool:

@@ -71,7 +71,7 @@ FAMILY_SCHEMA = {
         "k": {"type": "integer", "minimum": 1},
         # delta 0 marks families with no statistical guarantee (greedy)
         "delta": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "t": {"type": "integer", "minimum": 0},
         "d": {"type": "integer", "minimum": 0},
         "p": {"type": "string", "pattern": "^[0-9]+/[0-9]+$"},

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -390,6 +391,39 @@ class TestVerify:
                            "levi-props", "--no-timestamp")
         assert code == 1 and json.loads(out)["outcome"] == "fail"
 
+    @pytest.mark.parametrize("checks,flag", [
+        ("c4free", "--k"), ("c4free", "--samples"), ("c4free", "--seed"),
+        ("expansion", "--k"), ("levi-props,degeneracy,product", "--k"),
+        ("balanced", "--samples"), ("coverbound,balanced", "--seed")])
+    def test_option_no_named_check_reads_exits_2(self, checks, flag, capsys):
+        # the order-109 plane alone is over a budget of 1
+        code, out, err = run(capsys, "verify", "--q", "109", "--checks",
+                             checks, flag, "4", "--budget", "1")
+        assert code == 2 and out == ""
+        assert f"{flag} is given, but none of the checks" in err
+
+    def test_defaults_fill_in_unread_options(self, capsys):
+        # the defaults k=2, samples=1000, seed=0, given or not
+        runs = [run(capsys, "verify", "--q", "2", "--checks",
+                    "expansion,balanced", "--no-timestamp", *given)
+                for given in ([], ["--k", "2", "--samples", "1000",
+                                   "--seed", "0"])]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert json.loads(runs[0][1])["parameters"]["k"] == 2
+        code, out, _ = run(capsys, "verify", "--q", "2", "--checks",
+                           "c4free", "--no-timestamp")
+        assert code == 0 and json.loads(out)["parameters"]["k"] == 2
+
+    def test_given_options_reach_their_checks(self, capsys):
+        code, out, _ = run(capsys, "verify", "--q", "2", "--checks",
+                           "c4free,expansion,coverbound", "--k", "4",
+                           "--samples", "5", "--seed", "9",
+                           "--no-timestamp")
+        doc = json.loads(out)
+        assert code == 0 and doc["parameters"]["k"] == 4
+        # 7 + 21 fixed sets per side, then the 5 samples
+        assert doc["checks"][1]["margin"] == 2 * (7 + 21) + 5
+
     @pytest.mark.parametrize("flag", ["--seed", "--budget"])
     def test_negative_seed_or_budget_exits_2(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -688,6 +722,14 @@ class TestFamilyTrustBoundary:
     def test_schema_violation_exits_2(self, tmp_path, fano_file, capsys):
         code, _, err = self.verify(capsys, tmp_path, fano_file, k="2")
         assert code == 2 and "malformed family" in err
+
+    @pytest.mark.parametrize("fields", [
+        {"k": 2.0}, {"delta": math.nan}, {"seed": 1e20}, {"seed": -1}],
+        ids=repr)
+    def test_header_no_family_holds_exits_2(self, tmp_path, fano_file,
+                                            capsys, fields):
+        code, out, err = self.verify(capsys, tmp_path, fano_file, **fields)
+        assert code == 2 and out == "" and "malformed family file" in err
 
     def test_huge_member_index_exits_2_quickly(self, tmp_path, fano_file,
                                                 capsys):

@@ -454,6 +454,17 @@ class TestFamilyIO:
         with pytest.raises(GraphError, match="malformed|ascending"):
             family_from_json(self.doc(fano, **bad), fano)
 
+    @pytest.mark.parametrize("bad", [
+        {"k": 4.0}, {"seed": 1e20}, {"seed": 0.0}, {"t": 1.0},
+        {"delta": math.nan}, {"seed": -1}, {"d": 0.0}],
+        ids=repr)
+    def test_rejects_what_the_schema_types_let_through(self, fano, bad):
+        with pytest.raises(GraphError, match="malformed family file"):
+            family_from_json(self.doc(fano, **bad), fano)
+        text = json.dumps(self.doc(fano, **bad))
+        with pytest.raises(GraphError, match="malformed family file"):
+            load_family(text, fano)
+
     def test_rejects_non_object(self, fano):
         with pytest.raises(GraphError):
             load_family("[1, 2]", fano)

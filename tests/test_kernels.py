@@ -2,15 +2,20 @@
 
 The bucket-queue degeneracy order, the seen-twice C4 sweep and the
 integer expansion test replaced a linear rescan, a loop over vertex
-pairs and one ``check_expansion`` call per set. The round-trip parser
-replaced one that checked each rule of the canonical format in turn, and
-the column index read from binary digits replaced a numpy transpose.
-Those paths stay here as the oracles, and every result must match them exactly: the
-whole elimination order, the C4 verdict, the full check tuple,
-the parser's verdict and graph, and every column. The edge walk that
-skips empty rows keeps the walk over every row as its oracle, and the
-plane test from degrees and C4-freeness keeps the rule it replaced:
-each side's degrees and its pairwise codegree range.
+pairs and one ``check_expansion`` call per set. The parser that checks
+each line as it reads it replaced one that built the graph with
+``Graph.from_edges`` and compared ``write_graph`` of it with the text,
+which had replaced one that checked each rule of the canonical format
+in turn; the column index read from binary digits replaced a numpy
+transpose. Those paths stay here as the oracles, and every result must
+match them exactly: the whole elimination order, the C4 verdict, the
+full check tuple, the parser's verdict and graph, and every column. The
+edge walk that skips empty rows and reads each row off its binary digits
+keeps the walk over every row as its oracle; the C4 sweep over side P
+of a bipartite graph keeps the sweep over every vertex; the plane built
+row by row keeps the one built from its edge list; and the plane test
+from degrees and C4-freeness keeps the rule it replaced: each side's
+degrees and its pairwise codegree range.
 """
 
 import itertools
@@ -21,10 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicover import (DegeneracyResult, Graph, GraphError, ParseError,
-                       check_expansion, degeneracy_order, gen_levi, infer_q,
-                       is_c4_free, iter_members, members, parse_graph,
-                       plane_size, verify_levi_properties, vset, write_graph)
+from levicover import (DegeneracyResult, Graph, GraphError, LeviIndexing,
+                       ParseError, check_expansion, degeneracy_order,
+                       gen_levi, infer_q, is_c4_free, iter_members, members,
+                       parse_graph, plane_size, verify_levi_properties, vset,
+                       write_graph)
 from levicover.covering import _columns, _pack_rows
 from levicover.independence import _verify_expansion
 from test_graphs import random_graphs
@@ -55,6 +61,18 @@ def all_rows_edges(g: Graph) -> list[tuple[int, int]]:
     """Oracle: the edges (u, v), u < v, from a walk over every row."""
     return [(u, u + 1 + v) for u in range(g.n)
             for v in iter_members(g.adj[u] >> (u + 1))]
+
+
+def every_vertex_c4_free(g: Graph) -> bool:
+    """Oracle: the seen-twice sweep from every vertex, side flag or not."""
+    for u in range(g.n):
+        seen = 0
+        for w in iter_members(g.adj[u]):
+            row = g.adj[w] >> (u + 1)
+            if seen & row:
+                return False
+            seen |= row
+    return True
 
 
 def pairwise_c4_free(g: Graph) -> bool:
@@ -162,6 +180,54 @@ def rule_by_rule_parse_graph(data: bytes | str) -> Graph:
         raise ParseError(str(exc)) from exc
 
 
+def round_trip_parse_graph(data: bytes | str) -> Graph:
+    """Oracle: build the graph with from_edges, then accept the text iff
+    write_graph gives it back."""
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            text = bytes(data).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc}") from exc
+    else:
+        text = data
+    lines = text.split("\n")
+    try:
+        n, _, side = map(int, lines[0].split(" "))
+        g = Graph.from_edges(n, (map(int, line.split(" "))
+                                 for line in lines[1:-1]), side_p_size=side)
+    except ValueError as exc:
+        raise ParseError(f"malformed graph: {exc}") from exc
+    if write_graph(g) != text:
+        raise ParseError("not the canonical text of the graph it describes")
+    return g
+
+
+PARSERS = (parse_graph, round_trip_parse_graph, rule_by_rule_parse_graph)
+
+
+def edge_list_gen_levi(q: int) -> Graph:
+    """Oracle: the plane of order q from its edge list, each incidence
+    placed by LeviIndexing and checked by Graph.from_edges."""
+    ix = LeviIndexing(q)
+    edges = []
+    for x in range(q):
+        for y in range(q):
+            p = ix.affine_point(x, y)
+            for a in range(q):
+                b = (y - a * x) % q
+                edges.append((p, ix.sloped_line(a, b)))
+            edges.append((p, ix.vertical_line(x)))
+    for a in range(q):
+        p = ix.slope_point(a)
+        for b in range(q):
+            edges.append((p, ix.sloped_line(a, b)))
+        edges.append((p, ix.infinity_line()))
+    for x in range(q):
+        edges.append((ix.vertical_point(), ix.vertical_line(x)))
+    edges.append((ix.vertical_point(), ix.infinity_line()))
+    return Graph.from_edges(ix.n, edges, side_p_size=ix.side_size)
+
+
 def numpy_columns(sets, n: int) -> list[int]:
     """Oracle: the column index as a numpy transpose of the sets' bits."""
     nbytes = (n + 7) // 8
@@ -253,7 +319,36 @@ class TestCodegree:
     @pytest.mark.parametrize("name", sorted(PLANES) + sorted(DENSE))
     def test_planes_and_seeded_graphs(self, name):
         g = PLANES.get(name) or DENSE[name]
-        assert is_c4_free(g) == pairwise_c4_free(g)
+        assert is_c4_free(g) == pairwise_c4_free(g) == \
+            every_vertex_c4_free(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(bipartite_graphs))
+    def test_side_p_sweep_on_bipartite_graphs(self, g):
+        assert is_c4_free(g) == every_vertex_c4_free(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs())
+    def test_every_vertex_swept_without_a_side_flag(self, g):
+        assert is_c4_free(g) == every_vertex_c4_free(g)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_plane_plus_one_incidence(self, q):
+        # p and a point of the new line share a line of the plane, so each
+        # added incidence closes a C4
+        g = gen_levi(q)
+        s = g.side_p_size
+        for p in (0, q, s - 1):
+            line = next(v for v in range(s, g.n) if not g.adj[p] >> v & 1)
+            h = Graph.from_edges(g.n, sorted({*g.edges(), (p, line)}),
+                                 side_p_size=s)
+            assert is_c4_free(h) is every_vertex_c4_free(h) is False
+
+
+class TestGenLevi:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 37])
+    def test_rows_match_the_edge_list(self, q):
+        assert gen_levi(q) == edge_list_gen_levi(q)
 
 
 @st.composite
@@ -332,17 +427,26 @@ def verdict(parse, data):
         return None
 
 
+# Tokens that write_graph never prints; int() reads all but "x" as a
+# number.
+ODD_TOKENS = ["01", "+1", "-0", "1_0", "٣", "３", "\t1", "1\r", " 1", "1 ",
+              "x"]
+
+
 @st.composite
 def mutated_texts(draw):
-    """Canonical texts of small graphs, some bipartite, after zero to
-    three edits of their lines, header fields or characters."""
-    g = draw(st.one_of(random_graphs(), bipartite_graphs(3)))
+    """Canonical texts of small graphs, some bipartite, and of the plane of
+    order 7, after zero to three edits of their lines, header fields or
+    characters."""
+    g = draw(st.one_of(random_graphs(), bipartite_graphs(3),
+                       st.just(PLANES["q7"])))
     lines = write_graph(g).split("\n")
-    small = st.integers(-1, 12).map(str)
+    small = st.one_of(st.integers(-1, 12).map(str),
+                      st.integers(0, g.n + 1).map(str))
     for _ in range(draw(st.integers(0, 3))):
         edit = draw(st.sampled_from(["drop", "drop-edge", "duplicate",
-                                     "swap", "edge", "header", "insert",
-                                     "replace", "delete"]))
+                                     "swap", "edge", "header", "token",
+                                     "insert", "replace", "delete"]))
         i = draw(st.integers(0, len(lines) - 1))
         j = draw(st.integers(0, len(lines) - 1))
         if edit == "drop" and len(lines) > 1:
@@ -361,15 +465,17 @@ def mutated_texts(draw):
             lines[i], lines[j] = lines[j], lines[i]
         elif edit == "edge":
             lines[i] = draw(small) + " " + draw(small)
-        elif edit == "header":
-            head = lines[0].split(" ")
-            head[j % len(head)] = draw(st.one_of(
-                small, st.sampled_from(["01", "+1", " 1", "1 ", "x"])))
-            lines[0] = " ".join(head)
+        elif edit in ("header", "token"):
+            # "header" edits a header field, "token" a field of any line
+            at = 0 if edit == "header" else i
+            fields = lines[at].split(" ")
+            fields[j % len(fields)] = draw(st.one_of(
+                small, st.sampled_from(ODD_TOKENS)))
+            lines[at] = " ".join(fields)
         else:
             text = "\n".join(lines)
             at = draw(st.integers(0, len(text)))
-            char = draw(st.sampled_from("0123456789 \n-+x\r"))
+            char = draw(st.sampled_from("0123456789 \n-+x\r\t_٣３"))
             text = (text[:at] + char + text[at:] if edit == "insert" else
                     text[:at] + char + text[at + 1:] if edit == "replace"
                     else text[:at] + text[at + 1:])
@@ -381,20 +487,41 @@ class TestParser:
     @settings(max_examples=500, deadline=None)
     @given(mutated_texts())
     def test_mutated_canonical_texts(self, text):
-        assert verdict(parse_graph, text) == \
-            verdict(rule_by_rule_parse_graph, text)
-        data = text.encode()
-        assert verdict(parse_graph, data) == \
-            verdict(rule_by_rule_parse_graph, data)
+        for data in (text, text.encode()):
+            got = verdict(parse_graph, data)
+            assert got == verdict(round_trip_parse_graph, data) == \
+                verdict(rule_by_rule_parse_graph, data)
+
+    @pytest.mark.parametrize("token", ODD_TOKENS + [""])
+    @pytest.mark.parametrize("field", range(5))
+    def test_every_odd_token_in_every_field(self, token, field):
+        # "2 1 0\n0 1\n" with one of its five fields replaced
+        fields = ["2", "1", "0", "0", "1"]
+        fields[field] = token
+        text = " ".join(fields[:3]) + "\n" + " ".join(fields[3:]) + "\n"
+        for parse in PARSERS:
+            assert verdict(parse, text) is None
 
     @pytest.mark.parametrize("name", sorted(PLANES) + sorted(DENSE))
     def test_planes_and_seeded_graphs(self, name):
         g = PLANES.get(name) or DENSE[name]
         text = write_graph(g)
-        assert parse_graph(text) == rule_by_rule_parse_graph(text) == g
+        assert parse_graph(text) == round_trip_parse_graph(text) == \
+            rule_by_rule_parse_graph(text) == g
+
+    def test_sparse_wide_graph(self):
+        # n is far above the names in the text, so names are read one by one
+        g = Graph.from_edges(10 ** 5, [(5, 99999), (0, 7), (7, 99998)])
+        text = write_graph(g)
+        assert text == "100000 3 0\n0 7\n5 99999\n7 99998\n"
+        assert parse_graph(text) == round_trip_parse_graph(text) == g
+        for bad in ("100000 1 0\n0 0100\n", "100000 1 0\n0 100000\n",
+                    "100000 1 0\n0 ٣\n"):
+            for parse in PARSERS:
+                assert verdict(parse, bad) is None
 
     def test_invalid_utf8(self):
-        for parse in (parse_graph, rule_by_rule_parse_graph):
+        for parse in PARSERS:
             with pytest.raises(ParseError, match="UTF-8"):
                 parse(b"2 1 0\n0 \xff\n")
 

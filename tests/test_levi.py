@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -75,6 +76,19 @@ class TestGeneration:
 
     def test_deterministic_bytes(self):
         assert write_graph(gen_levi(3)) == write_graph(gen_levi(3))
+
+    # SHA-256 of the canonical text of each plane, recorded before the
+    # graph layer built rows directly and read them with bin().
+    @pytest.mark.parametrize("q,digest", [
+        (2, "5f565560452f48c1daced1adf78d89e6f8b5b7e2b87b4614b6a6b4423105eb5b"),
+        (3, "c770f9c4e967b461da3f69432478bad26de1cbd9f021a8c09acaf387b936fc49"),
+        (5, "fec1d643b467e85ba3171222cae23aefb860ef40e513ccfc71a2520ad9bac01e"),
+        (7, "02a9084ca75c42e4474f75590a8cce14c5e50b75fe55859e0f83c3cbae377f41"),
+        (37, "eb48f8f3e745b69d7c42d016f78d306279cfada333b736bcbbfdf914ea5f2680"),
+    ])
+    def test_pinned_canonical_bytes(self, q, digest):
+        text = write_graph(gen_levi(q))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestPropertyReport:

@@ -125,6 +125,7 @@ def test_same_verdict_as_jsonschema(name, data):
     ({"delta": 0}, True),
     ({"seed": math.nan}, False),       # NaN is not an integer
     ({"seed": math.inf}, False),
+    ({"seed": -1}, False),
     ({"k": 4.0}, True),                # an integral float is an integer
     ({"k": True}, False),              # a bool is not an integer
     ({"delta": False}, False),         # nor a number
