@@ -201,15 +201,16 @@ def _samples_floor(universe_size: int, d: int, k: int,
 def build_family_mc(g: Graph, k: int, delta: float, seed: int,
                     budget: Optional[int] = DEFAULT_BUDGET
                     ) -> CoveringFamily:
-    """Build a covering family by seeded sampling; deterministic per seed.
+    """Build a covering family by seeded sampling, a pure function of
+    (g, k, delta, seed) and of whether the count below fits ``budget``.
 
     The union-bound universe is the exact count of independent sets of
-    size <= k when it is enumerable within the budget, else the n^k
-    fallback. A sample count t above the budget is refused before any
+    size <= k when it is enumerable within the budget, else n^k, which
+    can raise t. A sample count t above the budget is refused before any
     draw, and before the count and the exact powers of p_min when a float
     lower bound on t at n targets (every vertex is a target on its own,
-    so that t is a lower bound too) is already over it.
-    Duplicate samples keep their first occurrence.
+    so that t is a lower bound too) is already over it. Duplicate
+    samples keep their first occurrence.
     """
     if k < 1:
         raise GraphError("k must be at least 1")

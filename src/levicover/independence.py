@@ -5,14 +5,12 @@ rationals or as cross-multiplied integers, counts are integers, and the
 only floating point appears in the closed-form bound values that are
 irrational by nature (those are compared with an explicit relative
 margin by callers).
-
-numpy is imported only inside the expansion check, for its random
-draws, so the other checks and the bounds never load it.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -159,36 +157,34 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     A one-side set S has no edge inside it, so N(S) is the union of its
     rows, and S violates the bound iff |N(S)| < expansion_bound(q, |S|).
     The one- and two-vertex sets compare the int |N(S)| with the bound
-    rounded up, which is the same test. Each random set draws its side,
-    its size and its members, in that order, from numpy's PCG64 seeded
-    with ``seed``. The budget is charged s + C(s, 2) per side of size s
-    plus one step per sample, all before the first set is tested.
+    rounded up, which is the same test. Each random set draws its side
+    (randrange(2), 0 for P), size (randint(1, |side|)) and members
+    (sample(side, size)) from ``random.Random(seed)``, in that order. The
+    budget is charged s + C(s, 2) per side of size s plus one step per
+    sample, all before the first set is tested.
     """
     if samples < 0:
         raise GraphError("sample count must be non-negative")
     q = infer_q(g)
     one = math.ceil(expansion_bound(q, 1))
     two = math.ceil(expansion_bound(q, 2))
-    sides = (members(g.side_p), members(g.side_l))
+    sides = [[g.adj[v] for v in members(s)] for s in (g.side_p, g.side_l)]
     if not all(sides):
         raise GraphError("expansion check needs two nonempty sides")
-    fixed = sum(len(v) + math.comb(len(v), 2) for v in sides)
+    fixed = sum(len(rows) + math.comb(len(rows), 2) for rows in sides)
     Budget(budget).charge(fixed + samples)
-    adj = g.adj
     violations = 0
-    for verts in sides:
-        rows = [adj[v] for v in verts]
+    for rows in sides:
         violations += sum(r.bit_count() < one for r in rows)
         for i, x in enumerate(rows):
             violations += sum((x | y).bit_count() < two for y in rows[i + 1:])
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(samples):
-        verts = sides[rng.integers(2)]
-        size = int(rng.integers(1, len(verts) + 1))
+        rows = sides[rng.randrange(2)]
+        size = rng.randint(1, len(rows))
         union = 0
-        for i in rng.choice(len(verts), size=size, replace=False).tolist():
-            union |= adj[verts[i]]
+        for r in rng.sample(rows, size):
+            union |= r
         violations += union.bit_count() < expansion_bound(q, size)
     return (0, violations, violations == 0,
             float(fixed + samples - violations))
@@ -532,9 +528,10 @@ def select_checks(names: str, **given) -> tuple[list[str], dict]:
     """The check names of the comma list ``names``, and the options of
     CHECK_OPTIONS that the checks are called with: each as given, or its
     default where it is None or not given. GraphError on an unknown name,
-    on an option given for checks of which none is named, or when
+    on an option given for checks of which none is named, when
     ``balanced`` or ``coverbound`` is named and k is not an even integer
-    >= 2, so a bad option fails before any graph is built."""
+    >= 2, or when ``expansion`` is named and samples is negative, so a
+    bad option fails before any graph is built."""
     names = names.split(",")
     for name in names:
         if name not in CHECKS:
@@ -548,4 +545,6 @@ def select_checks(names: str, **given) -> tuple[list[str], dict]:
         options[option] = default if value is None else value
     if set(CHECK_OPTIONS["k"][0]) & set(names):
         _half(options["k"])
+    if "expansion" in names and options["samples"] < 0:
+        raise GraphError("sample count must be non-negative")
     return names, options

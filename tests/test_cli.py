@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +12,7 @@ import pytest
 
 from levicover import (Graph, count_independent_sets, covering,
                        enumerate_maximal_independent_sets, gen_levi,
-                       graph_hash, parse_graph, write_graph)
+                       graph_hash, independence, parse_graph, write_graph)
 from levicover.cli import main
 from levicover.schemas import (BOUNDS_REPORT_SCHEMA, FAMILY_SCHEMA,
                                RUN_REPORT_SCHEMA)
@@ -101,13 +102,15 @@ def test_plane_edges_charged_before_generation(name, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-# Commands that run without loading numpy or jsonschema: the plane
-# commands at q=3, the structural checks, the checks on the profile
-# frontier, coverage verification of a family file and the greedy cover.
+# Only ``cover build`` loads numpy. Every other command runs without
+# numpy or jsonschema: the plane commands at q=3, every check of verify,
+# the sampled expansion check included, coverage verification of a
+# family file and the greedy cover.
 NUMPY_FREE = {
     "gen": ["gen", "--q", "3"],
     "verify": ["verify", "--q", "3", "--checks",
-               "levi-props,c4free,degeneracy,product,balanced,coverbound",
+               "levi-props,c4free,degeneracy,expansion,product,balanced,"
+               "coverbound", "--samples", "50", "--seed", "7",
                "--no-timestamp"],
     "bounds": ["bounds", "--q", "3", "--k", "2", "--exact"],
     "cover-verify": ["cover", "verify", "--in", "plane3.g", "--k", "2",
@@ -338,11 +341,10 @@ class TestVerify:
 
     def test_expansion_samples_charged_before_drawing(self, capsys,
                                                       monkeypatch):
-        import numpy
-
         def refuse(*args):
             raise AssertionError("drew samples despite the budget")
-        monkeypatch.setattr(numpy.random, "default_rng", refuse)
+        monkeypatch.setattr(independence, "random",
+                            types.SimpleNamespace(Random=refuse))
         started = time.monotonic()
         code, out, err = run(capsys, "verify", "--q", "2", "--checks",
                              "expansion", "--samples", "200000", "--budget",
@@ -379,6 +381,15 @@ class TestVerify:
                              "expansion", "--samples", "-5",
                              "--no-timestamp")
         assert code == 2 and "non-negative" in err and out == ""
+
+    def test_negative_samples_exits_2_before_the_plane_is_built(self,
+                                                                 capsys):
+        # the order-109 plane alone is over a budget of 1
+        code, out, err = run(capsys, "verify", "--q", "109", "--checks",
+                             "degeneracy,expansion", "--samples", "-1",
+                             "--budget", "1")
+        assert code == 2 and out == ""
+        assert "sample count must be non-negative" in err
 
     def test_expansion_on_empty_side_exits_2(self, tmp_path, capsys):
         path = tmp_path / "points.g"

@@ -14,6 +14,14 @@ two greedy ones byte for byte, were recorded before the forward
 neighbourhoods came from the degeneracy order. Every byte must still
 match: the reports are a stable contract, and a refactor that changes
 one is not a refactor.
+
+One entry was re-recorded on purpose. The expansion check's random sets
+moved from numpy's PCG64 to ``random.Random(seed)``, a deliberate change
+of its sampling stream, so the verify of the Fano plane without its
+first edge, the one report whose bytes depend on those draws, now reads
+99 violations and margin 957.0 in its expansion row (75 and 981.0
+before). It was re-recorded after the other 17 entries, the 5 sampled
+expansion rows on planes among them, were checked to match unchanged.
 """
 
 import json
