@@ -9,19 +9,18 @@ Any fixed independent set X with |X| <= k then survives a sample with
 probability at least p^k (1-p)^(kd), and a union bound over the target
 sets gives the number of samples needed for failure probability delta.
 
-Randomness: samples are drawn in blocks of BLOCK rows. Block b draws
-from numpy's PCG64 seeded with the sequence (master_seed, b), so families
-are reproducible for a given seed. Row r of block b is the r-th call of
-``sample_independent_set`` on that generator, which keeps the scalar
-sampler as an exact oracle for the vectorised one.
+Randomness: a build draws from one ``random.Random(seed)``, BLOCK
+samples at a time. A block of rows samples on n vertices has rows n
+lanes, lane v rows + r being vertex v of sample r. Bit-planes of random
+lane digits are drawn until no lane's numeral ties with p, or PLANES of
+them, and a lane is marked iff its numeral of m digits, the first plane
+the top one, is below floor(2^m p). ``sample_independent_set`` is the
+scalar reference for a block of one row.
 
 Coverage and greedy cover run on a column index: bit j of column v is set
 iff set j contains v, so the sets containing a target are the AND of its
 members' columns. The index is built from the sets' binary digits with
-ints and strings alone.
-
-numpy is imported only inside the functions that draw samples, so loading
-this module, verifying a family and the greedy cover do not load it.
+ints and strings alone; it also turns a block's planes into samples.
 """
 
 from __future__ import annotations
@@ -29,10 +28,11 @@ from __future__ import annotations
 import json
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import (Budget, BudgetExceededError, DegeneracyResult, Graph,
                      GraphError, VertexSet, degeneracy_order, graph_hash,
@@ -41,11 +41,9 @@ from .independence import (count_independent_sets,
                            enumerate_independent_sets,
                            enumerate_maximal_independent_sets)
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_BUDGET = 10 ** 7
-BLOCK = 4096  # samples per (seed, block) substream
+BLOCK = 4096  # samples marked per run of bit-planes
+PLANES = 64  # a lane still tied with p after this many planes is unmarked
 
 
 @dataclass(frozen=True)
@@ -78,48 +76,43 @@ def containment_probability_floor(d: int, k: int) -> Fraction:
 
 
 def sample_independent_set(g: Graph, order: DegeneracyResult, p,
-                           rng: np.random.Generator) -> VertexSet:
-    """Draw one independent set: mark with probability p, prune forward.
-
-    Marks are drawn in vertex-index order so the output is a function of
-    the stream alone, not of the elimination order's layout.
+                           rng: random.Random) -> VertexSet:
+    """Draw one independent set, a block of one row: mark with
+    probability p, keep a marked vertex iff no forward neighbor is marked.
     """
+    marked = _marks(rng, g.n, p)
+    return sum(1 << v for v in iter_members(marked)
+               if not order.forward[v] & marked)
+
+
+def substream(seed: int) -> random.Random:
+    return random.Random(seed)
+
+
+def _marks(rng: random.Random, lanes: int, p) -> int:
+    """Bit l set iff lane l is marked with probability p in (0, 1].
+
+    Each plane is one more digit of every lane's numeral. ``below`` holds
+    the lanes whose numeral is below floor(2^m p), whose digits come by
+    long division, and ``tied`` those equal to it while rem > 0."""
+    p = Fraction(p)
     if not (0 < p <= 1):
         raise GraphError("marking probability must be in (0, 1]")
-    draws = rng.random(g.n)
-    marked = 0
-    pf = float(p)
-    for v in range(g.n):
-        if draws[v] < pf:
-            marked |= 1 << v
-    out = 0
-    for v in iter_members(marked):
-        if not order.forward[v] & marked:
-            out |= 1 << v
-    return out
-
-
-def substream(seed: int, index: int) -> np.random.Generator:
-    import numpy as np
-    return np.random.default_rng((seed, index))
-
-
-def _pack_rows(bits: np.ndarray) -> list[int]:
-    """Rows of a boolean matrix as int bitmasks: bit j of row r is
-    ``bits[r, j]``."""
-    import numpy as np
-    rows, cols = bits.shape
-    words = -(-cols // 64)
-    if not words:
-        return [0] * rows
-    padded = np.zeros((rows, 64 * words), dtype=bool)
-    padded[:, :cols] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-    out = packed[:, 0].tolist()
-    for i in range(1, words):
-        out = [a | (w << (64 * i))
-               for a, w in zip(out, packed[:, i].tolist())]
-    return out
+    full = (1 << lanes) - 1
+    rem = p.numerator % p.denominator
+    below, tied = (0, full) if rem else (full, 0)
+    for _ in range(PLANES):
+        if not (tied and rem):
+            break
+        plane = rng.getrandbits(lanes)
+        rem *= 2
+        if rem >= p.denominator:
+            rem -= p.denominator
+            below |= tied & ~plane
+            tied &= plane
+        else:
+            tied &= ~plane
+    return below
 
 
 def _columns(sets: Sequence[VertexSet], n: int,
@@ -139,20 +132,21 @@ def _columns(sets: Sequence[VertexSet], n: int,
     return [int(digits[n - 1 - v::n] or "0", 2) for v in range(n)]
 
 
-def _sample_block(rng: np.random.Generator, rows: int, p,
-                  forward: list[np.ndarray]) -> list[VertexSet]:
-    """``rows`` samples from one generator, as bitmasks.
-
-    A (rows, n) draw fills in the order of ``rows`` calls of
-    ``rng.random(n)``, so row r equals the r-th ``sample_independent_set``
-    call on the same generator.
-    """
-    marked = rng.random((rows, len(forward))) < float(p)
-    keep = marked.copy()
-    for v, fwd in enumerate(forward):
-        if fwd.size:
-            keep[:, v] &= ~marked[:, fwd].any(axis=1)
-    return _pack_rows(keep)
+def _sample_block(rng: random.Random, rows: int, p,
+                  forward: Sequence[VertexSet]) -> list[VertexSet]:
+    """``rows`` samples as bitmasks: the lanes marked, cut into one
+    rows-bit plane per vertex (from their binary digits, as shifts would
+    copy the lanes once per vertex), each pruned by its forward
+    neighbors' planes, then transposed by the column index."""
+    lanes = rows * len(forward)
+    digits = bin(_marks(rng, lanes, p) | 1 << lanes)[3:]
+    planes = [int(digits[i - rows:i], 2) for i in range(lanes, 0, -rows)]
+    keep = []
+    for plane, fwd in zip(planes, forward):
+        for w in iter_members(fwd):
+            plane &= ~planes[w]
+        keep.append(plane)
+    return _columns(keep, rows)
 
 
 def required_samples(universe_size: int, p_min: Fraction,
@@ -209,11 +203,16 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     can raise t. A sample count t above the budget is refused before any
     draw, and before the count and the exact powers of p_min when a float
     lower bound on t at n targets (every vertex is a target on its own,
-    so that t is a lower bound too) is already over it. Duplicate
-    samples keep their first occurrence.
+    so that t is a lower bound too) is already over it. The t samples
+    come from one ``random.Random(seed)``, BLOCK rows at a time (see the
+    module docstring), and duplicates keep their first occurrence. A
+    negative seed, which Random would read as its absolute value, is
+    refused.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
+    if seed < 0:
+        raise GraphError("seed must be non-negative")
     order = degeneracy_order(g, budget)
     d = order.degeneracy
     Budget(budget).charge(_samples_floor(max(g.n, 1), d, k, delta),
@@ -226,12 +225,10 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
         universe = g.n ** k
     t = required_samples(universe, p_min, delta)
     Budget(budget).charge(t, "sampling needs t={} samples")
-    import numpy as np
-    forward = [np.array(members(f), dtype=np.intp) for f in order.forward]
+    rng = substream(seed)
     seen: dict[VertexSet, None] = {}
-    for b, start in enumerate(range(0, t, BLOCK)):
-        rows = _sample_block(substream(seed, b), min(BLOCK, t - start), p,
-                             forward)
+    for start in range(0, t, BLOCK):
+        rows = _sample_block(rng, min(BLOCK, t - start), p, order.forward)
         seen.update(zip(rows, repeat(None)))
     seen.pop(0, None)
     return CoveringFamily(sets=tuple(seen), k=k, delta=delta, seed=seed,

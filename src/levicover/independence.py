@@ -530,8 +530,8 @@ def select_checks(names: str, **given) -> tuple[list[str], dict]:
     default where it is None or not given. GraphError on an unknown name,
     on an option given for checks of which none is named, when
     ``balanced`` or ``coverbound`` is named and k is not an even integer
-    >= 2, or when ``expansion`` is named and samples is negative, so a
-    bad option fails before any graph is built."""
+    >= 2, or when ``expansion`` is named and samples or seed is negative,
+    so a bad option fails before any graph is built."""
     names = names.split(",")
     for name in names:
         if name not in CHECKS:
@@ -547,4 +547,6 @@ def select_checks(names: str, **given) -> tuple[list[str], dict]:
         _half(options["k"])
     if "expansion" in names and options["samples"] < 0:
         raise GraphError("sample count must be non-negative")
+    if "expansion" in names and options["seed"] < 0:
+        raise GraphError("seed must be non-negative")
     return names, options

@@ -20,10 +20,10 @@ from levicover import (Graph, build_family_mc, check_cover_capacity,
                        enumerate_maximal_independent_sets, evaluate_bounds,
                        gen_levi, greedy_cover, is_c4_free, members,
                        parse_graph, required_samples,
-                       sample_independent_set, sqrt_degeneracy_bound,
-                       substream, verify_family, verify_levi_properties,
-                       vset, write_graph)
+                       sqrt_degeneracy_bound, substream, verify_family,
+                       verify_levi_properties, vset, write_graph)
 from levicover.cli import main
+from levicover.covering import BLOCK, _sample_block
 from levicover.graphs import BudgetExceededError
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -183,10 +183,13 @@ def test_08_sampler_marginals():
     pairs = [s for s in enumerate_independent_sets(fano, 2)
              if s.bit_count() == 2]
     c.check(len(pairs) == 70)
-    n_samples = 10 ** 5
+    # the samples of a build: blocks of BLOCK rows from one generator
+    rng = substream(0)
+    samples = [s for _ in range(25)
+               for s in _sample_block(rng, BLOCK, p, order.forward)]
+    n_samples = len(samples)
     counts = dict.fromkeys(pairs, 0)
-    for i in range(n_samples):
-        s = sample_independent_set(fano, order, p, substream(0, i))
+    for s in samples:
         c.ok = c.ok and fano.is_independent(s)
         for x in pairs:
             if x & ~s == 0:

@@ -102,10 +102,9 @@ def test_plane_edges_charged_before_generation(name, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-# Only ``cover build`` loads numpy. Every other command runs without
-# numpy or jsonschema: the plane commands at q=3, every check of verify,
-# the sampled expansion check included, coverage verification of a
-# family file and the greedy cover.
+# No command loads numpy or jsonschema: the plane commands at q=3, every
+# check of verify, the sampled expansion check included, a seeded build,
+# coverage verification of a family file and the greedy cover.
 NUMPY_FREE = {
     "gen": ["gen", "--q", "3"],
     "verify": ["verify", "--q", "3", "--checks",
@@ -113,6 +112,8 @@ NUMPY_FREE = {
                "coverbound", "--samples", "50", "--seed", "7",
                "--no-timestamp"],
     "bounds": ["bounds", "--q", "3", "--k", "2", "--exact"],
+    "cover-build": ["cover", "build", "--in", "plane3.g", "--k", "2",
+                    "--delta", "0.1", "--seed", "3", "--out", "built.json"],
     "cover-verify": ["cover", "verify", "--in", "plane3.g", "--k", "2",
                      "--family", "greedy.json", "--no-timestamp"],
     "cover-greedy": ["cover", "greedy", "--in", "plane3.g", "--k", "2",
@@ -586,6 +587,20 @@ class TestCover:
         code, out, err = run(capsys, "cover", "verify", "--in", fano_file,
                              "--k", "0", "--family", fam, "--no-timestamp")
         assert code == 2 and "at least 1" in err and out == ""
+
+    @pytest.mark.parametrize("header,sets,t", [("0 0 0", [], 1),
+                                              ("3 0 0", [[0, 1, 2]], 2)],
+                             ids=["empty", "edgeless"])
+    def test_build_without_edges(self, tmp_path, capsys, header, sets, t):
+        # d = 0: every vertex is marked and nothing is drawn
+        path = tmp_path / "g.g"
+        path.write_text(header + "\n")
+        code, out, err = run(capsys, "cover", "build", "--in", str(path),
+                             "--k", "1", "--delta", "0.5", "--seed", "0")
+        doc = json.loads(out)
+        assert code == 0 and (doc["sets"], doc["t"], doc["p"]) == (
+            sets, t, "1/1")
+        assert f"{len(sets)} distinct sets from t={t} samples" in err
 
     def test_sizing_lower_bound_over_budget_exits_3(self, fano_file,
                                                     capsys):

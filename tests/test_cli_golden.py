@@ -15,13 +15,19 @@ neighbourhoods came from the degeneracy order. Every byte must still
 match: the reports are a stable contract, and a refactor that changes
 one is not a refactor.
 
-One entry was re-recorded on purpose. The expansion check's random sets
-moved from numpy's PCG64 to ``random.Random(seed)``, a deliberate change
-of its sampling stream, so the verify of the Fano plane without its
-first edge, the one report whose bytes depend on those draws, now reads
-99 violations and margin 957.0 in its expansion row (75 and 981.0
+Three entries were re-recorded on purpose. The expansion check's random
+sets moved from numpy's PCG64 to ``random.Random(seed)``, a deliberate
+change of its sampling stream, so the verify of the Fano plane without
+its first edge, the one report whose bytes depend on those draws, now
+reads 99 violations and margin 957.0 in its expansion row (75 and 981.0
 before). It was re-recorded after the other 17 entries, the 5 sampled
 expansion rows on planes among them, were checked to match unchanged.
+Then the family sampler moved from numpy's PCG64 to bit-planes drawn
+from one ``random.Random(seed)``, so the two ``cover build`` entries
+changed in their sets and in the set count on stderr alone (388 to 396
+sets of the Fano plane without its first edge, 241 to 245 of the Fano
+plane); t, d, p and the graph hash did not move. They were re-recorded
+after the other 16 entries were checked to match unchanged.
 """
 
 import json

@@ -1,9 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,38 +23,80 @@ from conftest import complete_graph, cycle_graph, small_graphs
 P_MIN_FANO = Fraction(729, 65536)  # (1/4)^2 (3/4)^6 for d=3, k=2
 
 
+def lane_marks(rng, lanes, d):
+    """Oracle: the marks of ``lanes`` lanes at p = 1/(d+1), one lane at a
+    time. Planes getrandbits(lanes) are drawn while some lane's numeral
+    equals floor(2^m/(d+1)) and 2^m/(d+1) is not an integer, at most 64
+    of them; a lane is marked iff its numeral is below floor(2^m/(d+1))."""
+    numerals, m = [0] * lanes, 0
+    while m < 64 and (1 << m) % (d + 1) and (1 << m) // (d + 1) in numerals:
+        digits = format(rng.getrandbits(lanes), f"0{lanes}b")[::-1]
+        numerals = [2 * x + int(b) for x, b in zip(numerals, digits)]
+        m += 1
+    return [x < (1 << m) // (d + 1) for x in numerals]
+
+
+def lane_block(rng, rows, g, order):
+    """Oracle: ``rows`` samples of g, vertex v of sample r on lane
+    v rows + r, each vertex kept iff it is marked and no forward neighbor
+    is."""
+    marked = lane_marks(rng, rows * g.n, order.degeneracy)
+    return [sum(1 << v for v in range(g.n) if marked[v * rows + r]
+                and not any(marked[w * rows + r]
+                            for w in members(order.forward[v])))
+            for r in range(rows)]
+
+
+class CountingRandom:
+    """Planes that hold every lane at the digits ``digit(i)``, counted."""
+
+    def __init__(self, digit):
+        self.digit, self.planes = digit, 0
+
+    def getrandbits(self, lanes):
+        self.planes += 1
+        return (1 << lanes) - 1 if self.digit(self.planes) else 0
+
+
 class TestSampler:
     def test_edgeless_returns_marked_set(self):
         g = Graph.from_edges(6, [])
         order = degeneracy_order(g)
-        for i in range(20):
-            s = sample_independent_set(g, order, 0.5, substream(1, i))
+        rng = substream(1)
+        for _ in range(20):
+            s = sample_independent_set(g, order, 0.5, rng)
             # no forward neighbors, so nothing is pruned
             assert g.is_independent(s)
-        full = sample_independent_set(g, order, 1.0, substream(1, 0))
+        full = sample_independent_set(g, order, 1.0, rng)
         assert full == g.all_vertices
 
     def test_complete_graph_at_most_one(self):
         g = complete_graph(5)
         order = degeneracy_order(g)
-        for i in range(50):
-            s = sample_independent_set(g, order, 0.5, substream(2, i))
-            assert s.bit_count() <= 1
+        rng = substream(2)
+        for _ in range(50):
+            assert sample_independent_set(g, order, 0.5, rng).bit_count() <= 1
 
     def test_always_independent(self, fano):
         order = degeneracy_order(fano)
-        for i in range(500):
-            s = sample_independent_set(fano, order, Fraction(1, 4),
-                                       substream(3, i))
+        rng = substream(3)
+        for _ in range(500):
+            s = sample_independent_set(fano, order, Fraction(1, 4), rng)
             assert fano.is_independent(s)
 
     def test_substream_reproducible(self, fano):
         order = degeneracy_order(fano)
-        a = [sample_independent_set(fano, order, 0.25, substream(9, i))
-             for i in range(30)]
-        b = [sample_independent_set(fano, order, 0.25, substream(9, i))
-             for i in range(30)]
-        assert a == b
+        a, b = substream(9), substream(9)
+        assert ([sample_independent_set(fano, order, 0.25, a)
+                 for _ in range(30)]
+                == [sample_independent_set(fano, order, 0.25, b)
+                    for _ in range(30)])
+
+    @pytest.mark.parametrize("p", [0, -0.5, 1.5])
+    def test_probability_outside_unit_interval(self, fano, p):
+        with pytest.raises(GraphError, match="marking probability"):
+            sample_independent_set(fano, degeneracy_order(fano), p,
+                                   substream(0))
 
     def test_containment_floor_value(self):
         assert containment_probability_floor(3, 2) == P_MIN_FANO
@@ -65,10 +107,11 @@ class TestSampler:
         order = degeneracy_order(fano)
         x = vset([0, 1])
         assert fano.is_independent(x)
+        rng = substream(5)
         hits = sum(
-            1 for i in range(10 ** 4)
+            1 for _ in range(10 ** 4)
             if x & ~sample_independent_set(fano, order, Fraction(1, 4),
-                                           substream(5, i)) == 0)
+                                           rng) == 0)
         floor = float(P_MIN_FANO)
         assert hits / 10 ** 4 >= floor - 3 * math.sqrt(floor / 10 ** 4)
 
@@ -122,40 +165,80 @@ def eager_greedy(g, k):
     return chosen
 
 
-class TestBlockSampler:
-    """The vectorised sampler against sequential scalar samples."""
+def path_graph(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
-    # q=7 has n=114 vertices, so each row packs two 64-bit words
+
+class TestBlockSampler:
+    """The bit-sliced sampler against the lane oracle."""
+
+    # q=7 has n=114 vertices, wider than one 64-bit word; the path has
+    # d=1, p=1/2, so one plane decides every lane; the edgeless graphs
+    # have d=0 and n=0, which draw nothing
+    @pytest.mark.parametrize("g", [gen_levi(q) for q in (2, 3, 7)]
+                             + [path_graph(9), Graph.from_edges(5, []),
+                                Graph.from_edges(0, [])],
+                             ids=["q2", "q3", "q7", "path9", "edgeless5",
+                                  "empty"])
+    @pytest.mark.parametrize("rows", [1, 3, 17, 300])
+    def test_block_rows_equal_lane_oracle(self, g, rows):
+        order = degeneracy_order(g)
+        p = Fraction(1, order.degeneracy + 1)
+        a, b = substream(11), substream(11)
+        for _ in range(3):
+            assert (covering._sample_block(a, rows, p, order.forward)
+                    == lane_block(b, rows, g, order))
+        assert a.getstate() == b.getstate()
+
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_block_rows_equal_sequential_calls(self, q):
+        # a block of one row is one sample_independent_set call
         g = gen_levi(q)
         order = degeneracy_order(g)
         p = Fraction(1, order.degeneracy + 1)
-        forward = [np.array(members(f), dtype=np.intp)
-                   for f in order.forward]
-        for b in range(3):
-            rows = covering._sample_block(substream(11, b), 300, p, forward)
-            rng = substream(11, b)
-            assert rows == [sample_independent_set(g, order, p, rng)
-                            for _ in range(300)]
+        a, b = substream(12), substream(12)
+        assert ([covering._sample_block(a, 1, p, order.forward)[0]
+                 for _ in range(200)]
+                == [sample_independent_set(g, order, p, b)
+                    for _ in range(200)])
 
-    @pytest.mark.parametrize("rows", [0, 3])
-    def test_pack_rows_of_no_columns(self, rows):
-        assert covering._pack_rows(np.zeros((rows, 0), dtype=bool)) == (
-            [0] * rows)
+    @pytest.mark.parametrize("p,planes", [
+        (Fraction(1), 0), (Fraction(1, 2), 1), (Fraction(1, 4), 2),
+        (Fraction(3, 8), 3)])
+    def test_dyadic_p_draws_its_digits_only(self, p, planes):
+        # every lane takes p's own digits, so every lane ties until the
+        # digits of p run out; it then sits at 2^m p and is unmarked
+        rng = CountingRandom(lambda i: int(p * 2 ** i) % 2)
+        assert covering._marks(rng, 10, p) == (1023 if p == 1 else 0)
+        assert rng.planes == planes
+
+    def test_lane_tied_after_64_planes_is_unmarked(self):
+        # 1/3 is 0.010101... in binary; lanes that draw those digits stay
+        # tied, and the 64th plane is the last
+        rng = CountingRandom(lambda i: i % 2 == 0)
+        assert covering._marks(rng, 7, Fraction(1, 3)) == 0
+        assert rng.planes == covering.PLANES == 64
+        # one digit below p's at plane 64 marks the lane
+        rng = CountingRandom(lambda i: i % 2 == 0 and i < 64)
+        assert covering._marks(rng, 7, Fraction(1, 3)) == 127
+
+    def test_no_lanes_draw_nothing(self):
+        rng = CountingRandom(bool)
+        assert covering._marks(rng, 0, Fraction(1, 5)) == 0
+        assert rng.planes == 0
 
     def test_family_is_deduplicated_block_stream(self, monkeypatch):
-        # t = 1020 in blocks of 300, 300, 300 and a partial 120
+        # t = 1020 in blocks of 300, 300, 300 and a partial 120, all drawn
+        # from one generator
         monkeypatch.setattr(covering, "BLOCK", 300)
         g = gen_levi(2)
         order = degeneracy_order(g)
         fam = build_family_mc(g, 2, 1e-3, seed=4)
         assert fam.t == 1020
+        rng = substream(4)
         samples = []
-        for b, rows in enumerate((300, 300, 300, 120)):
-            rng = substream(4, b)
-            samples += [sample_independent_set(g, order, fam.p, rng)
-                        for _ in range(rows)]
+        for rows in (300, 300, 300, 120):
+            samples += lane_block(rng, rows, g, order)
         want = tuple(s for s in dict.fromkeys(samples) if s)
         assert fam.sets == want
 
@@ -164,10 +247,32 @@ class TestBlockSampler:
         order = degeneracy_order(g)
         fam = build_family_mc(g, 2, 1e-3, seed=6)
         assert fam.t < covering.BLOCK
-        rng = substream(6, 0)
-        samples = [sample_independent_set(g, order, fam.p, rng)
-                   for _ in range(fam.t)]
+        samples = lane_block(substream(6), fam.t, g, order)
         assert fam.sets == tuple(s for s in dict.fromkeys(samples) if s)
+
+    def test_pinned_family_digest(self):
+        # recorded when the sampler moved to random.Random bit-planes: a
+        # change of the stream contract changes these bytes
+        fam = build_family_mc(gen_levi(3), 2, 1e-3, seed=7)
+        assert (fam.t, len(fam.sets)) == (1879, 1503)
+        assert hashlib.sha256(dump_family(fam).encode()).hexdigest() == (
+            "49d3a651aea4b048f2aac22f0f6b9524748f756a73ea2b5c7be778f57ea8260b")
+
+    def test_empty_graph_gives_no_sets(self):
+        fam = build_family_mc(Graph.from_edges(0, []), 1, 0.5, seed=0)
+        assert (fam.t, fam.degeneracy, fam.sets) == (1, 0, ())
+
+    def test_edgeless_graph_gives_every_vertex(self):
+        fam = build_family_mc(Graph.from_edges(3, []), 1, 0.5, seed=0)
+        assert fam.degeneracy == 0 and fam.sets == (0b111,)
+
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_refused(self, fano, seed, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("sampled despite the negative seed")
+        monkeypatch.setattr(covering, "substream", no_draws)
+        with pytest.raises(GraphError, match="seed must be non-negative"):
+            build_family_mc(fano, 2, 0.1, seed)
 
 
 class TestFastPathsAgainstOracles:

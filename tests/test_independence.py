@@ -236,6 +236,12 @@ class TestExpansion:
             independence._verify_expansion(fano, samples=-5, seed=0,
                                            budget=None)
 
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_rejected_before_any_graph(self, seed):
+        # random.Random(-7) draws what Random(7) draws
+        with pytest.raises(GraphError, match="seed must be non-negative"):
+            independence.select_checks("expansion", seed=seed)
+
 
 def profile(g, s):
     """(a, b): the points and the lines of s."""

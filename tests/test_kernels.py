@@ -34,7 +34,7 @@ from levicover import (DegeneracyResult, Graph, GraphError, LeviIndexing,
                        gen_levi, infer_q, is_c4_free, iter_members, members,
                        parse_graph, plane_size, verify_levi_properties, vset,
                        write_graph)
-from levicover.covering import _columns, _pack_rows
+from levicover.covering import _columns
 from levicover.independence import _verify_expansion
 from test_graphs import random_graphs
 
@@ -245,7 +245,8 @@ def numpy_columns(sets, n: int) -> list[int]:
     raw = np.frombuffer(b"".join(s.to_bytes(nbytes, "little") for s in sets),
                         dtype=np.uint8).reshape(len(sets), nbytes)
     bits = np.unpackbits(raw, axis=1, count=n, bitorder="little")
-    return _pack_rows(bits.astype(bool).T)
+    cols = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in cols]
 
 
 def without_edge(g: Graph, index: int) -> Graph:
@@ -546,7 +547,7 @@ class TestParser:
                 parse(b"2 1 0\n0 \xff\n")
 
 
-# Widths around the 64-bit word and byte boundaries of the numpy packing.
+# Widths around the byte boundaries of the numpy packing and a 64-bit word.
 WIDTHS = [0, 1, 7, 63, 64, 65, 114, 200]
 
 
