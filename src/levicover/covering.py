@@ -17,10 +17,14 @@ them, and a lane is marked iff its numeral of m digits, the first plane
 the top one, is below floor(2^m p). ``sample_independent_set`` is the
 scalar reference for a block of one row.
 
+A block turns its pruned planes into rows of ceil(n/8) little-endian
+bytes, so that a build deduplicates on bytes and builds an int only for
+each distinct row.
+
 Coverage and greedy cover run on a column index: bit j of column v is set
 iff set j contains v, so the sets containing a target are the AND of its
 members' columns. The index is built from the sets' binary digits with
-ints and strings alone; it also turns a block's planes into samples.
+ints and strings alone.
 """
 
 from __future__ import annotations
@@ -117,7 +121,8 @@ def _marks(rng: random.Random, lanes: int, p) -> int:
 
 def _columns(sets: Sequence[VertexSet], n: int,
              budget: Optional[int] = None) -> list[int]:
-    """Column index: bit j of entry v is set iff sets[j] contains v.
+    """Column index of ``cover verify`` and ``cover greedy``: bit j of
+    entry v is set iff sets[j] contains v.
 
     Each set, all below 2^n, is written as n binary digits, last set
     first, so the digits of vertex v, every n-th from position n-1-v, read
@@ -133,20 +138,39 @@ def _columns(sets: Sequence[VertexSet], n: int,
 
 
 def _sample_block(rng: random.Random, rows: int, p,
-                  forward: Sequence[VertexSet]) -> list[VertexSet]:
-    """``rows`` samples as bitmasks: the lanes marked, cut into one
-    rows-bit plane per vertex (from their binary digits, as shifts would
-    copy the lanes once per vertex), each pruned by its forward
-    neighbors' planes, then transposed by the column index."""
+                  forward: Sequence[VertexSet]) -> tuple[bytes, ...]:
+    """``rows`` samples, each as ceil(n/8) bytes in which bit i of byte j
+    is vertex 8j + i, so that int.from_bytes(row, "little") is its
+    bitmask.
+
+    The lanes marked are cut into one rows-bit plane per vertex (from
+    their binary digits, as shifts would copy the lanes once per vertex)
+    and each plane is pruned by its forward neighbors' planes. A pruned
+    plane's digits, last row first, read as ASCII bytes and masked to
+    their low bit, put row r's bit in byte r; the planes of vertices
+    8j ... 8j+7, so spread and shifted by 0 ... 7, make byte j of every
+    row at once, written to every width-th byte of the rows.
+    """
+    import struct  # here, so that only cover build loads _struct
     lanes = rows * len(forward)
     digits = bin(_marks(rng, lanes, p) | 1 << lanes)[3:]
     planes = [int(digits[i - rows:i], 2) for i in range(lanes, 0, -rows)]
-    keep = []
-    for plane, fwd in zip(planes, forward):
-        for w in iter_members(fwd):
-            plane &= ~planes[w]
-        keep.append(plane)
-    return _columns(keep, rows)
+    del digits  # n * rows bytes, not held while the rows are built
+    n = len(forward)
+    width = (n + 7) // 8
+    top, ones = 1 << rows, int.from_bytes(b"\x01" * rows, "little")
+    packed = bytearray(rows * width)
+    for j in range(width):
+        byte = 0
+        for v in range(8 * j, min(8 * j + 8, n)):
+            plane = planes[v]
+            for w in iter_members(forward[v]):
+                plane &= ~planes[w]
+            spread = int.from_bytes(bin(plane | top)[:2:-1].encode(),
+                                    "little")
+            byte |= (spread & ones) << v % 8
+        packed[j::width] = byte.to_bytes(rows, "little")
+    return struct.unpack(f"{width}s" * rows, packed)
 
 
 def required_samples(universe_size: int, p_min: Fraction,
@@ -205,9 +229,10 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     lower bound on t at n targets (every vertex is a target on its own,
     so that t is a lower bound too) is already over it. The t samples
     come from one ``random.Random(seed)``, BLOCK rows at a time (see the
-    module docstring), and duplicates keep their first occurrence. A
-    negative seed, which Random would read as its absolute value, is
-    refused.
+    module docstring), and duplicates keep their first occurrence: rows
+    are deduplicated as their bytes, and only the distinct ones become
+    ints. A negative seed, which Random would read as its absolute value,
+    is refused.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
@@ -226,12 +251,13 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     t = required_samples(universe, p_min, delta)
     Budget(budget).charge(t, "sampling needs t={} samples")
     rng = substream(seed)
-    seen: dict[VertexSet, None] = {}
+    seen: dict[bytes, None] = {}
     for start in range(0, t, BLOCK):
         rows = _sample_block(rng, min(BLOCK, t - start), p, order.forward)
         seen.update(zip(rows, repeat(None)))
-    seen.pop(0, None)
-    return CoveringFamily(sets=tuple(seen), k=k, delta=delta, seed=seed,
+    seen.pop(bytes((g.n + 7) // 8), None)
+    sets = tuple(map(int.from_bytes, seen, repeat("little")))
+    return CoveringFamily(sets=sets, k=k, delta=delta, seed=seed,
                           t=t, degeneracy=d, graph_hash=graph_hash(g))
 
 

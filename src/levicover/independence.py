@@ -161,10 +161,13 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     (randrange(2), 0 for P), size (randint(1, |side|)) and members
     (sample(side, size)) from ``random.Random(seed)``, in that order. The
     budget is charged s + C(s, 2) per side of size s plus one step per
-    sample, all before the first set is tested.
+    sample, all before the first set is tested. A negative seed, which
+    Random would read as its absolute value, is refused.
     """
     if samples < 0:
         raise GraphError("sample count must be non-negative")
+    if seed < 0:
+        raise GraphError("seed must be non-negative")
     q = infer_q(g)
     one = math.ceil(expansion_bound(q, 1))
     two = math.ceil(expansion_bound(q, 2))

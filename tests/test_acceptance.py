@@ -185,7 +185,7 @@ def test_08_sampler_marginals():
     c.check(len(pairs) == 70)
     # the samples of a build: blocks of BLOCK rows from one generator
     rng = substream(0)
-    samples = [s for _ in range(25)
+    samples = [int.from_bytes(s, "little") for _ in range(25)
                for s in _sample_block(rng, BLOCK, p, order.forward)]
     n_samples = len(samples)
     counts = dict.fromkeys(pairs, 0)

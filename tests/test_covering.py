@@ -47,6 +47,24 @@ def lane_block(rng, rows, g, order):
             for r in range(rows)]
 
 
+def columns_block(rng, rows, p, forward):
+    """Oracle: ``rows`` samples as bitmasks, the planes cut and pruned as
+    the sampler does, then transposed by the column index."""
+    lanes = rows * len(forward)
+    digits = bin(covering._marks(rng, lanes, p) | 1 << lanes)[3:]
+    planes = [int(digits[i - rows:i], 2) for i in range(lanes, 0, -rows)]
+    keep = []
+    for plane, fwd in zip(planes, forward):
+        for w in members(fwd):
+            plane &= ~planes[w]
+        keep.append(plane)
+    return covering._columns(keep, rows)
+
+
+def decoded(rows):
+    return [int.from_bytes(row, "little") for row in rows]
+
+
 class CountingRandom:
     """Planes that hold every lane at the digits ``digit(i)``, counted."""
 
@@ -186,9 +204,43 @@ class TestBlockSampler:
         p = Fraction(1, order.degeneracy + 1)
         a, b = substream(11), substream(11)
         for _ in range(3):
-            assert (covering._sample_block(a, rows, p, order.forward)
+            assert (decoded(covering._sample_block(a, rows, p, order.forward))
                     == lane_block(b, rows, g, order))
         assert a.getstate() == b.getstate()
+
+    # edgeless graphs of 5, 8 and 16 vertices end in a partial and in a
+    # full byte
+    @pytest.mark.parametrize("g", [gen_levi(q) for q in (2, 3, 5, 7)]
+                             + [path_graph(9)]
+                             + [Graph.from_edges(n, [])
+                                for n in (5, 8, 16, 0)],
+                             ids=["q2", "q3", "q5", "q7", "path9", "edgeless5",
+                                  "edgeless8", "edgeless16", "empty"])
+    @pytest.mark.parametrize("rows", [1, 3, 17, 300])
+    def test_block_rows_equal_column_transpose(self, g, rows):
+        order = degeneracy_order(g)
+        p = Fraction(1, order.degeneracy + 1)
+        a, b = substream(13), substream(13)
+        for _ in range(3):
+            got = covering._sample_block(a, rows, p, order.forward)
+            assert all(len(row) == (g.n + 7) // 8 for row in got)
+            assert decoded(got) == columns_block(b, rows, p, order.forward)
+        assert a.getstate() == b.getstate()
+
+    def test_full_block_equals_column_transpose(self):
+        g = gen_levi(3)
+        order = degeneracy_order(g)
+        p = Fraction(1, order.degeneracy + 1)
+        a, b = substream(14), substream(14)
+        got = covering._sample_block(a, covering.BLOCK, p, order.forward)
+        assert decoded(got) == columns_block(b, covering.BLOCK, p,
+                                             order.forward)
+        assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_block_of_no_vertices_is_empty_rows(self, rows):
+        assert covering._sample_block(substream(0), rows, Fraction(1),
+                                      []) == (b"",) * rows
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_block_rows_equal_sequential_calls(self, q):
@@ -197,7 +249,9 @@ class TestBlockSampler:
         order = degeneracy_order(g)
         p = Fraction(1, order.degeneracy + 1)
         a, b = substream(12), substream(12)
-        assert ([covering._sample_block(a, 1, p, order.forward)[0]
+        assert ([int.from_bytes(
+                    covering._sample_block(a, 1, p, order.forward)[0],
+                    "little")
                  for _ in range(200)]
                 == [sample_independent_set(g, order, p, b)
                     for _ in range(200)])
@@ -257,6 +311,14 @@ class TestBlockSampler:
         assert (fam.t, len(fam.sets)) == (1879, 1503)
         assert hashlib.sha256(dump_family(fam).encode()).hexdigest() == (
             "49d3a651aea4b048f2aac22f0f6b9524748f756a73ea2b5c7be778f57ea8260b")
+
+    def test_pinned_workload_family_digest(self):
+        # the cover-q3k4 family: 85 full blocks and one partial block,
+        # recorded before rows were deduplicated as bytes
+        fam = build_family_mc(gen_levi(3), 4, 1e-3, seed=0)
+        assert (fam.t, len(fam.sets)) == (348638, 23133)
+        assert hashlib.sha256(dump_family(fam).encode()).hexdigest() == (
+            "6fed7a36f6a305be52efddbb1fc7a0415c176c8ccc2cc458bc242b6ac8cd009a")
 
     def test_empty_graph_gives_no_sets(self):
         fam = build_family_mc(Graph.from_edges(0, []), 1, 0.5, seed=0)

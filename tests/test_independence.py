@@ -237,6 +237,17 @@ class TestExpansion:
                                            budget=None)
 
     @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_rejected_by_the_check(self, fano, seed,
+                                                 monkeypatch):
+        # called without select_checks, as CHECKS["expansion"]
+        def no_draws(*args):
+            raise AssertionError("sampled despite the negative seed")
+        monkeypatch.setattr(independence.random, "Random", no_draws)
+        with pytest.raises(GraphError, match="seed must be non-negative"):
+            independence.CHECKS["expansion"](fano, samples=200, seed=seed,
+                                             budget=None)
+
+    @pytest.mark.parametrize("seed", [-1, -7])
     def test_negative_seed_rejected_before_any_graph(self, seed):
         # random.Random(-7) draws what Random(7) draws
         with pytest.raises(GraphError, match="seed must be non-negative"):
