@@ -4,22 +4,21 @@ JSON goes to stdout, human-readable summaries to stderr, so output can be
 piped into tooling without scraping prose. Exit codes are a stable
 contract: 0 pass, 1 check failed, 2 usage or precondition error,
 3 budget exceeded.
+
+Each command imports the library modules it runs, and no others, when it
+runs: ``gen`` loads levi, ``verify`` and ``bounds`` load independence,
+and ``cover`` loads covering, so a fresh process pays for only one
+command's imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import datetime
-import json
 import sys
 import time
-from pathlib import Path
 
-from . import covering, levi
-from .graphs import (BudgetExceededError, GraphError, members, parse_graph,
-                     write_graph)
-from .independence import CHECKS, evaluate_bounds, select_checks
+from .graphs import (DEFAULT_BUDGET, BudgetExceededError, GraphError,
+                     members, parse_graph, write_graph)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -28,6 +27,7 @@ EXIT_BUDGET = 3
 
 
 def _emit_json(doc: dict):
+    import json
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -35,10 +35,18 @@ def _summary(msg: str):
     print(msg, file=sys.stderr)
 
 
+def _read(path: str) -> bytes:
+    """The bytes of the file path; open, not pathlib, which would load
+    urllib.parse and ipaddress."""
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _write(text: str, out):
     """Write text to the file out, or to stdout when out is not given."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -57,6 +65,7 @@ def _run_report(command: str, parameters: dict, checks: list[dict],
         "checks": checks,
     }
     if not no_timestamp:
+        import datetime
         doc["duration_s"] = time.monotonic() - started
         doc["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
@@ -64,6 +73,7 @@ def _run_report(command: str, parameters: dict, checks: list[dict],
 
 
 def cmd_gen(args) -> int:
+    from . import levi
     g = levi.gen_levi(args.q, args.budget)
     _write(write_graph(g), args.out)
     print(f"{g.n} {g.m} {g.side_p_size}",
@@ -72,13 +82,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import independence, levi
     started = time.monotonic()
-    names, options = select_checks(args.checks, k=args.k,
-                                   samples=args.samples, seed=args.seed)
-    g = (parse_graph(Path(args.infile).read_bytes(), args.budget)
+    names, options = independence.select_checks(
+        args.checks, k=args.k, samples=args.samples, seed=args.seed)
+    g = (parse_graph(_read(args.infile), args.budget)
          if args.infile else levi.gen_levi(args.q, args.budget))
-    checks = [_check(name, *CHECKS[name](g, **options, budget=args.budget))
-              for name in names]
+    results = independence.run_checks(g, names, options, args.budget)
+    checks = [_check(name, *result) for name, result in zip(names, results)]
     doc = _run_report("verify", {"q": args.q, "in": args.infile,
                                  "checks": args.checks, "k": options["k"]},
                       checks, started, args.no_timestamp)
@@ -89,10 +100,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    rep = evaluate_bounds(args.q, args.k, exact=args.exact,
-                          budget=args.budget)
+    from . import independence
+    rep = independence.evaluate_bounds(args.q, args.k, exact=args.exact,
+                                       budget=args.budget)
     frac = rep.balanced_count_lower_bound
-    doc = dataclasses.asdict(rep)
+    doc = rep._asdict()
     doc["balanced_count_lower_bound"] = f"{frac.numerator}/{frac.denominator}"
     doc["balanced_count_lower_bound_float"] = float(frac)
     _emit_json(doc)
@@ -102,7 +114,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_cover_build(args) -> int:
-    g = parse_graph(Path(args.infile).read_bytes(), args.budget)
+    from . import covering
+    g = parse_graph(_read(args.infile), args.budget)
     fam = covering.build_family_mc(g, args.k, args.delta, args.seed,
                                    budget=args.budget)
     _write(covering.dump_family(fam), args.out)
@@ -112,9 +125,10 @@ def cmd_cover_build(args) -> int:
 
 
 def cmd_cover_verify(args) -> int:
+    from . import covering
     started = time.monotonic()
-    g = parse_graph(Path(args.infile).read_bytes(), args.budget)
-    fam = covering.load_family(Path(args.family).read_bytes(), g)
+    g = parse_graph(_read(args.infile), args.budget)
+    fam = covering.load_family(_read(args.family), g)
     ok, witness = covering.verify_family(g, args.k, fam.sets,
                                          budget=args.budget)
     checks = [_check("coverage", True, ok, ok)]
@@ -130,7 +144,8 @@ def cmd_cover_verify(args) -> int:
 
 
 def cmd_cover_greedy(args) -> int:
-    g = parse_graph(Path(args.infile).read_bytes(), args.budget)
+    from . import covering
+    g = parse_graph(_read(args.infile), args.budget)
     fam = covering.greedy_family(g, args.k, budget=args.budget)
     _write(covering.dump_family(fam), args.out)
     _summary(f"cover greedy: {len(fam.sets)} sets")
@@ -153,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     budgeted = argparse.ArgumentParser(add_help=False)
     budgeted.add_argument("--budget", type=_uint,
-                          default=covering.DEFAULT_BUDGET)
+                          default=DEFAULT_BUDGET)
 
     p = sub.add_parser("gen", parents=[budgeted],
                        help="generate an incidence graph")
@@ -167,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--q", type=int)
     src.add_argument("--in", dest="infile")
     p.add_argument("--checks", required=True,
-                   help="comma list from: " + ",".join(CHECKS))
+                   help="comma list of check names, run in that order")
     # None when not given: select_checks refuses an option that no named
     # check reads, and fills in the default of one that is not given
     p.add_argument("--k", type=int)

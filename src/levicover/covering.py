@@ -33,25 +33,23 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .graphs import (Budget, BudgetExceededError, DegeneracyResult, Graph,
-                     GraphError, VertexSet, degeneracy_order, graph_hash,
-                     iter_members, members, words)
+from .graphs import (DEFAULT_BUDGET, Budget, BudgetExceededError,
+                     DegeneracyResult, Graph, GraphError, VertexSet,
+                     degeneracy_order, graph_hash, iter_members, members,
+                     words)
 from .independence import (count_independent_sets,
                            enumerate_independent_sets,
                            enumerate_maximal_independent_sets)
 
-DEFAULT_BUDGET = 10 ** 7
 BLOCK = 4096  # samples marked per run of bit-planes
 PLANES = 64  # a lane still tied with p after this many planes is unmarked
 
 
-@dataclass(frozen=True)
-class CoveringFamily:
+class CoveringFamily(NamedTuple):
     """Ordered independent sets plus the parameters that produced them."""
 
     sets: tuple[VertexSet, ...]

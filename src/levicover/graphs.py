@@ -11,13 +11,12 @@ pure function of its arguments.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 VertexSet = int
+DEFAULT_BUDGET = 10 ** 7  # every command's --budget when none is given
 
 
 class GraphError(ValueError):
@@ -136,8 +135,7 @@ def _index_of(n: int, tokens: int) -> Callable[[str, int], int]:
     return index
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Undirected simple graph; ``adj[v]`` is the neighbor bitmask of v.
 
     ``side_p_size`` > 0 flags the graph bipartite with side P occupying
@@ -204,8 +202,7 @@ class Graph:
         return True
 
 
-@dataclass(frozen=True)
-class DegeneracyResult:
+class DegeneracyResult(NamedTuple):
     """Min-degree elimination order, the resulting degeneracy, and each
     vertex's forward neighbourhood: ``forward[v]`` is the set of v's
     neighbours removed after v."""
@@ -359,6 +356,7 @@ def write_graph(g: Graph) -> str:
 
 def graph_hash(g: Graph) -> str:
     """Hex digest identifying a graph by its canonical bytes."""
+    import hashlib  # here, as it maps OpenSSL, which only cover needs
     return hashlib.sha256(write_graph(g).encode("utf-8")).hexdigest()
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .graphs import (Budget, Graph, GraphError, VertexSet, degeneracy_order,
                      is_c4_free, iter_members, members, neighborhood_of_set,
@@ -120,8 +119,7 @@ def expansion_bound(q: int, size: int) -> Fraction:
     return Fraction((q + 1) ** 2 * size, q + size)
 
 
-@dataclass(frozen=True)
-class ExpansionCheck:
+class ExpansionCheck(NamedTuple):
     holds: bool
     neighborhood_size: int
     bound: Fraction
@@ -423,8 +421,7 @@ def per_set_capacity_bound(n: int, k: int) -> float:
                         lambda: 2 ** (k / 2) * n ** (3 * k / 4))
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Closed-form bound values for (q, k), plus measured counts if exact.
 
     balanced_count_lower_bound and per_set_capacity_bound are the
@@ -478,9 +475,9 @@ def evaluate_bounds(q: int, k: int, exact: bool = False,
         return report
     count = count_balanced(g, k, budget=budget)
     max_cap = max_cover_capacity(g, k, budget=budget)
-    return replace(report, measured_balanced_count=count,
-                   measured_max_capacity=max_cap,
-                   exact_cover_lower_bound=-(-count // max_cap))
+    return report._replace(measured_balanced_count=count,
+                           measured_max_capacity=max_cap,
+                           exact_cover_lower_bound=-(-count // max_cap))
 
 
 def _flag(ok: bool) -> CheckResult:
@@ -500,15 +497,31 @@ def _balanced(g: Graph, *, k: int, budget: Optional[int],
     return expected, count, count >= bound, float(count - bound)
 
 
+def _swept(g: Graph, budget: Optional[int], memo: dict) -> bool:
+    """is_c4_free(g, budget), swept once per ``memo``: the first check
+    of a run that reads it stores it there for the later ones."""
+    if "c4free" not in memo:
+        memo["c4free"] = is_c4_free(g, budget)
+    return memo["c4free"]
+
+
+def _levi_props(g: Graph, *, budget: Optional[int], memo: dict,
+                **_) -> CheckResult:
+    infer_q(g)  # a graph that fits no plane is refused before the sweep
+    return _flag(verify_levi_properties(g, budget,
+                                        c4_free=_swept(g, budget, memo)))
+
+
 # The checks of ``levicover verify`` by name, in report order. Every
-# entry is called as check(g, k=..., samples=..., seed=..., budget=...),
-# takes the options it needs and infers the plane order q from g. Entries
-# call the library through this module's globals, never through a stored
+# entry is called as check(g, k=..., samples=..., seed=..., budget=...,
+# memo=...), takes the options it needs and infers the plane order q
+# from g; memo is one dict per run (see run_checks). Entries call the
+# library through this module's globals, never through a stored
 # function object, so a wrapper installed on one of those names sees it.
 CHECKS: dict[str, Callable[..., CheckResult]] = {
-    "levi-props": lambda g, *, budget, **_: _flag(
-        verify_levi_properties(g, budget)),
-    "c4free": lambda g, *, budget, **_: _flag(is_c4_free(g, budget)),
+    "levi-props": _levi_props,
+    "c4free": lambda g, *, budget, memo, **_: _flag(
+        _swept(g, budget, memo)),
     "degeneracy": lambda g, *, budget, **_: _at_most(
         sqrt_degeneracy_bound(g.n), degeneracy_order(g, budget).degeneracy),
     "expansion": _verify_expansion,
@@ -538,7 +551,8 @@ def select_checks(names: str, **given) -> tuple[list[str], dict]:
     names = names.split(",")
     for name in names:
         if name not in CHECKS:
-            raise GraphError(f"unknown check name: {name}")
+            raise GraphError(f"unknown check name: {name} (the checks "
+                             f"are {', '.join(CHECKS)})")
     options = {}
     for option, (readers, default) in CHECK_OPTIONS.items():
         value = given.get(option)
@@ -553,3 +567,13 @@ def select_checks(names: str, **given) -> tuple[list[str], dict]:
     if "expansion" in names and options["seed"] < 0:
         raise GraphError("seed must be non-negative")
     return names, options
+
+
+def run_checks(g: Graph, names: list[str], options: dict,
+               budget: Optional[int]) -> list[CheckResult]:
+    """CHECKS[name](g, **options) for each of ``names`` in turn, as
+    select_checks returns them. ``levi-props`` and ``c4free`` share one
+    codegree sweep, charged once."""
+    memo: dict = {}
+    return [CHECKS[name](g, **options, budget=budget, memo=memo)
+            for name in names]

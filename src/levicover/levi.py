@@ -12,7 +12,6 @@ points occupy indices 0 .. q^2+q, lines q^2+q+1 .. 2(q^2+q+1)-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Budget, Graph, GraphError, is_c4_free
@@ -54,7 +53,6 @@ def infer_q(g: Graph) -> int:
     return q
 
 
-@dataclass(frozen=True)
 class LeviIndexing:
     """Canonical vertex numbering for the incidence graph of order q.
 
@@ -64,10 +62,10 @@ class LeviIndexing:
     vertical lines, then the line through all points at infinity.
     """
 
-    q: int
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        require_prime(self.q)
+    def __init__(self, q: int):
+        self.q = require_prime(q)
 
     @property
     def side_size(self) -> int:
@@ -151,7 +149,8 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     return Graph(n=ix.n, m=size, adj=tuple(adj), side_p_size=ix.side_size)
 
 
-def verify_levi_properties(g: Graph, budget: Optional[int] = None) -> bool:
+def verify_levi_properties(g: Graph, budget: Optional[int] = None,
+                           c4_free: Optional[bool] = None) -> bool:
     """True iff g is C4-free, has two sides of s = q^2 + q + 1 vertices
     and every degree is q + 1, where q is ``infer_q(g)``; GraphError
     when the side P of g fits no prime-order plane.
@@ -161,8 +160,12 @@ def verify_levi_properties(g: Graph, budget: Optional[int] = None) -> bool:
     no pair is covered twice, so every two points share exactly one
     line. The same count holds for lines. A graph that is not a valid
     incidence graph (e.g. after deleting an edge) gives False, never an
-    error. The sweep is charged against ``budget`` as is_c4_free's.
+    error. The sweep is charged against ``budget`` as is_c4_free's; a
+    caller that has swept g already passes its result as ``c4_free``,
+    and g is not swept again.
     """
     q = infer_q(g)
-    return (is_c4_free(g, budget) and g.n == 2 * g.side_p_size
+    if c4_free is None:
+        c4_free = is_c4_free(g, budget)
+    return (c4_free and g.n == 2 * g.side_p_size
             and all(row.bit_count() == q + 1 for row in g.adj))

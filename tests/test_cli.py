@@ -145,6 +145,64 @@ def test_plane_commands_do_not_load_numpy(name, tmp_path):
     assert rc == 0 and loaded == []
 
 
+# Each command imports only what it runs. dataclasses is loaded by none,
+# hashlib (which maps OpenSSL) only by cover, datetime only where a
+# timestamp is written, and the independence and covering modules only
+# by the commands that call them: argv at q=2 and the modules of WATCHED
+# that it leaves loaded.
+WATCHED = ("dataclasses", "hashlib", "datetime", "levicover.covering",
+           "levicover.independence")
+FOOTPRINT = {
+    "gen": (["gen", "--q", "2", "--out", "out.g"], set()),
+    "verify": (["verify", "--q", "2", "--checks",
+                "levi-props,c4free,degeneracy"],
+               {"datetime", "levicover.independence"}),
+    "verify-no-timestamp": (["verify", "--in", "fano.g", "--checks",
+                             "levi-props,c4free,degeneracy",
+                             "--no-timestamp"],
+                            {"levicover.independence"}),
+    "bounds": (["bounds", "--q", "2", "--k", "2", "--exact"],
+               {"levicover.independence"}),
+    "cover-build": (["cover", "build", "--in", "fano.g", "--k", "2",
+                     "--delta", "0.1", "--seed", "1", "--out", "out.json"],
+                    {"hashlib", "levicover.covering",
+                     "levicover.independence"}),
+    "cover-verify": (["cover", "verify", "--in", "fano.g", "--k", "2",
+                      "--family", "fam.json"],
+                     {"hashlib", "datetime", "levicover.covering",
+                      "levicover.independence"}),
+    "cover-greedy": (["cover", "greedy", "--in", "fano.g", "--k", "2",
+                      "--out", "out.json"],
+                     {"hashlib", "levicover.covering",
+                      "levicover.independence"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOOTPRINT))
+def test_command_import_footprint(name, tmp_path):
+    """A fresh interpreter without site (-S), so that nothing but the
+    command loads a module, runs the command and reports which modules of
+    WATCHED it loaded."""
+    argv, expected = FOOTPRINT[name]
+    fano = gen_levi(2)
+    (tmp_path / "fano.g").write_text(write_graph(fano))
+    (tmp_path / "fam.json").write_text(
+        covering.dump_family(covering.greedy_family(fano, 2)))
+    script = ("import sys\n"
+              "from levicover.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              f"loaded = [m for m in {WATCHED!r} if m in sys.modules]\n"
+              "import json\n"
+              "print(json.dumps([rc, loaded]), file=sys.stderr)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    rc, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert rc == 0 and set(loaded) == expected
+
+
 # A graph header whose vertex count alone is over the default budget.
 HUGE_HEADER = "1000000000000 0 0\n"
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -586,11 +585,10 @@ class TestFamilyIO:
     @pytest.mark.parametrize("make", [
         lambda g: build_family_mc(g, 2, 1e-3, seed=11),
         lambda g: covering.greedy_family(g, 2),
-        lambda g: dataclasses.replace(covering.greedy_family(g, 2), sets=()),
-        lambda g: dataclasses.replace(covering.greedy_family(g, 2),
-                                      sets=(0,)),
-        lambda g: dataclasses.replace(build_family_mc(g, 1, 0.5, seed=3),
-                                      sets=(vset([13]), 0, g.side_p))],
+        lambda g: covering.greedy_family(g, 2)._replace(sets=()),
+        lambda g: covering.greedy_family(g, 2)._replace(sets=(0,)),
+        lambda g: build_family_mc(g, 1, 0.5, seed=3)._replace(
+            sets=(vset([13]), 0, g.side_p))],
         ids=["sampled", "greedy", "empty-family", "empty-member", "mixed"])
     def test_dump_matches_json_encoder(self, fano, make):
         fam = make(fano)

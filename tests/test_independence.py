@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -13,7 +12,7 @@ from levicover import (Graph, GraphError,
                        check_cover_capacity, check_expansion, count_balanced,
                        count_independent_sets, enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
-                       gen_levi, graph_hash, max_cover_capacity,
+                       gen_levi, graph_hash, is_c4_free, max_cover_capacity,
                        max_side_product, members, neighborhood_of_set,
                        plane_size, profile_frontier, vset)
 from levicover import independence
@@ -246,6 +245,11 @@ class TestExpansion:
         with pytest.raises(GraphError, match="seed must be non-negative"):
             independence.CHECKS["expansion"](fano, samples=200, seed=seed,
                                              budget=None)
+
+    def test_unknown_name_lists_the_checks(self):
+        with pytest.raises(GraphError, match="unknown check name: nosuch "
+                           r"\(the checks are levi-props, c4free, "):
+            independence.select_checks("c4free,nosuch")
 
     @pytest.mark.parametrize("seed", [-1, -7])
     def test_negative_seed_rejected_before_any_graph(self, seed):
@@ -713,10 +717,10 @@ class TestBounds:
         # the measured fields, taken on gen_levi(q) by hand
         g = gen_levi(q)
         count, cap = count_balanced(g, 2), max_cover_capacity(g, 2)
-        assert evaluate_bounds(q, 2, exact=True) == dataclasses.replace(
-            evaluate_bounds(q, 2), measured_balanced_count=count,
-            measured_max_capacity=cap,
-            exact_cover_lower_bound=-(-count // cap))
+        assert evaluate_bounds(q, 2, exact=True) == evaluate_bounds(
+            q, 2)._replace(measured_balanced_count=count,
+                           measured_max_capacity=cap,
+                           exact_cover_lower_bound=-(-count // cap))
 
     def test_skeleton_dominates_formula(self):
         for q in (2, 3):
@@ -732,3 +736,47 @@ class TestBounds:
 def test_unflagged_graph_rejected(call):
     with pytest.raises(GraphError, match="not flagged bipartite"):
         call(Graph.from_edges(4, [(0, 2), (1, 3)]))
+
+
+OPTIONS = {"k": 2, "samples": 1000, "seed": 0}
+# a C4 through points 0, 1 and lines 7, 8 on the sides of the Fano plane
+SQUARE_ON_FANO_SIDES = Graph.from_edges(14, [(0, 7), (0, 8), (1, 7), (1, 8)],
+                                        side_p_size=7)
+
+
+class TestRunChecks:
+    @pytest.mark.parametrize("names", [
+        ["levi-props", "c4free"], ["c4free", "levi-props"],
+        ["c4free", "degeneracy", "levi-props", "c4free"]])
+    @pytest.mark.parametrize("graph", ["plane3", "square"])
+    def test_structural_checks_sweep_once(self, names, graph, plane3,
+                                          monkeypatch):
+        g = plane3 if graph == "plane3" else SQUARE_ON_FANO_SIDES
+        # each check run on its own, with a sweep of its own
+        alone = [independence.CHECKS[name](g, **OPTIONS, budget=None,
+                                           memo={}) for name in names]
+        sweeps = []
+
+        def counted(g, budget=None):
+            sweeps.append(budget)
+            return is_c4_free(g, budget)
+        monkeypatch.setattr(independence, "is_c4_free", counted)
+        monkeypatch.setattr("levicover.levi.is_c4_free", counted)
+        assert independence.run_checks(g, names, OPTIONS, 10 ** 6) == alone
+        assert sweeps == [10 ** 6]
+
+    def test_graph_fitting_no_plane_is_refused_before_the_sweep(self):
+        # budget 0 would refuse the sweep; the side size is refused first
+        with pytest.raises(GraphError, match="prime-order plane"):
+            independence.run_checks(
+                Graph.from_edges(12, [], side_p_size=6),
+                ["levi-props", "c4free"], OPTIONS, 0)
+
+    def test_one_sweep_charge_for_both(self, plane3):
+        # 26 rows of one word: the charge of one sweep covers both checks
+        assert independence.run_checks(plane3, ["levi-props", "c4free"],
+                                       OPTIONS, 26) == [(True, True, True,
+                                                         None)] * 2
+        with pytest.raises(BudgetExceededError, match="codegree sweep"):
+            independence.run_checks(plane3, ["c4free", "levi-props"],
+                                    OPTIONS, 25)

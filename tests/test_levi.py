@@ -4,8 +4,8 @@ import itertools
 import pytest
 
 from levicover import (Graph, GraphError, LeviIndexing, gen_levi, infer_q,
-                       is_c4_free, is_prime, parse_graph,
-                       verify_levi_properties, write_graph)
+                       is_c4_free, is_prime, verify_levi_properties,
+                       write_graph)
 
 
 class TestPrimality:
@@ -110,8 +110,25 @@ class TestPropertyReport:
         assert verify_levi_properties(broken) is False
 
     def test_wrong_side_size_raises(self):
-        with pytest.raises(GraphError):
-            verify_levi_properties(parse_graph("12 0 6"))
+        # 6 points fit no prime-order plane (7 is the least)
+        with pytest.raises(GraphError, match="prime-order plane"):
+            verify_levi_properties(Graph.from_edges(12, [], side_p_size=6))
+
+    def test_given_sweep_is_not_run_again(self, fano, monkeypatch):
+        # a caller that swept g passes the result; the shape is still read
+        def no_sweep(*args):
+            raise AssertionError("swept again")
+        monkeypatch.setattr("levicover.levi.is_c4_free", no_sweep)
+        assert verify_levi_properties(fano, c4_free=True) is True
+        assert verify_levi_properties(fano, c4_free=False) is False
+        broken = Graph.from_edges(14, list(fano.edges())[1:], side_p_size=7)
+        assert verify_levi_properties(broken, c4_free=True) is False
+
+    def test_indexing_refuses_a_non_prime_order(self):
+        for q in (0, 1, 4, 6):
+            with pytest.raises(GraphError, match="prime"):
+                LeviIndexing(q)
+        assert LeviIndexing(5).q == 5
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

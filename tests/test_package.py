@@ -1,0 +1,99 @@
+"""The package's public surface: every name resolves on first use, to the
+object of its home module, and ``import levicover`` alone loads no
+submodule."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import levicover
+
+# Every name that earlier versions of levicover/__init__.py imported
+# eagerly, by home module.
+EXPORTS = {
+    "graphs": ["BudgetExceededError", "DegeneracyResult", "Graph",
+               "GraphError", "ParseError", "VertexSet", "degeneracy_order",
+               "graph_hash", "is_c4_free", "iter_members", "members",
+               "neighborhood_of_set", "parse_graph", "sqrt_degeneracy_bound",
+               "vset", "write_graph"],
+    "levi": ["LeviIndexing", "gen_levi", "infer_q", "is_prime",
+             "plane_size", "verify_levi_properties"],
+    "independence": ["BoundsReport", "ExpansionCheck",
+                     "balanced_count_lower_bound", "check_cover_capacity",
+                     "check_expansion", "count_balanced",
+                     "count_independent_sets", "enumerate_independent_sets",
+                     "enumerate_maximal_independent_sets", "evaluate_bounds",
+                     "expansion_bound", "max_cover_capacity",
+                     "max_side_product", "per_set_capacity_bound",
+                     "profile_frontier", "side_product_bound"],
+    "covering": ["CoveringFamily", "build_family_mc",
+                 "containment_probability_floor", "dump_family",
+                 "family_from_json", "family_to_json", "greedy_cover",
+                 "load_family", "required_samples", "sample_independent_set",
+                 "substream", "verify_family"],
+}
+NAMES = [(home, name) for home, names in EXPORTS.items() for name in names]
+
+# The record types and their fields, in the order of earlier versions.
+FIELDS = {
+    "Graph": ("n", "m", "adj", "side_p_size"),
+    "DegeneracyResult": ("order", "degeneracy", "forward"),
+    "ExpansionCheck": ("holds", "neighborhood_size", "bound"),
+    "BoundsReport": ("q", "k", "n", "balanced_count_lower_bound",
+                     "per_set_capacity_bound", "family_size_lower_bound",
+                     "measured_balanced_count", "measured_max_capacity",
+                     "exact_cover_lower_bound"),
+    "CoveringFamily": ("sets", "k", "delta", "seed", "t", "degeneracy",
+                       "graph_hash"),
+}
+
+
+@pytest.mark.parametrize("home, name", NAMES,
+                         ids=[name for _, name in NAMES])
+def test_name_is_its_home_modules_object(home, name):
+    module = importlib.import_module(f"levicover.{home}")
+    assert getattr(levicover, name) is getattr(module, name)
+
+
+def test_modules_are_attributes():
+    for home in EXPORTS:
+        assert getattr(levicover, home) is sys.modules[f"levicover.{home}"]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        levicover.nosuch
+    assert not hasattr(levicover, "DEFAULT_BUDGET")
+
+
+def test_star_import_exports_every_name():
+    namespace = {}
+    exec("from levicover import *", namespace)
+    assert {name for _, name in NAMES} | set(EXPORTS) <= set(namespace)
+
+
+@pytest.mark.parametrize("record", sorted(FIELDS))
+def test_record_fields_keep_their_order(record):
+    assert getattr(levicover, record)._fields == FIELDS[record]
+
+
+def test_import_alone_loads_no_submodule(tmp_path):
+    # -S: no site, so that nothing but the import loads a module
+    script = ("import sys, levicover\n"
+              "before = sorted(m for m in sys.modules\n"
+              "                if m.startswith('levicover.'))\n"
+              "levicover.Graph\n"
+              "after = sorted(m for m in sys.modules\n"
+              "               if m.startswith('levicover.'))\n"
+              "import json\n"
+              "print(json.dumps([before, after]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stdout) == [[], ["levicover.graphs"]]
