@@ -91,7 +91,7 @@ def cmd_verify(args) -> int:
     results = independence.run_checks(g, names, options, args.budget)
     checks = [_check(name, *result) for name, result in zip(names, results)]
     doc = _run_report("verify", {"q": args.q, "in": args.infile,
-                                 "checks": args.checks, "k": options["k"]},
+                                 "checks": args.checks, **options},
                       checks, started, args.no_timestamp)
     _emit_json(doc)
     _summary(f"verify: {doc['outcome']} "

@@ -141,22 +141,23 @@ def _sample_block(rng: random.Random, rows: int, p,
     is vertex 8j + i, so that int.from_bytes(row, "little") is its
     bitmask.
 
-    The lanes marked are cut into one rows-bit plane per vertex (from
-    their binary digits, as shifts would copy the lanes once per vertex)
-    and each plane is pruned by its forward neighbors' planes. A pruned
-    plane's digits, last row first, read as ASCII bytes and masked to
-    their low bit, put row r's bit in byte r; the planes of vertices
-    8j ... 8j+7, so spread and shifted by 0 ... 7, make byte j of every
-    row at once, written to every width-th byte of the rows.
+    The marked lanes' binary digits, last lane first, are reversed into
+    one ASCII byte per lane, so vertex v's rows, bytes v rows up to (v+1)
+    rows, read as one little-endian int with row r's bit in the low bit
+    of byte r. That int is pruned by its forward neighbors' and masked to
+    those low bits; the ints of vertices 8j ... 8j+7, shifted by 0 ... 7,
+    make byte j of every row at once, written to every width-th byte of
+    the rows.
     """
     import struct  # here, so that only cover build loads _struct
     lanes = rows * len(forward)
-    digits = bin(_marks(rng, lanes, p) | 1 << lanes)[3:]
-    planes = [int(digits[i - rows:i], 2) for i in range(lanes, 0, -rows)]
+    digits = bin(_marks(rng, lanes, p) | 1 << lanes)[:2:-1].encode()
+    planes = [int.from_bytes(digits[i:i + rows], "little")
+              for i in range(0, lanes, rows)]
     del digits  # n * rows bytes, not held while the rows are built
     n = len(forward)
     width = (n + 7) // 8
-    top, ones = 1 << rows, int.from_bytes(b"\x01" * rows, "little")
+    ones = int.from_bytes(b"\x01" * rows, "little")
     packed = bytearray(rows * width)
     for j in range(width):
         byte = 0
@@ -164,9 +165,7 @@ def _sample_block(rng: random.Random, rows: int, p,
             plane = planes[v]
             for w in iter_members(forward[v]):
                 plane &= ~planes[w]
-            spread = int.from_bytes(bin(plane | top)[:2:-1].encode(),
-                                    "little")
-            byte |= (spread & ones) << v % 8
+            byte |= (plane & ones) << v % 8
         packed[j::width] = byte.to_bytes(rows, "little")
     return struct.unpack(f"{width}s" * rows, packed)
 

@@ -173,7 +173,7 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     if not all(sides):
         raise GraphError("expansion check needs two nonempty sides")
     fixed = sum(len(rows) + math.comb(len(rows), 2) for rows in sides)
-    Budget(budget).charge(fixed + samples)
+    Budget(budget).charge(fixed + samples, "the expansion check takes {} sets")
     violations = 0
     for rows in sides:
         violations += sum(r.bit_count() < one for r in rows)
@@ -310,9 +310,9 @@ def _fewest_lines_met(g: Graph, frame: VertexSet, budget: Optional[int]
         hit, cands = above | rows[order[i]], order[i + 1:]
 
 
-def max_side_product(g: Graph, budget: Optional[int] = None) -> int:
-    """Largest a*b over independent sets with a points and b lines."""
-    return max(a * b for a, b in enumerate(profile_frontier(g, budget)))
+def max_side_product(frontier: tuple[int, ...]) -> int:
+    """Largest a*b over the points (a, b*(a)) of a profile frontier."""
+    return max(a * b for a, b in enumerate(frontier))
 
 
 def side_product_bound(q: int) -> int:
@@ -382,12 +382,11 @@ def check_cover_capacity(g: Graph, i: VertexSet, k: int) -> int:
     return _capacity(a, i.bit_count() - a, _half(k))
 
 
-def max_cover_capacity(g: Graph, k: int,
-                       budget: Optional[int] = None) -> int:
-    """Largest number of balanced k-subsets any independent set holds."""
+def max_cover_capacity(frontier: tuple[int, ...], k: int) -> int:
+    """Largest number of balanced k-subsets any independent set holds,
+    read off the points (a, b*(a)) of a profile frontier."""
     half = _half(k)
-    return max(_capacity(a, b, half)
-               for a, b in enumerate(profile_frontier(g, budget)))
+    return max(_capacity(a, b, half) for a, b in enumerate(frontier))
 
 
 def balanced_count_lower_bound(n: int, k: int,
@@ -474,7 +473,7 @@ def evaluate_bounds(q: int, k: int, exact: bool = False,
     if not exact:
         return report
     count = count_balanced(g, k, budget=budget)
-    max_cap = max_cover_capacity(g, k, budget=budget)
+    max_cap = max_cover_capacity(profile_frontier(g, budget), k)
     return report._replace(measured_balanced_count=count,
                            measured_max_capacity=max_cap,
                            exact_cover_lower_bound=-(-count // max_cap))
@@ -497,19 +496,19 @@ def _balanced(g: Graph, *, k: int, budget: Optional[int],
     return expected, count, count >= bound, float(count - bound)
 
 
-def _swept(g: Graph, budget: Optional[int], memo: dict) -> bool:
-    """is_c4_free(g, budget), swept once per ``memo``: the first check
-    of a run that reads it stores it there for the later ones."""
-    if "c4free" not in memo:
-        memo["c4free"] = is_c4_free(g, budget)
-    return memo["c4free"]
+def _once(memo: dict, key: str, fn: Callable, *args):
+    """fn(*args), computed once per ``memo``: the first check of a run
+    that reads it stores it there under ``key`` for the later ones."""
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
 
 
 def _levi_props(g: Graph, *, budget: Optional[int], memo: dict,
                 **_) -> CheckResult:
     infer_q(g)  # a graph that fits no plane is refused before the sweep
-    return _flag(verify_levi_properties(g, budget,
-                                        c4_free=_swept(g, budget, memo)))
+    return _flag(verify_levi_properties(
+        g, budget, c4_free=_once(memo, "c4free", is_c4_free, g, budget)))
 
 
 # The checks of ``levicover verify`` by name, in report order. Every
@@ -521,15 +520,17 @@ def _levi_props(g: Graph, *, budget: Optional[int], memo: dict,
 CHECKS: dict[str, Callable[..., CheckResult]] = {
     "levi-props": _levi_props,
     "c4free": lambda g, *, budget, memo, **_: _flag(
-        _swept(g, budget, memo)),
+        _once(memo, "c4free", is_c4_free, g, budget)),
     "degeneracy": lambda g, *, budget, **_: _at_most(
         sqrt_degeneracy_bound(g.n), degeneracy_order(g, budget).degeneracy),
     "expansion": _verify_expansion,
-    "product": lambda g, *, budget, **_: _at_most(
-        side_product_bound(infer_q(g)), max_side_product(g, budget)),
+    "product": lambda g, *, budget, memo, **_: _at_most(
+        side_product_bound(infer_q(g)), max_side_product(
+            _once(memo, "frontier", profile_frontier, g, budget))),
     "balanced": _balanced,
-    "coverbound": lambda g, *, k, budget, **_: _at_most(
-        per_set_capacity_bound(g.n, k), max_cover_capacity(g, k, budget)),
+    "coverbound": lambda g, *, k, budget, memo, **_: _at_most(
+        per_set_capacity_bound(g.n, k), max_cover_capacity(
+            _once(memo, "frontier", profile_frontier, g, budget), k)),
 }
 
 
@@ -542,12 +543,11 @@ CHECK_OPTIONS = {"k": (("balanced", "coverbound"), 2),
 
 def select_checks(names: str, **given) -> tuple[list[str], dict]:
     """The check names of the comma list ``names``, and the options of
-    CHECK_OPTIONS that the checks are called with: each as given, or its
+    CHECK_OPTIONS that some named check reads: each as given, or its
     default where it is None or not given. GraphError on an unknown name,
-    on an option given for checks of which none is named, when
-    ``balanced`` or ``coverbound`` is named and k is not an even integer
-    >= 2, or when ``expansion`` is named and samples or seed is negative,
-    so a bad option fails before any graph is built."""
+    on an option given for checks of which none is named, on a k that is
+    not an even integer >= 2 and on a negative samples or seed, so a bad
+    option fails before any graph is built."""
     names = names.split(",")
     for name in names:
         if name not in CHECKS:
@@ -556,15 +556,16 @@ def select_checks(names: str, **given) -> tuple[list[str], dict]:
     options = {}
     for option, (readers, default) in CHECK_OPTIONS.items():
         value = given.get(option)
-        if value is not None and not set(readers) & set(names):
+        if set(readers) & set(names):
+            options[option] = default if value is None else value
+        elif value is not None:
             raise GraphError(f"--{option} is given, but none of the checks "
                              f"that read it ({', '.join(readers)}) is named")
-        options[option] = default if value is None else value
-    if set(CHECK_OPTIONS["k"][0]) & set(names):
+    if "k" in options:
         _half(options["k"])
-    if "expansion" in names and options["samples"] < 0:
+    if options.get("samples", 0) < 0:
         raise GraphError("sample count must be non-negative")
-    if "expansion" in names and options["seed"] < 0:
+    if options.get("seed", 0) < 0:
         raise GraphError("seed must be non-negative")
     return names, options
 
@@ -572,8 +573,8 @@ def select_checks(names: str, **given) -> tuple[list[str], dict]:
 def run_checks(g: Graph, names: list[str], options: dict,
                budget: Optional[int]) -> list[CheckResult]:
     """CHECKS[name](g, **options) for each of ``names`` in turn, as
-    select_checks returns them. ``levi-props`` and ``c4free`` share one
-    codegree sweep, charged once."""
+    select_checks returns them, with one memo: the codegree sweep and the
+    profile frontier are each computed and charged once per run."""
     memo: dict = {}
     return [CHECKS[name](g, **options, budget=budget, memo=memo)
             for name in names]

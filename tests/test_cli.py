@@ -408,8 +408,22 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--q", "2", "--checks",
                              "expansion", "--samples", "200000", "--budget",
                              "100000", "--no-timestamp")
-        assert code == 3 and out == "" and "enumeration budget" in err
+        # 7 + 21 fixed sets per side, then the 200,000 samples
+        assert code == 3 and out == "" and err == (
+            "error: the expansion check takes 200056 sets, over the budget "
+            "of 100000\n")
         assert time.monotonic() - started < 5
+
+    def test_expansion_budget_threshold(self, capsys):
+        # 31 + 465 fixed sets per side of the q=5 plane, then 10 samples
+        argv = ["verify", "--q", "5", "--checks", "expansion", "--samples",
+                "10", "--no-timestamp", "--budget"]
+        code, out, err = run(capsys, *argv, "1001")
+        assert code == 3 and out == "" and err == (
+            "error: the expansion check takes 1002 sets, over the budget "
+            "of 1001\n")
+        code, out, _ = run(capsys, *argv, "1002")
+        assert code == 0 and json.loads(out)["outcome"] == "pass"
 
     def test_odd_k_coverbound_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--q", "2", "--checks",
@@ -479,10 +493,20 @@ class TestVerify:
                 for given in ([], ["--k", "2", "--samples", "1000",
                                    "--seed", "0"])]
         assert runs[0] == runs[1] and runs[0][0] == 0
-        assert json.loads(runs[0][1])["parameters"]["k"] == 2
+        assert json.loads(runs[0][1])["parameters"] == {
+            "q": 2, "in": None, "checks": "expansion,balanced", "k": 2,
+            "samples": 1000, "seed": 0}
+        # the report lists only the options that a named check reads
         code, out, _ = run(capsys, "verify", "--q", "2", "--checks",
                            "c4free", "--no-timestamp")
-        assert code == 0 and json.loads(out)["parameters"]["k"] == 2
+        assert code == 0 and json.loads(out)["parameters"] == {
+            "q": 2, "in": None, "checks": "c4free"}
+        code, out, _ = run(capsys, "verify", "--q", "2", "--checks",
+                           "expansion", "--samples", "5", "--seed", "9",
+                           "--no-timestamp")
+        assert code == 0 and json.loads(out)["parameters"] == {
+            "q": 2, "in": None, "checks": "expansion", "samples": 5,
+            "seed": 9}
 
     def test_given_options_reach_their_checks(self, capsys):
         code, out, _ = run(capsys, "verify", "--q", "2", "--checks",
@@ -490,7 +514,9 @@ class TestVerify:
                            "--samples", "5", "--seed", "9",
                            "--no-timestamp")
         doc = json.loads(out)
-        assert code == 0 and doc["parameters"]["k"] == 4
+        assert code == 0
+        assert [doc["parameters"][o] for o in ("k", "samples", "seed")] == [
+            4, 5, 9]
         # 7 + 21 fixed sets per side, then the 5 samples
         assert doc["checks"][1]["margin"] == 2 * (7 + 21) + 5
 

@@ -266,7 +266,7 @@ def profile(g, s):
 
 class TestSideProduct:
     def test_fano_max_is_four(self, fano):
-        assert max_side_product(fano) == 4
+        assert max_side_product(profile_frontier(fano)) == 4
 
     def test_fano_brute_force_agreement(self, fano):
         # dual computation: global maximum over *all* independent sets
@@ -274,13 +274,14 @@ class TestSideProduct:
         for mask in brute_independent_sets(fano, fano.n):
             a, b = profile(fano, mask)
             brute = max(brute, a * b)
-        assert brute == max_side_product(fano)
+        assert brute == max_side_product(profile_frontier(fano))
 
     def test_edgeless_bipartite(self):
-        assert max_side_product(edgeless_bipartite(2, 3)) == 6
+        assert max_side_product(profile_frontier(
+            edgeless_bipartite(2, 3))) == 6
 
     def test_plane3_bound(self, plane3):
-        assert max_side_product(plane3) <= 3 * 16  # q(q+1)^2
+        assert max_side_product(profile_frontier(plane3)) <= 3 * 16  # q(q+1)^2
 
     def test_profile_product_bound_everywhere(self, fano):
         n32 = 2 * 14 ** 1.5
@@ -290,7 +291,7 @@ class TestSideProduct:
 
     def test_non_bipartite_raises(self):
         with pytest.raises(GraphError):
-            max_side_product(cycle_graph(4))
+            max_side_product(profile_frontier(cycle_graph(4)))
 
 
 def relabelled(g, seed):
@@ -480,17 +481,19 @@ class TestSymmetryReduction:
     @pytest.mark.parametrize("q", [2, 3])
     def test_public_maxima_take_reduced_path(self, q, bk_starts):
         g = gen_levi(q)
-        assert max_side_product(g) == full_path_best(
+        frontier = profile_frontier(g)
+        assert max_side_product(frontier) == full_path_best(
             g, MONOTONE_SCORES["product"])[0]
         for k in (2, 4):
-            assert max_cover_capacity(g, k) == max(
+            assert max_cover_capacity(frontier, k) == max(
                 check_cover_capacity(g, s, k)
                 for s in enumerate_maximal_independent_sets(g))
         assert bk_starts == []
 
     def test_plane3_values(self, plane3):
-        assert max_side_product(plane3) == 12
-        assert max_cover_capacity(plane3, 4) == 18
+        frontier = profile_frontier(plane3)
+        assert max_side_product(frontier) == 12
+        assert max_cover_capacity(frontier, 4) == 18
 
     @pytest.mark.parametrize("perturb", [lambda g: relabelled(g, 5),
                                          minus_one_edge],
@@ -504,6 +507,10 @@ class TestSymmetryReduction:
         assert len(bk_starts) == 1
         for score in MONOTONE_SCORES.values():
             assert frontier_best(frontier, score)[0] == brute_best(g, score)
+        assert max_side_product(frontier) == brute_best(
+            g, MONOTONE_SCORES["product"])
+        assert max_cover_capacity(frontier, 4) == brute_best(
+            g, MONOTONE_SCORES["capacity4"])
 
     @pytest.mark.parametrize("perturb", [lambda g: relabelled(g, 5),
                                          minus_one_edge],
@@ -517,11 +524,15 @@ class TestSymmetryReduction:
         for score in MONOTONE_SCORES.values():
             expect = full_path_best(g, score)
             assert frontier_best(frontier, score) == expect
+        assert max_side_product(frontier) == full_path_best(
+            g, MONOTONE_SCORES["product"])[0]
+        assert max_cover_capacity(frontier, 4) == full_path_best(
+            g, MONOTONE_SCORES["capacity4"])[0]
 
     def test_plane5_pinned(self, bk_starts):
-        g = gen_levi(5)
-        assert max_cover_capacity(g, 4) == 675
-        assert max_side_product(g) == 60
+        frontier = profile_frontier(gen_levi(5))
+        assert max_cover_capacity(frontier, 4) == 675
+        assert max_side_product(frontier) == 60
         assert bk_starts == []
 
     def test_plane5_frontier_pinned(self, bk_starts):
@@ -547,8 +558,9 @@ class TestSymmetryReduction:
     @settings(max_examples=100, deadline=None)
     @given(bipartite_graphs())
     def test_frontier_matches_brute_force(self, g):
-        assert profile_frontier(g) == brute_frontier(g)
-        assert max_side_product(g) == full_path_best(
+        frontier = profile_frontier(g)
+        assert frontier == brute_frontier(g)
+        assert max_side_product(frontier) == full_path_best(
             g, MONOTONE_SCORES["product"])[0]
 
     def test_budget_covers_both_paths(self, plane3):
@@ -558,13 +570,14 @@ class TestSymmetryReduction:
         # Bron-Kerbosch calls, charged 4540 one-word rows (pivots depend
         # on the labels)
         plane5 = gen_levi(5)
-        assert max_side_product(plane5, budget=6731) == 60
+        assert profile_frontier(plane5, budget=6731) == profile_frontier(
+            plane5)
         with pytest.raises(BudgetExceededError, match="frontier search"):
-            max_side_product(plane5, budget=6730)
+            profile_frontier(plane5, budget=6730)
         g = relabelled(plane3, 5)
-        assert max_cover_capacity(g, 2, budget=4540) == 12
+        assert profile_frontier(g, budget=4540) == profile_frontier(g)
         with pytest.raises(BudgetExceededError, match="enumeration"):
-            max_cover_capacity(g, 2, budget=4539)
+            profile_frontier(g, budget=4539)
 
     def test_plane5_search_nodes(self):
         # top = 9, and mu(4..9) = 31 - b*(a)
@@ -716,7 +729,8 @@ class TestBounds:
     def test_exact_measures_the_generated_plane(self, q):
         # the measured fields, taken on gen_levi(q) by hand
         g = gen_levi(q)
-        count, cap = count_balanced(g, 2), max_cover_capacity(g, 2)
+        count = count_balanced(g, 2)
+        cap = max_cover_capacity(profile_frontier(g), 2)
         assert evaluate_bounds(q, 2, exact=True) == evaluate_bounds(
             q, 2)._replace(measured_balanced_count=count,
                            measured_max_capacity=cap,
@@ -764,6 +778,27 @@ class TestRunChecks:
         monkeypatch.setattr("levicover.levi.is_c4_free", counted)
         assert independence.run_checks(g, names, OPTIONS, 10 ** 6) == alone
         assert sweeps == [10 ** 6]
+
+    @pytest.mark.parametrize("names", [
+        ["product", "coverbound"], ["coverbound", "product"],
+        ["c4free", "coverbound", "levi-props", "product"],
+        ["product", "levi-props", "c4free", "coverbound"]])
+    @pytest.mark.parametrize("graph", ["plane3", "relabelled"])
+    def test_product_and_coverbound_search_once(self, names, graph, plane3,
+                                                monkeypatch):
+        # the relabelled plane takes the Bron-Kerbosch path
+        g = plane3 if graph == "plane3" else relabelled(plane3, 5)
+        # each check run on its own, with a frontier of its own
+        alone = [independence.CHECKS[name](g, **OPTIONS, budget=None,
+                                           memo={}) for name in names]
+        searches = []
+
+        def counted(g, budget=None):
+            searches.append(budget)
+            return profile_frontier(g, budget)
+        monkeypatch.setattr(independence, "profile_frontier", counted)
+        assert independence.run_checks(g, names, OPTIONS, 10 ** 6) == alone
+        assert searches == [10 ** 6]
 
     def test_graph_fitting_no_plane_is_refused_before_the_sweep(self):
         # budget 0 would refuse the sweep; the side size is refused first
