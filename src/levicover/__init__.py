@@ -18,10 +18,9 @@ _HOMES = {
                "vset", "write_graph"),
     "levi": ("LeviIndexing", "gen_levi", "infer_q", "is_prime",
              "plane_size", "verify_levi_properties"),
-    "independence": ("BoundsReport", "ExpansionCheck",
-                     "balanced_count_lower_bound", "check_cover_capacity",
-                     "check_expansion", "count_balanced",
-                     "count_independent_sets", "enumerate_independent_sets",
+    "independence": ("BoundsReport", "balanced_count_lower_bound",
+                     "count_balanced", "count_independent_sets",
+                     "enumerate_independent_sets",
                      "enumerate_maximal_independent_sets",
                      "evaluate_bounds", "expansion_bound",
                      "max_cover_capacity", "max_side_product",
@@ -30,8 +29,8 @@ _HOMES = {
     "covering": ("CoveringFamily", "build_family_mc",
                  "containment_probability_floor", "dump_family",
                  "family_from_json", "family_to_json", "greedy_cover",
-                 "load_family", "required_samples", "sample_independent_set",
-                 "substream", "verify_family"),
+                 "load_family", "required_samples", "substream",
+                 "verify_family"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

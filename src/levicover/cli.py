@@ -106,7 +106,8 @@ def cmd_bounds(args) -> int:
     frac = rep.balanced_count_lower_bound
     doc = rep._asdict()
     doc["balanced_count_lower_bound"] = f"{frac.numerator}/{frac.denominator}"
-    doc["balanced_count_lower_bound_float"] = float(frac)
+    doc["balanced_count_lower_bound_float"] = (
+        independence.balanced_bound_float(rep.n, rep.k, frac))
     _emit_json(doc)
     _summary(f"bounds: q={rep.q} k={rep.k} n={rep.n} "
              f"family_size_lower_bound={rep.family_size_lower_bound:.6g}")

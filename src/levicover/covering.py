@@ -14,8 +14,8 @@ samples at a time. A block of rows samples on n vertices has rows n
 lanes, lane v rows + r being vertex v of sample r. Bit-planes of random
 lane digits are drawn until no lane's numeral ties with p, or PLANES of
 them, and a lane is marked iff its numeral of m digits, the first plane
-the top one, is below floor(2^m p). ``sample_independent_set`` is the
-scalar reference for a block of one row.
+the top one, is below floor(2^m p). ``sample_independent_set`` draws
+a block of one row.
 
 A block turns its pruned planes into rows of ceil(n/8) little-endian
 bytes, so that a build deduplicates on bytes and builds an int only for
@@ -77,14 +77,14 @@ def containment_probability_floor(d: int, k: int) -> Fraction:
     return p ** k * (1 - p) ** (k * d)
 
 
+# Not exported by the package; perfbench/tracer.py wraps it by name.
 def sample_independent_set(g: Graph, order: DegeneracyResult, p,
                            rng: random.Random) -> VertexSet:
-    """Draw one independent set, a block of one row: mark with
+    """Draw one independent set of g, a block of one row: mark with
     probability p, keep a marked vertex iff no forward neighbor is marked.
     """
-    marked = _marks(rng, g.n, p)
-    return sum(1 << v for v in iter_members(marked)
-               if not order.forward[v] & marked)
+    return int.from_bytes(_sample_block(rng, 1, p, order.forward)[0],
+                          "little")
 
 
 def substream(seed: int) -> random.Random:
@@ -178,26 +178,28 @@ def required_samples(universe_size: int, p_min: Fraction,
     taken of the int universe and the division done exactly, so neither a
     huge universe nor a tiny p_min overflows a float.
     """
-    log_targets = _log_targets(universe_size, delta)
+    if universe_size < 1:
+        raise GraphError("universe size must be at least 1")
+    log_targets = _log_targets(math.log(universe_size), delta)
     p_min = Fraction(p_min)
     if not (0 < p_min <= 1):
         raise GraphError("containment probability must be in (0, 1]")
     return math.ceil(Fraction(log_targets) / p_min)
 
 
-def _log_targets(universe_size: int, delta: float) -> float:
-    """ln(universe_size / delta), the union bound's numerator."""
-    if universe_size < 1:
-        raise GraphError("universe size must be at least 1")
+def _log_targets(log_universe: float, delta: float) -> float:
+    """ln(universe / delta), the union bound's numerator, from
+    log_universe = ln(universe)."""
     if not (0 < delta < 1):
         raise GraphError("delta must be in (0, 1)")
-    return math.log(universe_size) - math.log(delta)
+    return log_universe - math.log(delta)
 
 
-def _samples_floor(universe_size: int, d: int, k: int,
+def _samples_floor(log_universe: float, d: int, k: int,
                    delta: float) -> int:
-    """A lower bound on required_samples(universe_size,
-    containment_probability_floor(d, k), delta) from floats alone.
+    """A lower bound on required_samples(universe,
+    containment_probability_floor(d, k), delta) from floats alone, for a
+    universe of at least one target with ln(universe) = log_universe.
 
     log2 t is at least log2 ln(universe/delta) + k log2(d+1)
     + k d log2(1 + 1/d). With x that sum less a relative 10^-12 for
@@ -207,7 +209,7 @@ def _samples_floor(universe_size: int, d: int, k: int,
     """
     per_set = math.log2(d + 1) + (d * math.log1p(1 / d) / math.log(2)
                                   if d else 0.0)
-    x = math.log2(_log_targets(universe_size, delta)) + k * per_set
+    x = math.log2(_log_targets(log_universe, delta)) + k * per_set
     x = min(x - 1e-12 * max(abs(x), 1.0), 2 ** 24)
     shift = max(math.floor(x) - 52, 0)
     return math.ceil(2 ** (x - shift)) << shift
@@ -224,7 +226,8 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     can raise t. A sample count t above the budget is refused before any
     draw, and before the count and the exact powers of p_min when a float
     lower bound on t at n targets (every vertex is a target on its own,
-    so that t is a lower bound too) is already over it. The t samples
+    so that t is a lower bound too) is already over it; the same float
+    bound at n^k targets is charged before n^k is built. The t samples
     come from one ``random.Random(seed)``, BLOCK rows at a time (see the
     module docstring), and duplicates keep their first occurrence: rows
     are deduplicated as their bytes, and only the distinct ones become
@@ -237,13 +240,16 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
         raise GraphError("seed must be non-negative")
     order = degeneracy_order(g, budget)
     d = order.degeneracy
-    Budget(budget).charge(_samples_floor(max(g.n, 1), d, k, delta),
+    Budget(budget).charge(_samples_floor(math.log(max(g.n, 1)), d, k,
+                                         delta),
                           "sampling needs t>={} samples")
     p = marking_probability(d)
     p_min = containment_probability_floor(d, k)
     try:
         universe = max(count_independent_sets(g, k, budget), 1)
     except BudgetExceededError:
+        Budget(budget).charge(_samples_floor(k * math.log(g.n), d, k, delta),
+                              "sampling needs t>={} samples")
         universe = g.n ** k
     t = required_samples(universe, p_min, delta)
     Budget(budget).charge(t, "sampling needs t={} samples")
@@ -421,14 +427,18 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
 def dump_family(fam: CoveringFamily) -> str:
     """The text of json.dumps(family_to_json(fam), indent=2,
     sort_keys=True) + "\n". json's indenting encoder is pure Python, so
-    the member arrays, which are nearly all of the text, are joined here
-    and spliced in for the empty array the encoder prints."""
-    doc = family_to_json(fam)
-    rows = ["[\n      " + ",\n      ".join(map(str, arr)) + "\n    ]"
-            if arr else "[]" for arr in doc["sets"]]
-    sets = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    head = json.dumps(dict(doc, sets=[]), indent=2, sort_keys=True)
-    return head.replace('"sets": []', '"sets": ' + sets, 1) + "\n"
+    it encodes the family without its member arrays, which are nearly
+    all of the text. Those are written here, one string per set straight
+    from its bitmask, and joined with the encoder's text around the
+    empty array in one pass."""
+    head, tail = json.dumps(family_to_json(fam._replace(sets=())),
+                            indent=2, sort_keys=True).split('"sets": []')
+    rows = [",\n    [\n      " + ",\n      ".join(map(str, iter_members(s)))
+            + "\n    ]" if s else ",\n    []" for s in fam.sets]
+    if rows:
+        rows[0] = rows[0][1:]  # no comma before the first row
+        rows.append("\n  ")
+    return "".join([head, '"sets": [', *rows, "]", tail, "\n"])
 
 
 def load_family(text: bytes | str, g: Graph) -> CoveringFamily:

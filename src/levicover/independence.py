@@ -1,10 +1,10 @@
 """Independent-set enumeration and the extremal checks built on it.
 
-Everything here is exact: neighborhood expansion bounds are compared as
-rationals or as cross-multiplied integers, counts are integers, and the
-only floating point appears in the closed-form bound values that are
-irrational by nature (those are compared with an explicit relative
-margin by callers).
+Everything here is exact: neighborhood sizes are compared with the
+expansion bound rounded up to an int, counts are integers, the balanced
+count lower bound is a Fraction, and the only floating point appears in
+the closed-form bound values that are irrational by nature (those are
+compared with an explicit relative margin by callers).
 """
 
 from __future__ import annotations
@@ -12,15 +12,17 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .graphs import (Budget, Graph, GraphError, VertexSet, degeneracy_order,
                      is_c4_free, iter_members, members, neighborhood_of_set,
                      sqrt_degeneracy_bound, vset, words)
 from .levi import (LeviIndexing, gen_levi, infer_q, plane_size,
                    require_prime, verify_levi_properties)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def enumerate_independent_sets(g: Graph, k: int,
@@ -111,23 +113,25 @@ def enumerate_maximal_independent_sets(g: Graph,
         r, p, x = r | low, p & nb, x & nb
 
 
-def expansion_bound(q: int, size: int) -> Fraction:
-    """(q+1)^2 size / (q + size), the least |N(S)| of a one-side set S
-    of ``size`` >= 1 vertices of the plane of order q: delta^2 |S| /
-    (delta + lambda (|S|-1)) with degree delta = q+1 and lambda = 1
-    common neighbour per pair."""
-    return Fraction((q + 1) ** 2 * size, q + size)
+def expansion_bound(q: int, size: int) -> int:
+    """ceil((q+1)^2 size / (q + size)), the least |N(S)| of a one-side
+    set S of ``size`` >= 1 vertices of the plane of order q: delta^2 |S|
+    / (delta + lambda (|S|-1)) with degree delta = q+1 and lambda = 1
+    common neighbour per pair, rounded up because |N(S)| is an int."""
+    return -(-(q + 1) ** 2 * size // (q + size))
 
 
+# ExpansionCheck and check_expansion are not exported by the package;
+# perfbench/tracer.py wraps check_expansion by name.
 class ExpansionCheck(NamedTuple):
     holds: bool
     neighborhood_size: int
-    bound: Fraction
+    bound: int
 
 
 def check_expansion(g: Graph, s: VertexSet) -> ExpansionCheck:
-    """Compare |N(S)| against expansion_bound(q, |S|) exactly, q the
-    plane order read off g (see infer_q)."""
+    """Compare |N(S)| against expansion_bound(q, |S|), q the plane order
+    read off g (see infer_q)."""
     if not s:
         raise GraphError("expansion check needs a nonempty set")
     if g.side_p_size == 0:
@@ -154,21 +158,19 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
 
     A one-side set S has no edge inside it, so N(S) is the union of its
     rows, and S violates the bound iff |N(S)| < expansion_bound(q, |S|).
-    The one- and two-vertex sets compare the int |N(S)| with the bound
-    rounded up, which is the same test. Each random set draws its side
-    (randrange(2), 0 for P), size (randint(1, |side|)) and members
-    (sample(side, size)) from ``random.Random(seed)``, in that order. The
-    budget is charged s + C(s, 2) per side of size s plus one step per
-    sample, all before the first set is tested. A negative seed, which
-    Random would read as its absolute value, is refused.
+    Each random set draws its side (randrange(2), 0 for P), size
+    (randint(1, |side|)) and members (sample(side, size)) from
+    ``random.Random(seed)``, in that order. The budget is charged
+    s + C(s, 2) per side of size s plus one step per sample, all before
+    the first set is tested. A negative seed, which Random would read as
+    its absolute value, is refused.
     """
     if samples < 0:
         raise GraphError("sample count must be non-negative")
     if seed < 0:
         raise GraphError("seed must be non-negative")
     q = infer_q(g)
-    one = math.ceil(expansion_bound(q, 1))
-    two = math.ceil(expansion_bound(q, 2))
+    one, two = expansion_bound(q, 1), expansion_bound(q, 2)
     sides = [[g.adj[v] for v in members(s)] for s in (g.side_p, g.side_l)]
     if not all(sides):
         raise GraphError("expansion check needs two nonempty sides")
@@ -249,7 +251,7 @@ def _fewest_lines_met(g: Graph, frame: VertexSet, budget: Optional[int]
     plane's frame is ``frame``, four points no three collinear. mu(a)
     for a <= |frame| is |N| of the frame's first a points; above, it is
     the least |N(S)| over point sets S through the frame. floor(a) =
-    ceil(expansion_bound(q, a)) <= mu(a), and top is the first a with
+    expansion_bound(q, a) <= mu(a), and top is the first a with
     |L| - floor(a) < a.
 
     Depth-first branch and bound: child i of a node adds its i-th
@@ -267,7 +269,7 @@ def _fewest_lines_met(g: Graph, frame: VertexSet, budget: Optional[int]
     lines = g.n - g.side_p_size
     floors = [0]
     while lines - floors[-1] >= len(floors) - 1:
-        floors.append(math.ceil(expansion_bound(q, len(floors))))
+        floors.append(expansion_bound(q, len(floors)))
     top = len(floors) - 1
     rows = g.adj
     mu, hit = [0], 0
@@ -372,6 +374,7 @@ def _capacity(a: int, b: int, half: int) -> int:
     return math.comb(a, half) * math.comb(b, half)
 
 
+# Not exported by the package; perfbench/tracer.py wraps it by name.
 def check_cover_capacity(g: Graph, i: VertexSet, k: int) -> int:
     """Number of balanced k-subsets inside the independent set i."""
     if not g.is_independent(i):
@@ -393,7 +396,9 @@ def balanced_count_lower_bound(n: int, k: int,
                                budget: Optional[int] = None) -> Fraction:
     """(n/4k)^k, the floor on the number of balanced k-sets; the words of
     the power's numerator and denominator are charged against ``budget``
-    before it is taken."""
+    before it is taken. The only Fraction of this module, so only the
+    commands that read this bound load ``fractions``."""
+    from fractions import Fraction
     base = Fraction(n, 4 * k)
     size = words(k * (base.numerator.bit_length()
                       + base.denominator.bit_length()))
@@ -411,6 +416,13 @@ def _float_bound(what: str, value: Callable[[], float]) -> float:
     if not math.isfinite(out):
         raise GraphError(f"the {what} does not fit a float")
     return out
+
+
+def balanced_bound_float(n: int, k: int, bound: Fraction) -> float:
+    """float(bound), bound the balanced count lower bound at (n, k);
+    GraphError when that does not fit a float."""
+    return _float_bound(f"balanced count lower bound at n={n}, k={k}",
+                        lambda: float(bound))
 
 
 def per_set_capacity_bound(n: int, k: int) -> float:
@@ -491,8 +503,7 @@ def _balanced(g: Graph, *, k: int, budget: Optional[int],
               **_) -> CheckResult:
     count = count_balanced(g, k, budget=budget)
     bound = balanced_count_lower_bound(g.n, k, budget)
-    expected = _float_bound(f"balanced count lower bound at n={g.n}, k={k}",
-                            lambda: float(bound))
+    expected = balanced_bound_float(g.n, k, bound)
     return expected, count, count >= bound, float(count - bound)
 
 

@@ -13,15 +13,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levicover import (Graph, build_family_mc, check_cover_capacity,
-                       check_expansion, containment_probability_floor,
-                       count_balanced, degeneracy_order, dump_family,
+from levicover import (Graph, build_family_mc,
+                       containment_probability_floor, count_balanced,
+                       degeneracy_order, dump_family,
                        enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
                        gen_levi, greedy_cover, is_c4_free, members,
                        parse_graph, required_samples,
                        sqrt_degeneracy_bound, substream, verify_family,
                        verify_levi_properties, vset, write_graph)
+from levicover.independence import check_cover_capacity, check_expansion
 from levicover.cli import main
 from levicover.covering import BLOCK, _sample_block
 from levicover.graphs import BudgetExceededError

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -147,11 +148,12 @@ def test_plane_commands_do_not_load_numpy(name, tmp_path):
 
 # Each command imports only what it runs. dataclasses is loaded by none,
 # hashlib (which maps OpenSSL) only by cover, datetime only where a
-# timestamp is written, and the independence and covering modules only
-# by the commands that call them: argv at q=2 and the modules of WATCHED
-# that it leaves loaded.
-WATCHED = ("dataclasses", "hashlib", "datetime", "levicover.covering",
-           "levicover.independence")
+# timestamp is written, fractions only where a Fraction is computed (the
+# balanced count lower bound and the sampler), and the independence and
+# covering modules only by the commands that call them: argv at q=2 and
+# the modules of WATCHED that it leaves loaded.
+WATCHED = ("dataclasses", "hashlib", "datetime", "fractions",
+           "levicover.covering", "levicover.independence")
 FOOTPRINT = {
     "gen": (["gen", "--q", "2", "--out", "out.g"], set()),
     "verify": (["verify", "--q", "2", "--checks",
@@ -161,19 +163,25 @@ FOOTPRINT = {
                              "levi-props,c4free,degeneracy",
                              "--no-timestamp"],
                             {"levicover.independence"}),
+    "verify-expansion": (["verify", "--q", "2", "--checks",
+                          "expansion,product,coverbound", "--no-timestamp"],
+                         {"levicover.independence"}),
+    "verify-balanced": (["verify", "--q", "2", "--checks", "balanced",
+                         "--no-timestamp"],
+                        {"fractions", "levicover.independence"}),
     "bounds": (["bounds", "--q", "2", "--k", "2", "--exact"],
-               {"levicover.independence"}),
+               {"fractions", "levicover.independence"}),
     "cover-build": (["cover", "build", "--in", "fano.g", "--k", "2",
                      "--delta", "0.1", "--seed", "1", "--out", "out.json"],
-                    {"hashlib", "levicover.covering",
+                    {"hashlib", "fractions", "levicover.covering",
                      "levicover.independence"}),
     "cover-verify": (["cover", "verify", "--in", "fano.g", "--k", "2",
                       "--family", "fam.json"],
-                     {"hashlib", "datetime", "levicover.covering",
-                      "levicover.independence"}),
+                     {"hashlib", "datetime", "fractions",
+                      "levicover.covering", "levicover.independence"}),
     "cover-greedy": (["cover", "greedy", "--in", "fano.g", "--k", "2",
                       "--out", "out.json"],
-                     {"hashlib", "levicover.covering",
+                     {"hashlib", "fractions", "levicover.covering",
                       "levicover.independence"}),
 }
 
@@ -310,6 +318,22 @@ def test_large_k_exits_3_at_once(name, tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and message in err
     assert time.monotonic() - started < 2
+
+
+def test_n_to_the_k_universe_charged_before_the_power(tmp_path):
+    # d = 0, so p_min = 1 and t at the 40 single-vertex targets is 4; the
+    # count runs out of budget, and t at 40^(10^8) targets is refused
+    # before that 532-million-bit power is built
+    (tmp_path / "g.txt").write_text("40 0 0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "levicover.cli", "cover", "build", "--in",
+         "g.txt", "--k", "100000000", "--delta", "0.5", "--seed", "0",
+         "--budget", "100000"], env=dict(os.environ, PYTHONPATH=src),
+        cwd=tmp_path, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("error: sampling needs t>=368887947 samples, "
+                           "over the budget of 100000\n")
 
 
 @pytest.mark.parametrize("check", ["product", "coverbound"])
@@ -618,6 +642,19 @@ class TestBounds:
         assert ("the balanced count lower bound at " + words
                 + ", over the budget of 10000000") in err
         assert time.monotonic() - started < 5
+
+    def test_balanced_bound_float_at_the_largest_float(self, capsys):
+        # at q=999983, (n/120)^30 is about 4.5e306 and (n/128)^32 about
+        # 1e326, over the largest float
+        n = 1999934000546
+        code, out, _ = run(capsys, "bounds", "--q", "999983", "--k", "30")
+        assert code == 0
+        assert json.loads(out)["balanced_count_lower_bound_float"] == float(
+            Fraction(n, 120) ** 30)
+        code, out, err = run(capsys, "bounds", "--q", "999983", "--k", "32")
+        assert code == 2 and out == ""
+        assert (f"error: the balanced count lower bound at n={n}, k=32 "
+                "does not fit a float") in err
 
     def test_overflowing_capacity_bound_exits_2(self, capsys):
         code, out, err = run(capsys, "bounds", "--q", "101", "--k", "96")

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,9 +15,9 @@ from levicover import (Graph, GraphError, build_family_mc,
                        enumerate_independent_sets,
                        enumerate_maximal_independent_sets, gen_levi,
                        graph_hash, greedy_cover, load_family, members,
-                       required_samples, sample_independent_set, substream,
-                       verify_family, vset)
+                       required_samples, substream, verify_family, vset)
 from levicover import covering
+from levicover.covering import sample_independent_set
 from levicover.graphs import BudgetExceededError
 from conftest import complete_graph, cycle_graph, small_graphs
 
@@ -243,17 +245,14 @@ class TestBlockSampler:
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_block_rows_equal_sequential_calls(self, q):
-        # a block of one row is one sample_independent_set call
+        # each sample_independent_set call is a lane-oracle block of one row
         g = gen_levi(q)
         order = degeneracy_order(g)
         p = Fraction(1, order.degeneracy + 1)
         a, b = substream(12), substream(12)
-        assert ([int.from_bytes(
-                    covering._sample_block(a, 1, p, order.forward)[0],
-                    "little")
-                 for _ in range(200)]
-                == [sample_independent_set(g, order, p, b)
-                    for _ in range(200)])
+        assert ([sample_independent_set(g, order, p, a) for _ in range(200)]
+                == [lane_block(b, 1, g, order)[0] for _ in range(200)])
+        assert a.getstate() == b.getstate()
 
     @pytest.mark.parametrize("p,planes", [
         (Fraction(1), 0), (Fraction(1, 2), 1), (Fraction(1, 4), 2),
@@ -456,11 +455,16 @@ class TestBuildFamily:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 10 ** 7), st.integers(0, 60), st.integers(1, 60),
-           st.floats(1e-300, 1, exclude_max=True))
-    def test_float_sizing_floor_is_a_lower_bound(self, n, d, k, delta):
-        # oracle: the exact t from the exact p_min
-        t = required_samples(n, containment_probability_floor(d, k), delta)
-        floor = covering._samples_floor(n, d, k, delta)
+           st.floats(1e-300, 1, exclude_max=True), st.booleans())
+    def test_float_sizing_floor_is_a_lower_bound(self, n, d, k, delta,
+                                                 power):
+        # oracle: the exact t from the exact p_min, at n targets or at the
+        # n^k targets of the fallback universe
+        universe, log = ((n ** k, k * math.log(n)) if power
+                         else (n, math.log(n)))
+        t = required_samples(universe, containment_probability_floor(d, k),
+                             delta)
+        floor = covering._samples_floor(log, d, k, delta)
         assert t - t // 10 ** 9 - 1 <= floor <= t
 
     def test_sizing_lower_bound_within_budget_counts(self, fano):
@@ -599,6 +603,23 @@ class TestFamilyIO:
         fam = build_family_mc(gen_levi(3), 4, 1e-3, seed=0)
         assert dump_family(fam) == json.dumps(
             covering.family_to_json(fam), indent=2, sort_keys=True) + "\n"
+
+    def test_dump_peak_memory_is_a_few_texts(self):
+        # the rows are written straight from the bitmasks and joined once,
+        # so no member lists and no spliced copy of the text are held
+        rng = random.Random(1)
+        sets = tuple(sum(1 << v for v in rng.sample(range(200), 12))
+                     for _ in range(20000))
+        fam = covering.CoveringFamily(sets=sets, k=2, delta=0.5, seed=0,
+                                      t=len(sets), degeneracy=3,
+                                      graph_hash="0" * 64)
+        tracemalloc.start()
+        try:
+            text = dump_family(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
 
     def test_sets_serialized_ascending(self, fano):
         fam = build_family_mc(fano, 2, 1e-3, seed=11)

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicover import (Graph, GraphError,
-                       check_cover_capacity, check_expansion, count_balanced,
+from levicover import (Graph, GraphError, count_balanced,
                        count_independent_sets, enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
                        gen_levi, graph_hash, is_c4_free, max_cover_capacity,
@@ -17,6 +16,7 @@ from levicover import (Graph, GraphError,
                        plane_size, profile_frontier, vset)
 from levicover import independence
 from levicover.graphs import Budget, BudgetExceededError, words
+from levicover.independence import check_cover_capacity, check_expansion
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
                       edgeless_bipartite, small_graphs)
 
@@ -205,6 +205,14 @@ class TestMaximalEnumeration:
 
 
 class TestExpansion:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 23])
+    def test_bound_is_the_exact_ratio_rounded_up(self, q):
+        # oracle: the rational bound of the paper, ceiled
+        for s in range(1, plane_size(q) + 1):
+            bound = independence.expansion_bound(q, s)
+            assert type(bound) is int
+            assert bound == math.ceil(Fraction((q + 1) ** 2 * s, q + s))
+
     def test_singleton_equality(self, fano):
         chk = check_expansion(fano, 1 << 0)
         assert chk.holds

@@ -30,12 +30,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levicover import (DegeneracyResult, Graph, GraphError, LeviIndexing,
-                       ParseError, check_expansion, degeneracy_order,
-                       gen_levi, infer_q, is_c4_free, iter_members, members,
-                       parse_graph, plane_size, verify_levi_properties, vset,
-                       write_graph)
+                       ParseError, degeneracy_order, gen_levi, infer_q,
+                       is_c4_free, iter_members, members, parse_graph,
+                       plane_size, verify_levi_properties, vset, write_graph)
 from levicover.covering import _columns
-from levicover.independence import _verify_expansion
+from levicover.independence import _verify_expansion, check_expansion
 from test_graphs import random_graphs
 
 
