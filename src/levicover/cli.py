@@ -43,10 +43,13 @@ def _read(path: str) -> bytes:
 
 
 def _write(text: str, out):
-    """Write text to the file out, or to stdout when out is not given."""
+    """Write text to the file out, or to stdout when out is not given. A
+    file is written in slices of 64 Ki characters, so that no encoded copy
+    of the whole text is held."""
     if out:
         with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
+            for start in range(0, len(text), 1 << 16):
+                f.write(text[start:start + (1 << 16)])
     else:
         sys.stdout.write(text)
 
@@ -121,7 +124,8 @@ def cmd_cover_build(args) -> int:
                                    budget=args.budget)
     _write(covering.dump_family(fam), args.out)
     _summary(f"cover build: {len(fam.sets)} distinct sets from t={fam.t} "
-             f"samples (d={fam.degeneracy}, p={fam.p})")
+             f"samples (d={fam.degeneracy}, "
+             f"p={covering._p_text(fam.degeneracy)})")
     return EXIT_PASS
 
 
@@ -129,7 +133,7 @@ def cmd_cover_verify(args) -> int:
     from . import covering
     started = time.monotonic()
     g = parse_graph(_read(args.infile), args.budget)
-    fam = covering.load_family(_read(args.family), g)
+    fam = covering.load_family(_read(args.family), g, args.budget)
     ok, witness = covering.verify_family(g, args.k, fam.sets,
                                          budget=args.budget)
     checks = [_check("coverage", True, ok, ok)]

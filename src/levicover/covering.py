@@ -33,7 +33,6 @@ import json
 import math
 import operator
 import random
-from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
@@ -60,56 +59,44 @@ class CoveringFamily(NamedTuple):
     degeneracy: int
     graph_hash: str
 
-    @property
-    def p(self) -> Fraction:
-        """The marking probability of the degeneracy, 1/(d+1)."""
-        return marking_probability(self.degeneracy)
 
-
-def marking_probability(d: int) -> Fraction:
-    """p = 1/(d+1), the marking probability for degeneracy d."""
-    return Fraction(1, d + 1)
-
-
-def containment_probability_floor(d: int, k: int) -> Fraction:
-    """Per-sample lower bound p^k (1-p)^(kd) with p = 1/(d+1), exact."""
-    p = marking_probability(d)
-    return p ** k * (1 - p) ** (k * d)
+def _p_text(d: int) -> str:
+    """The marking probability 1/(d+1) as a family file writes it."""
+    return f"1/{d + 1}"
 
 
 # Not exported by the package; perfbench/tracer.py wraps it by name.
-def sample_independent_set(g: Graph, order: DegeneracyResult, p,
+def sample_independent_set(g: Graph, order: DegeneracyResult,
                            rng: random.Random) -> VertexSet:
     """Draw one independent set of g, a block of one row: mark with
-    probability p, keep a marked vertex iff no forward neighbor is marked.
+    probability 1/(d+1), d = order.degeneracy, keep a marked vertex iff
+    no forward neighbor is marked.
     """
-    return int.from_bytes(_sample_block(rng, 1, p, order.forward)[0],
-                          "little")
+    return int.from_bytes(
+        _sample_block(rng, 1, order.degeneracy, order.forward)[0], "little")
 
 
 def substream(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _marks(rng: random.Random, lanes: int, p) -> int:
-    """Bit l set iff lane l is marked with probability p in (0, 1].
+def _marks(rng: random.Random, lanes: int, d: int) -> int:
+    """Bit l set iff lane l is marked with probability 1/(d+1).
 
     Each plane is one more digit of every lane's numeral. ``below`` holds
-    the lanes whose numeral is below floor(2^m p), whose digits come by
-    long division, and ``tied`` those equal to it while rem > 0."""
-    p = Fraction(p)
-    if not (0 < p <= 1):
-        raise GraphError("marking probability must be in (0, 1]")
+    the lanes whose numeral is below floor(2^m/(d+1)), whose digits come
+    by long division of 1 by d+1, and ``tied`` those equal to it while
+    rem > 0."""
     full = (1 << lanes) - 1
-    rem = p.numerator % p.denominator
+    rem = 1 % (d + 1)
     below, tied = (0, full) if rem else (full, 0)
     for _ in range(PLANES):
         if not (tied and rem):
             break
         plane = rng.getrandbits(lanes)
         rem *= 2
-        if rem >= p.denominator:
-            rem -= p.denominator
+        if rem > d:
+            rem -= d + 1
             below |= tied & ~plane
             tied &= plane
         else:
@@ -135,7 +122,7 @@ def _columns(sets: Sequence[VertexSet], n: int,
     return [int(digits[n - 1 - v::n] or "0", 2) for v in range(n)]
 
 
-def _sample_block(rng: random.Random, rows: int, p,
+def _sample_block(rng: random.Random, rows: int, d: int,
                   forward: Sequence[VertexSet]) -> tuple[bytes, ...]:
     """``rows`` samples, each as ceil(n/8) bytes in which bit i of byte j
     is vertex 8j + i, so that int.from_bytes(row, "little") is its
@@ -151,7 +138,7 @@ def _sample_block(rng: random.Random, rows: int, p,
     """
     import struct  # here, so that only cover build loads _struct
     lanes = rows * len(forward)
-    digits = bin(_marks(rng, lanes, p) | 1 << lanes)[:2:-1].encode()
+    digits = bin(_marks(rng, lanes, d) | 1 << lanes)[:2:-1].encode()
     planes = [int.from_bytes(digits[i:i + rows], "little")
               for i in range(0, lanes, rows)]
     del digits  # n * rows bytes, not held while the rows are built
@@ -170,21 +157,23 @@ def _sample_block(rng: random.Random, rows: int, p,
     return struct.unpack(f"{width}s" * rows, packed)
 
 
-def required_samples(universe_size: int, p_min: Fraction,
+def required_samples(universe_size: int, d: int, k: int,
                      delta: float) -> int:
     """Samples needed so every target set is hit with probability >= 1-delta.
 
-    Union bound: t = ceil(ln(universe/delta) / p_min), with the logarithm
-    taken of the int universe and the division done exactly, so neither a
+    A target of at most k vertices survives one sample with probability
+    at least p_min = d^(kd) / (d+1)^(k(d+1)), p^k (1-p)^(kd) at
+    p = 1/(d+1). Union bound:
+    t = ceil(ln(universe/delta) (d+1)^(k(d+1)) / d^(kd)), with the
+    logarithm taken of the int universe and the rest in ints, so neither a
     huge universe nor a tiny p_min overflows a float.
     """
     if universe_size < 1:
         raise GraphError("universe size must be at least 1")
-    log_targets = _log_targets(math.log(universe_size), delta)
-    p_min = Fraction(p_min)
-    if not (0 < p_min <= 1):
-        raise GraphError("containment probability must be in (0, 1]")
-    return math.ceil(Fraction(log_targets) / p_min)
+    if k < 1 or d < 0:
+        raise GraphError("k must be at least 1 and d non-negative")
+    num, den = _log_targets(math.log(universe_size), delta).as_integer_ratio()
+    return -(-num * (d + 1) ** (k * (d + 1)) // (den * d ** (k * d)))
 
 
 def _log_targets(log_universe: float, delta: float) -> float:
@@ -197,9 +186,9 @@ def _log_targets(log_universe: float, delta: float) -> float:
 
 def _samples_floor(log_universe: float, d: int, k: int,
                    delta: float) -> int:
-    """A lower bound on required_samples(universe,
-    containment_probability_floor(d, k), delta) from floats alone, for a
-    universe of at least one target with ln(universe) = log_universe.
+    """The float lower bound on required_samples(universe, d, k, delta),
+    for a universe of at least one target with ln(universe) =
+    log_universe.
 
     log2 t is at least log2 ln(universe/delta) + k log2(d+1)
     + k d log2(1 + 1/d). With x that sum less a relative 10^-12 for
@@ -224,7 +213,7 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     The union-bound universe is the exact count of independent sets of
     size <= k when it is enumerable within the budget, else n^k, which
     can raise t. A sample count t above the budget is refused before any
-    draw, and before the count and the exact powers of p_min when a float
+    draw, and before the count and the int powers of d and d+1 when a float
     lower bound on t at n targets (every vertex is a target on its own,
     so that t is a lower bound too) is already over it; the same float
     bound at n^k targets is charged before n^k is built. The t samples
@@ -243,20 +232,18 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     Budget(budget).charge(_samples_floor(math.log(max(g.n, 1)), d, k,
                                          delta),
                           "sampling needs t>={} samples")
-    p = marking_probability(d)
-    p_min = containment_probability_floor(d, k)
     try:
         universe = max(count_independent_sets(g, k, budget), 1)
     except BudgetExceededError:
         Budget(budget).charge(_samples_floor(k * math.log(g.n), d, k, delta),
                               "sampling needs t>={} samples")
         universe = g.n ** k
-    t = required_samples(universe, p_min, delta)
+    t = required_samples(universe, d, k, delta)
     Budget(budget).charge(t, "sampling needs t={} samples")
     rng = substream(seed)
     seen: dict[bytes, None] = {}
     for start in range(0, t, BLOCK):
-        rows = _sample_block(rng, min(BLOCK, t - start), p, order.forward)
+        rows = _sample_block(rng, min(BLOCK, t - start), d, order.forward)
         seen.update(zip(rows, repeat(None)))
     seen.pop(bytes((g.n + 7) // 8), None)
     sets = tuple(map(int.from_bytes, seen, repeat("little")))
@@ -350,7 +337,8 @@ def greedy_cover(g: Graph, k: int,
 def greedy_family(g: Graph, k: int,
                   budget: Optional[int] = DEFAULT_BUDGET) -> CoveringFamily:
     """greedy_cover as a family document: delta 0, seed 0, t the number
-    of sets, and the marking probability the sampler would use on g."""
+    of sets, and the degeneracy of g, from which the sampler's marking
+    probability follows."""
     sets = greedy_cover(g, k, budget=budget)
     d = degeneracy_order(g, budget).degeneracy
     return CoveringFamily(sets=tuple(sets), k=k, delta=0.0, seed=0,
@@ -365,7 +353,7 @@ def family_to_json(fam: CoveringFamily) -> dict:
         "seed": fam.seed,
         "t": fam.t,
         "d": fam.degeneracy,
-        "p": f"{fam.p.numerator}/{fam.p.denominator}",
+        "p": _p_text(fam.degeneracy),
         "sets": [members(s) for s in fam.sets],
     }
 
@@ -393,7 +381,7 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
     except schemas.SchemaError as exc:
         raise GraphError(f"malformed family file: {exc}") from exc
     try:
-        p_ok = doc["p"] == f"1/{doc['d'] + 1}"
+        p_ok = doc["p"] == _p_text(doc["d"])
     except ValueError:  # d + 1 has more digits than Python will print
         p_ok = False
     if not p_ok:
@@ -441,10 +429,14 @@ def dump_family(fam: CoveringFamily) -> str:
     return "".join([head, '"sets": [', *rows, "]", tail, "\n"])
 
 
-def load_family(text: bytes | str, g: Graph) -> CoveringFamily:
+def load_family(text: bytes | str, g: Graph,
+                budget: Optional[int] = DEFAULT_BUDGET) -> CoveringFamily:
     """family_from_json of the UTF-8 JSON text; text that does not decode
     or parse, including nesting too deep for the parser, raises
-    GraphError."""
+    GraphError. The text is charged against ``budget`` before it is
+    parsed, a word per 8 of its characters."""
+    Budget(budget).charge(words(8 * len(text)),
+                          "the family file takes {} words")
     try:
         doc = json.loads(text.decode("utf-8") if isinstance(text, bytes)
                          else text)

@@ -309,6 +309,7 @@ def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
     else:
         text = data
     lines = text.split("\n")
+    del text  # a decoded copy of the file, not held while the rows are built
     m = len(lines) - 2
     try:
         n, _, side = map(int, lines[0].split(" "))

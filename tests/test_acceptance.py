@@ -13,8 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levicover import (Graph, build_family_mc,
-                       containment_probability_floor, count_balanced,
+from levicover import (Graph, build_family_mc, count_balanced,
                        degeneracy_order, dump_family,
                        enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
@@ -179,15 +178,14 @@ def test_08_sampler_marginals():
     c = Criterion("8 sampler marginals", 60)
     fano = gen_levi(2)
     order = degeneracy_order(fano)
-    c.check(order.degeneracy == 3)
-    p = Fraction(1, 4)
+    c.check(order.degeneracy == 3)  # p = 1/4
     pairs = [s for s in enumerate_independent_sets(fano, 2)
              if s.bit_count() == 2]
     c.check(len(pairs) == 70)
     # the samples of a build: blocks of BLOCK rows from one generator
     rng = substream(0)
     samples = [int.from_bytes(s, "little") for _ in range(25)
-               for s in _sample_block(rng, BLOCK, p, order.forward)]
+               for s in _sample_block(rng, BLOCK, 3, order.forward)]
     n_samples = len(samples)
     counts = dict.fromkeys(pairs, 0)
     for s in samples:
@@ -196,7 +194,7 @@ def test_08_sampler_marginals():
             if x & ~s == 0:
                 counts[x] += 1
     c.check(c.ok)  # every sample independent
-    p_min = float(containment_probability_floor(3, 2))
+    p_min = 3 ** 6 / 4 ** 8  # (1/4)^2 (3/4)^6
     floor = p_min - 3 * math.sqrt(p_min / n_samples)
     for x in pairs:
         c.check(counts[x] / n_samples >= floor)
@@ -205,7 +203,7 @@ def test_08_sampler_marginals():
 
 def test_09_end_to_end_covering():
     c = Criterion("9 end-to-end covering", 120)
-    c.check(required_samples(84, Fraction(729, 65536), 1e-3) == 1020)
+    c.check(required_samples(84, 3, 2, 1e-3) == 1020)
     fano = gen_levi(2)
     passes = 0
     for seed in range(20):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from levicover import (Graph, count_independent_sets, covering,
                        enumerate_maximal_independent_sets, gen_levi,
                        graph_hash, independence, parse_graph, write_graph)
+from levicover import cli
 from levicover.cli import main
 from levicover.schemas import (BOUNDS_REPORT_SCHEMA, FAMILY_SCHEMA,
                                RUN_REPORT_SCHEMA)
@@ -56,6 +58,20 @@ class TestGen:
         assert code == 0
         assert out.startswith("14 21 7\n")
         assert "14 21 7" in err
+
+
+def test_file_written_in_slices(tmp_path):
+    # a slice of the text is encoded at a time, never a copy of the whole
+    text = "".join(f"{i}\n" for i in range(200000))
+    path = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        cli._write(text, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == text.encode()
+    assert peak < len(text) // 4
 
 
 # Refusals whose cost has more digits than Python will print: a
@@ -148,11 +164,12 @@ def test_plane_commands_do_not_load_numpy(name, tmp_path):
 
 # Each command imports only what it runs. dataclasses is loaded by none,
 # hashlib (which maps OpenSSL) only by cover, datetime only where a
-# timestamp is written, fractions only where a Fraction is computed (the
-# balanced count lower bound and the sampler), and the independence and
-# covering modules only by the commands that call them: argv at q=2 and
-# the modules of WATCHED that it leaves loaded.
-WATCHED = ("dataclasses", "hashlib", "datetime", "fractions",
+# timestamp is written, fractions, and decimal under it, only where a
+# Fraction is computed (the balanced count lower bound; no cover command
+# computes one), and the independence and covering modules only by the
+# commands that call them: argv at q=2 and the modules of WATCHED that it
+# leaves loaded.
+WATCHED = ("dataclasses", "hashlib", "datetime", "fractions", "decimal",
            "levicover.covering", "levicover.independence")
 FOOTPRINT = {
     "gen": (["gen", "--q", "2", "--out", "out.g"], set()),
@@ -168,20 +185,20 @@ FOOTPRINT = {
                          {"levicover.independence"}),
     "verify-balanced": (["verify", "--q", "2", "--checks", "balanced",
                          "--no-timestamp"],
-                        {"fractions", "levicover.independence"}),
+                        {"fractions", "decimal", "levicover.independence"}),
     "bounds": (["bounds", "--q", "2", "--k", "2", "--exact"],
-               {"fractions", "levicover.independence"}),
+               {"fractions", "decimal", "levicover.independence"}),
     "cover-build": (["cover", "build", "--in", "fano.g", "--k", "2",
                      "--delta", "0.1", "--seed", "1", "--out", "out.json"],
-                    {"hashlib", "fractions", "levicover.covering",
+                    {"hashlib", "levicover.covering",
                      "levicover.independence"}),
     "cover-verify": (["cover", "verify", "--in", "fano.g", "--k", "2",
                       "--family", "fam.json"],
-                     {"hashlib", "datetime", "fractions",
-                      "levicover.covering", "levicover.independence"}),
+                     {"hashlib", "datetime", "levicover.covering",
+                      "levicover.independence"}),
     "cover-greedy": (["cover", "greedy", "--in", "fano.g", "--k", "2",
                       "--out", "out.json"],
-                     {"hashlib", "fractions", "levicover.covering",
+                     {"hashlib", "levicover.covering",
                       "levicover.independence"}),
 }
 
@@ -752,6 +769,23 @@ class TestCover:
         code, _, err = run(capsys, *argv, "104")
         assert code == 3 and "enumeration budget" in err
         assert run(capsys, *argv, "105")[0] == 0
+
+    def test_family_file_budget_threshold(self, fano_file, tmp_path,
+                                          capsys):
+        # the 733-byte greedy family is charged 92 words before it is
+        # parsed; the graph, the 9-set column index and the 105 steps of
+        # the target enumeration each fit 92 on their own accounts
+        fam = tmp_path / "fam.json"
+        run(capsys, "cover", "greedy", "--in", fano_file, "--k", "2",
+            "--out", str(fam))
+        assert len(fam.read_bytes()) == 733
+        argv = ("cover", "verify", "--in", fano_file, "--k", "1",
+                "--family", str(fam), "--no-timestamp", "--budget")
+        code, out, err = run(capsys, *argv, "91")
+        assert code == 3 and out == ""
+        assert ("the family file takes 92 words, over the budget of 91"
+                in err)
+        assert run(capsys, *argv, "92")[0] == 0
 
     def test_workers_do_not_change_bytes(self, fano_file, tmp_path, capsys):
         outs = []

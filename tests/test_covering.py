@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levicover import (Graph, GraphError, build_family_mc,
-                       containment_probability_floor, count_independent_sets,
-                       degeneracy_order, dump_family, family_from_json,
+                       count_independent_sets, degeneracy_order, dump_family,
+                       family_from_json, family_to_json,
                        enumerate_independent_sets,
                        enumerate_maximal_independent_sets, gen_levi,
                        graph_hash, greedy_cover, load_family, members,
@@ -22,6 +22,13 @@ from levicover.graphs import BudgetExceededError
 from conftest import complete_graph, cycle_graph, small_graphs
 
 P_MIN_FANO = Fraction(729, 65536)  # (1/4)^2 (3/4)^6 for d=3, k=2
+
+
+def p_min(d, k):
+    """Oracle: the per-sample containment floor p^k (1-p)^(kd) at
+    p = 1/(d+1), in Fraction."""
+    p = Fraction(1, d + 1)
+    return p ** k * (1 - p) ** (k * d)
 
 
 def lane_marks(rng, lanes, d):
@@ -48,11 +55,11 @@ def lane_block(rng, rows, g, order):
             for r in range(rows)]
 
 
-def columns_block(rng, rows, p, forward):
+def columns_block(rng, rows, d, forward):
     """Oracle: ``rows`` samples as bitmasks, the planes cut and pruned as
     the sampler does, then transposed by the column index."""
     lanes = rows * len(forward)
-    digits = bin(covering._marks(rng, lanes, p) | 1 << lanes)[3:]
+    digits = bin(covering._marks(rng, lanes, d) | 1 << lanes)[3:]
     planes = [int(digits[i - rows:i], 2) for i in range(lanes, 0, -rows)]
     keep = []
     for plane, fwd in zip(planes, forward):
@@ -83,42 +90,35 @@ class TestSampler:
         order = degeneracy_order(g)
         rng = substream(1)
         for _ in range(20):
-            s = sample_independent_set(g, order, 0.5, rng)
-            # no forward neighbors, so nothing is pruned
+            # p = 1/2; no forward neighbors, so nothing is pruned
+            s = sample_independent_set(g, order._replace(degeneracy=1), rng)
             assert g.is_independent(s)
-        full = sample_independent_set(g, order, 1.0, rng)
+        full = sample_independent_set(g, order, rng)  # d = 0, p = 1
         assert full == g.all_vertices
 
     def test_complete_graph_at_most_one(self):
         g = complete_graph(5)
-        order = degeneracy_order(g)
+        half = degeneracy_order(g)._replace(degeneracy=1)  # p = 1/2
         rng = substream(2)
         for _ in range(50):
-            assert sample_independent_set(g, order, 0.5, rng).bit_count() <= 1
+            assert sample_independent_set(g, half, rng).bit_count() <= 1
 
     def test_always_independent(self, fano):
         order = degeneracy_order(fano)
         rng = substream(3)
         for _ in range(500):
-            s = sample_independent_set(fano, order, Fraction(1, 4), rng)
+            s = sample_independent_set(fano, order, rng)
             assert fano.is_independent(s)
 
     def test_substream_reproducible(self, fano):
         order = degeneracy_order(fano)
         a, b = substream(9), substream(9)
-        assert ([sample_independent_set(fano, order, 0.25, a)
-                 for _ in range(30)]
-                == [sample_independent_set(fano, order, 0.25, b)
+        assert ([sample_independent_set(fano, order, a) for _ in range(30)]
+                == [sample_independent_set(fano, order, b)
                     for _ in range(30)])
 
-    @pytest.mark.parametrize("p", [0, -0.5, 1.5])
-    def test_probability_outside_unit_interval(self, fano, p):
-        with pytest.raises(GraphError, match="marking probability"):
-            sample_independent_set(fano, degeneracy_order(fano), p,
-                                   substream(0))
-
     def test_containment_floor_value(self):
-        assert containment_probability_floor(3, 2) == P_MIN_FANO
+        assert p_min(3, 2) == P_MIN_FANO == Fraction(3 ** 6, 4 ** 8)
         assert float(P_MIN_FANO) == pytest.approx(0.011124, abs=5e-7)
 
     def test_pair_frequency_above_floor(self, fano):
@@ -129,8 +129,7 @@ class TestSampler:
         rng = substream(5)
         hits = sum(
             1 for _ in range(10 ** 4)
-            if x & ~sample_independent_set(fano, order, Fraction(1, 4),
-                                           rng) == 0)
+            if x & ~sample_independent_set(fano, order, rng) == 0)
         floor = float(P_MIN_FANO)
         assert hits / 10 ** 4 >= floor - 3 * math.sqrt(floor / 10 ** 4)
 
@@ -202,10 +201,10 @@ class TestBlockSampler:
     @pytest.mark.parametrize("rows", [1, 3, 17, 300])
     def test_block_rows_equal_lane_oracle(self, g, rows):
         order = degeneracy_order(g)
-        p = Fraction(1, order.degeneracy + 1)
+        d = order.degeneracy
         a, b = substream(11), substream(11)
         for _ in range(3):
-            assert (decoded(covering._sample_block(a, rows, p, order.forward))
+            assert (decoded(covering._sample_block(a, rows, d, order.forward))
                     == lane_block(b, rows, g, order))
         assert a.getstate() == b.getstate()
 
@@ -220,27 +219,27 @@ class TestBlockSampler:
     @pytest.mark.parametrize("rows", [1, 3, 17, 300])
     def test_block_rows_equal_column_transpose(self, g, rows):
         order = degeneracy_order(g)
-        p = Fraction(1, order.degeneracy + 1)
+        d = order.degeneracy
         a, b = substream(13), substream(13)
         for _ in range(3):
-            got = covering._sample_block(a, rows, p, order.forward)
+            got = covering._sample_block(a, rows, d, order.forward)
             assert all(len(row) == (g.n + 7) // 8 for row in got)
-            assert decoded(got) == columns_block(b, rows, p, order.forward)
+            assert decoded(got) == columns_block(b, rows, d, order.forward)
         assert a.getstate() == b.getstate()
 
     def test_full_block_equals_column_transpose(self):
         g = gen_levi(3)
         order = degeneracy_order(g)
-        p = Fraction(1, order.degeneracy + 1)
+        d = order.degeneracy
         a, b = substream(14), substream(14)
-        got = covering._sample_block(a, covering.BLOCK, p, order.forward)
-        assert decoded(got) == columns_block(b, covering.BLOCK, p,
+        got = covering._sample_block(a, covering.BLOCK, d, order.forward)
+        assert decoded(got) == columns_block(b, covering.BLOCK, d,
                                              order.forward)
         assert a.getstate() == b.getstate()
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_block_of_no_vertices_is_empty_rows(self, rows):
-        assert covering._sample_block(substream(0), rows, Fraction(1),
+        assert covering._sample_block(substream(0), rows, 0,
                                       []) == (b"",) * rows
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -248,35 +247,32 @@ class TestBlockSampler:
         # each sample_independent_set call is a lane-oracle block of one row
         g = gen_levi(q)
         order = degeneracy_order(g)
-        p = Fraction(1, order.degeneracy + 1)
         a, b = substream(12), substream(12)
-        assert ([sample_independent_set(g, order, p, a) for _ in range(200)]
+        assert ([sample_independent_set(g, order, a) for _ in range(200)]
                 == [lane_block(b, 1, g, order)[0] for _ in range(200)])
         assert a.getstate() == b.getstate()
 
-    @pytest.mark.parametrize("p,planes", [
-        (Fraction(1), 0), (Fraction(1, 2), 1), (Fraction(1, 4), 2),
-        (Fraction(3, 8), 3)])
-    def test_dyadic_p_draws_its_digits_only(self, p, planes):
-        # every lane takes p's own digits, so every lane ties until the
-        # digits of p run out; it then sits at 2^m p and is unmarked
-        rng = CountingRandom(lambda i: int(p * 2 ** i) % 2)
-        assert covering._marks(rng, 10, p) == (1023 if p == 1 else 0)
+    @pytest.mark.parametrize("d,planes", [(0, 0), (1, 1), (3, 2), (7, 3)])
+    def test_dyadic_p_draws_its_digits_only(self, d, planes):
+        # every lane takes the digits of p = 1/(d+1), so every lane ties
+        # until they run out; it then sits at 2^m p and is unmarked
+        rng = CountingRandom(lambda i: 2 ** i // (d + 1) % 2)
+        assert covering._marks(rng, 10, d) == (1023 if d == 0 else 0)
         assert rng.planes == planes
 
     def test_lane_tied_after_64_planes_is_unmarked(self):
         # 1/3 is 0.010101... in binary; lanes that draw those digits stay
         # tied, and the 64th plane is the last
         rng = CountingRandom(lambda i: i % 2 == 0)
-        assert covering._marks(rng, 7, Fraction(1, 3)) == 0
+        assert covering._marks(rng, 7, 2) == 0
         assert rng.planes == covering.PLANES == 64
         # one digit below p's at plane 64 marks the lane
         rng = CountingRandom(lambda i: i % 2 == 0 and i < 64)
-        assert covering._marks(rng, 7, Fraction(1, 3)) == 127
+        assert covering._marks(rng, 7, 2) == 127
 
     def test_no_lanes_draw_nothing(self):
         rng = CountingRandom(bool)
-        assert covering._marks(rng, 0, Fraction(1, 5)) == 0
+        assert covering._marks(rng, 0, 4) == 0
         assert rng.planes == 0
 
     def test_family_is_deduplicated_block_stream(self, monkeypatch):
@@ -374,37 +370,50 @@ class TestFastPathsAgainstOracles:
 
 class TestRequiredSamples:
     def test_fano_value(self):
-        assert required_samples(84, P_MIN_FANO, 1e-3) == 1020
+        assert required_samples(84, 3, 2, 1e-3) == 1020
 
     def test_plane3_k4_value(self, plane3):
         universe = count_independent_sets(plane3, 4)
-        p_min = containment_probability_floor(4, 4)
-        assert required_samples(universe, p_min, 1e-3) == 348638
+        assert required_samples(universe, 4, 4, 1e-3) == 348638
 
     def test_huge_universe_and_tiny_floor(self):
-        # float(10**400) and float(p_min) would overflow and underflow
-        t = required_samples(10 ** 400, Fraction(1, 7), 1e-3)
-        want = (400 * math.log(10) - math.log(1e-3)) * 7
+        # float(10**400) and float(p_min) would overflow and underflow;
+        # d = 1, k = 1 has p_min = 1/4
+        t = required_samples(10 ** 400, 1, 1, 1e-3)
+        want = (400 * math.log(10) - math.log(1e-3)) * 4
         assert abs(t - want) <= 1
-        tiny = containment_probability_floor(200, 140)
-        assert float(tiny) == 0.0
-        assert required_samples(10, tiny, 0.5) > 10 ** 300
+        assert float(p_min(200, 140)) == 0.0
+        assert required_samples(10, 200, 140, 0.5) > 10 ** 300
 
     def test_trivial(self):
-        assert required_samples(1, Fraction(1), 0.5) == 1
+        assert required_samples(1, 0, 1, 0.5) == 1
 
     def test_bad_args(self):
         with pytest.raises(GraphError):
-            required_samples(0, Fraction(1, 2), 0.1)
+            required_samples(0, 1, 1, 0.1)
         with pytest.raises(GraphError):
-            required_samples(5, Fraction(1, 2), 1.5)
+            required_samples(5, 1, 1, 1.5)
+        with pytest.raises(GraphError):
+            required_samples(5, 1, 0, 0.1)
+        with pytest.raises(GraphError):
+            required_samples(5, -1, 1, 0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10 ** 60), st.integers(0, 60), st.integers(1, 60),
+           st.floats(1e-300, 1, exclude_max=True))
+    def test_int_formula_equals_fraction_formula(self, universe, d, k,
+                                                 delta):
+        # oracle: ceil(ln(universe/delta) / p_min) with p_min in Fraction
+        log_targets = math.log(universe) - math.log(delta)
+        assert required_samples(universe, d, k, delta) == math.ceil(
+            Fraction(log_targets) / p_min(d, k))
 
 
 class TestBuildFamily:
     def test_fano_end_to_end(self, fano):
         fam = build_family_mc(fano, 2, 1e-3, seed=42)
         assert fam.t == 1020 and fam.degeneracy == 3
-        assert fam.p == Fraction(1, 4)
+        assert family_to_json(fam)["p"] == "1/4"
         assert len(fam.sets) <= fam.t
         assert all(fano.is_independent(s) for s in fam.sets)
         ok, witness = verify_family(fano, 2, fam.sets)
@@ -443,12 +452,11 @@ class TestBuildFamily:
 
     def test_sizing_lower_bound_refused_before_the_exact_powers(
             self, fano, monkeypatch):
-        # at k = 10^6 the exact p_min has millions of bits; the float
-        # bound on t refuses first, with 2^3245114 <= t
+        # at k = 10^6 the int powers of d and d+1 have millions of bits;
+        # the float bound on t refuses first, with 2^3245114 <= t
         def no_powers(*args):
-            raise AssertionError("built p_min despite the budget")
-        monkeypatch.setattr(covering, "containment_probability_floor",
-                            no_powers)
+            raise AssertionError("built the powers despite the budget")
+        monkeypatch.setattr(covering, "required_samples", no_powers)
         with pytest.raises(BudgetExceededError,
                            match=r"t>=2\^3245114 or more samples"):
             build_family_mc(fano, 10 ** 6, 0.5, seed=0)
@@ -458,12 +466,11 @@ class TestBuildFamily:
            st.floats(1e-300, 1, exclude_max=True), st.booleans())
     def test_float_sizing_floor_is_a_lower_bound(self, n, d, k, delta,
                                                  power):
-        # oracle: the exact t from the exact p_min, at n targets or at the
-        # n^k targets of the fallback universe
+        # oracle: the exact t, at n targets or at the n^k targets of the
+        # fallback universe
         universe, log = ((n ** k, k * math.log(n)) if power
                          else (n, math.log(n)))
-        t = required_samples(universe, containment_probability_floor(d, k),
-                             delta)
+        t = required_samples(universe, d, k, delta)
         floor = covering._samples_floor(log, d, k, delta)
         assert t - t // 10 ** 9 - 1 <= floor <= t
 
@@ -479,7 +486,7 @@ class TestBuildFamily:
         with pytest.raises(BudgetExceededError):
             count_independent_sets(g, 3, budget=100)
         fam = build_family_mc(g, 3, 0.1, seed=0, budget=100)
-        assert fam.t == required_samples(20 ** 3, Fraction(1), 0.1) == 12
+        assert fam.t == required_samples(20 ** 3, 0, 3, 0.1) == 12
 
     def test_sample_count_over_budget(self, fano, monkeypatch):
         def no_draws(*args):
@@ -570,7 +577,7 @@ class TestGreedyCover:
         assert list(fam.sets) == greedy_cover(fano, 2)
         assert (fam.k, fam.delta, fam.seed, fam.t) == (2, 0.0, 0,
                                                        len(fam.sets))
-        assert (fam.degeneracy, fam.p) == (3, Fraction(1, 4))
+        assert (fam.degeneracy, family_to_json(fam)["p"]) == (3, "1/4")
         assert fam.graph_hash == graph_hash(fano)
 
 
@@ -650,6 +657,23 @@ class TestFamilyIO:
         text = json.dumps(self.doc(fano, **bad))
         with pytest.raises(GraphError, match="malformed family file"):
             load_family(text, fano)
+
+    def test_family_file_charged_before_it_is_parsed(self, fano,
+                                                     monkeypatch):
+        # a word per 8 characters: the text itself fits its own charge,
+        # and one word less is refused before json reads a byte
+        text = dump_family(build_family_mc(fano, 2, 1e-3, seed=11))
+        cost = -(-len(text) // 8)
+        assert load_family(text, fano, budget=cost).t == 1020
+        assert load_family(text.encode(), fano, budget=cost).t == 1020
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("parsed despite the budget")
+        monkeypatch.setattr(json, "loads", no_parse)
+        with pytest.raises(BudgetExceededError,
+                           match=f"the family file takes {cost} words, "
+                                 f"over the budget of {cost - 1}"):
+            load_family(text, fano, budget=cost - 1)
 
     def test_rejects_non_object(self, fano):
         with pytest.raises(GraphError):

@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levicover import (BudgetExceededError, Graph, GraphError, ParseError,
-                       degeneracy_order, is_c4_free, members,
+                       degeneracy_order, gen_levi, is_c4_free, members,
                        neighborhood_of_set, parse_graph,
                        sqrt_degeneracy_bound, vset, write_graph)
 from conftest import (brute_has_c4, complete_graph, cycle_graph,
@@ -147,6 +148,21 @@ class TestCanonicalFormat:
     def test_roundtrip_fano(self, fano):
         assert parse_graph(write_graph(fano)) == fano
         assert parse_graph(write_graph(fano).encode()) == fano
+
+    def test_decoded_text_not_held_while_rows_are_built(self):
+        # parsing the bytes decodes a copy of the text; the peak is that
+        # of parsing the text itself, not a whole copy more
+        data = write_graph(gen_levi(13)).encode()
+        text = data.decode()
+        peaks = []
+        for source in (text, data):
+            tracemalloc.start()
+            try:
+                parse_graph(source)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < len(data) // 2
 
     @settings(max_examples=60, deadline=None)
     @given(random_graphs())

@@ -29,8 +29,7 @@ EXPORTS = {
                      "expansion_bound", "max_cover_capacity",
                      "max_side_product", "per_set_capacity_bound",
                      "profile_frontier", "side_product_bound"],
-    "covering": ["CoveringFamily", "build_family_mc",
-                 "containment_probability_floor", "dump_family",
+    "covering": ["CoveringFamily", "build_family_mc", "dump_family",
                  "family_from_json", "family_to_json", "greedy_cover",
                  "load_family", "required_samples", "substream",
                  "verify_family"],
