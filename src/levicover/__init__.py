@@ -12,17 +12,16 @@ so ``import levicover`` loads no submodule.
 
 _HOMES = {
     "graphs": ("BudgetExceededError", "DegeneracyResult", "Graph",
-               "GraphError", "ParseError", "VertexSet", "degeneracy_order",
-               "graph_hash", "is_c4_free", "iter_members", "members",
-               "neighborhood_of_set", "parse_graph", "sqrt_degeneracy_bound",
-               "vset", "write_graph"),
+               "GraphError", "ParseError", "VertexSet",
+               "count_independent_sets", "degeneracy_order",
+               "enumerate_independent_sets",
+               "enumerate_maximal_independent_sets", "graph_hash",
+               "is_c4_free", "iter_members", "members", "neighborhood_of_set",
+               "parse_graph", "sqrt_degeneracy_bound", "vset", "write_graph"),
     "levi": ("LeviIndexing", "gen_levi", "infer_q", "is_prime",
              "plane_size", "verify_levi_properties"),
     "independence": ("BoundsReport", "balanced_count_lower_bound",
-                     "count_balanced", "count_independent_sets",
-                     "enumerate_independent_sets",
-                     "enumerate_maximal_independent_sets",
-                     "evaluate_bounds", "expansion_bound",
+                     "count_balanced", "evaluate_bounds", "expansion_bound",
                      "max_cover_capacity", "max_side_product",
                      "per_set_capacity_bound", "profile_frontier",
                      "side_product_bound"),

@@ -6,9 +6,9 @@ contract: 0 pass, 1 check failed, 2 usage or precondition error,
 3 budget exceeded.
 
 Each command imports the library modules it runs, and no others, when it
-runs: ``gen`` loads levi, ``verify`` and ``bounds`` load independence,
-and ``cover`` loads covering, so a fresh process pays for only one
-command's imports.
+runs: ``gen`` loads levi, ``verify`` and ``bounds`` load independence and
+levi, and ``cover`` loads covering, which needs graphs alone, so a fresh
+process pays for only one command's imports.
 """
 
 from __future__ import annotations

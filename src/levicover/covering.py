@@ -38,11 +38,10 @@ from typing import NamedTuple, Optional, Sequence
 
 from .graphs import (DEFAULT_BUDGET, Budget, BudgetExceededError,
                      DegeneracyResult, Graph, GraphError, VertexSet,
-                     degeneracy_order, graph_hash, iter_members, members,
-                     words)
-from .independence import (count_independent_sets,
-                           enumerate_independent_sets,
-                           enumerate_maximal_independent_sets)
+                     count_independent_sets, degeneracy_order,
+                     enumerate_independent_sets,
+                     enumerate_maximal_independent_sets, graph_hash,
+                     iter_members, members, words)
 
 BLOCK = 4096  # samples marked per run of bit-planes
 PLANES = 64  # a lane still tied with p after this many planes is unmarked

@@ -1,4 +1,4 @@
-"""Immutable undirected graphs with bitmask vertex sets.
+"""Immutable undirected graphs, bitmask vertex sets and independent sets.
 
 A vertex set is a plain Python int used as a bitmask: bit v set means
 vertex v is a member. Intersection/union/difference are &, |, &~ and
@@ -6,7 +6,7 @@ cardinality is ``int.bit_count()``, which keeps the enumeration cores fast
 without any extra data structures.
 
 Graphs are frozen after construction, and every operation here is a
-pure function of its arguments.
+pure function of its arguments; none knows the projective plane.
 """
 
 from __future__ import annotations
@@ -285,6 +285,94 @@ def degeneracy_order(g: Graph,
         low = max(low - 1, 0)
     return DegeneracyResult(order=tuple(order), degeneracy=degeneracy,
                             forward=tuple(forward))
+
+
+def enumerate_independent_sets(g: Graph, k: int,
+                               budget: Optional[int] = None
+                               ) -> Iterator[VertexSet]:
+    """Yield every independent set of size 1..k exactly once.
+
+    Emission order is lexicographic on the sorted member lists, i.e. a
+    depth-first walk that extends by increasing vertex index. The n-bit
+    sets of the first level are charged against ``budget`` before the
+    walk, which then takes one step per vertex it tries. The walk keeps
+    one vertex iterator per level on an explicit stack, so its depth is
+    bounded by k, not by Python's recursion limit.
+    """
+    if k < 0:
+        raise GraphError("size limit must be non-negative")
+    if k < 1:
+        return
+    Budget(budget).charge_rows(g.n, g.n, "the independent-set sweep")
+    b = Budget(budget)
+    adj, n = g.adj, g.n
+    masks, tries = [0], [iter(range(n))]
+    while tries:
+        mask = masks[-1]
+        for v in tries[-1]:
+            b.charge()
+            if adj[v] & mask:
+                continue
+            new = mask | (1 << v)
+            yield new
+            if len(tries) < k:
+                masks.append(new)
+                tries.append(iter(range(v + 1, n)))
+                break
+        else:
+            masks.pop()
+            tries.pop()
+
+
+def count_independent_sets(g: Graph, k: int,
+                           budget: Optional[int] = None) -> int:
+    return sum(1 for _ in enumerate_independent_sets(g, k, budget))
+
+
+def enumerate_maximal_independent_sets(g: Graph,
+                                       budget: Optional[int] = None
+                                       ) -> Iterator[VertexSet]:
+    """Yield every inclusion-maximal independent set exactly once.
+
+    Bron-Kerbosch with pivoting on the complement graph (independent sets
+    of g are cliques of its complement), started at R and X empty and
+    P = every vertex. The n complement rows are charged against
+    ``budget`` before they are built. Each call scans P ∪ X for its
+    pivot, one n-bit popcount per vertex, and is charged |P ∪ X| rows
+    of words(n) before the scan. A call that branches pushes [R, P, X,
+    the candidates left] on an explicit stack, so the depth is bounded
+    by the largest independent set, not by Python's recursion limit.
+    """
+    Budget(budget).charge_rows(g.n, g.n, "the complement graph")
+    if not g.n:
+        return
+    b = Budget(budget)
+    row = words(g.n)
+    full = g.all_vertices
+    comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
+    r, p, x = 0, full, 0
+    stack = []
+    while True:
+        b.charge((p | x).bit_count() * row)
+        if p | x:
+            pivot, best = -1, -1
+            for u in iter_members(p | x):
+                score = (p & comp[u]).bit_count()
+                if score > best:
+                    pivot, best = u, score
+            stack.append([r, p, x, p & ~comp[pivot]])
+        else:
+            yield r
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
+            return
+        top = stack[-1]
+        r, p, x, cands = top
+        low = cands & -cands
+        top[1:] = p & ~low, x | low, cands ^ low
+        nb = comp[low.bit_length() - 1]
+        r, p, x = r | low, p & nb, x & nb
 
 
 def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:

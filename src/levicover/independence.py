@@ -1,4 +1,4 @@
-"""Independent-set enumeration and the extremal checks built on it.
+"""The plane's expansion bound, profile frontier and extremal checks.
 
 Everything here is exact: neighborhood sizes are compared with the
 expansion bound rounded up to an int, counts are integers, the balanced
@@ -13,104 +13,18 @@ import math
 import random
 from collections import Counter
 from itertools import accumulate, combinations
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .graphs import (Budget, Graph, GraphError, VertexSet, degeneracy_order,
-                     is_c4_free, iter_members, members, neighborhood_of_set,
+                     enumerate_maximal_independent_sets, is_c4_free,
+                     iter_members, members, neighborhood_of_set,
                      sqrt_degeneracy_bound, vset, words)
+from .graphs import enumerate_independent_sets  # perfbench/tracer.py wraps it
 from .levi import (LeviIndexing, gen_levi, infer_q, plane_size,
                    require_prime, verify_levi_properties)
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-def enumerate_independent_sets(g: Graph, k: int,
-                               budget: Optional[int] = None
-                               ) -> Iterator[VertexSet]:
-    """Yield every independent set of size 1..k exactly once.
-
-    Emission order is lexicographic on the sorted member lists, i.e. a
-    depth-first walk that extends by increasing vertex index. The n-bit
-    sets of the first level are charged against ``budget`` before the
-    walk, which then takes one step per vertex it tries. The walk keeps
-    one vertex iterator per level on an explicit stack, so its depth is
-    bounded by k, not by Python's recursion limit.
-    """
-    if k < 0:
-        raise GraphError("size limit must be non-negative")
-    if k < 1:
-        return
-    Budget(budget).charge_rows(g.n, g.n, "the independent-set sweep")
-    b = Budget(budget)
-    adj, n = g.adj, g.n
-    masks, tries = [0], [iter(range(n))]
-    while tries:
-        mask = masks[-1]
-        for v in tries[-1]:
-            b.charge()
-            if adj[v] & mask:
-                continue
-            new = mask | (1 << v)
-            yield new
-            if len(tries) < k:
-                masks.append(new)
-                tries.append(iter(range(v + 1, n)))
-                break
-        else:
-            masks.pop()
-            tries.pop()
-
-
-def count_independent_sets(g: Graph, k: int,
-                           budget: Optional[int] = None) -> int:
-    return sum(1 for _ in enumerate_independent_sets(g, k, budget))
-
-
-def enumerate_maximal_independent_sets(g: Graph,
-                                       budget: Optional[int] = None
-                                       ) -> Iterator[VertexSet]:
-    """Yield every inclusion-maximal independent set exactly once.
-
-    Bron-Kerbosch with pivoting on the complement graph (independent sets
-    of g are cliques of its complement), started at R and X empty and
-    P = every vertex. The n complement rows are charged against
-    ``budget`` before they are built. Each call scans P ∪ X for its
-    pivot, one n-bit popcount per vertex, and is charged |P ∪ X| rows
-    of words(n) before the scan. A call that branches pushes [R, P, X,
-    the candidates left] on an explicit stack, so the depth is bounded
-    by the largest independent set, not by Python's recursion limit.
-    """
-    Budget(budget).charge_rows(g.n, g.n, "the complement graph")
-    if not g.n:
-        return
-    b = Budget(budget)
-    row = words(g.n)
-    full = g.all_vertices
-    comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
-    r, p, x = 0, full, 0
-    stack = []
-    while True:
-        b.charge((p | x).bit_count() * row)
-        if p | x:
-            pivot, best = -1, -1
-            for u in iter_members(p | x):
-                score = (p & comp[u]).bit_count()
-                if score > best:
-                    pivot, best = u, score
-            stack.append([r, p, x, p & ~comp[pivot]])
-        else:
-            yield r
-        while stack and not stack[-1][3]:
-            stack.pop()
-        if not stack:
-            return
-        top = stack[-1]
-        r, p, x, cands = top
-        low = cands & -cands
-        top[1:] = p & ~low, x | low, cands ^ low
-        nb = comp[low.bit_length() - 1]
-        r, p, x = r | low, p & nb, x & nb
 
 
 def expansion_bound(q: int, size: int) -> int:

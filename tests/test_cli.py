@@ -166,40 +166,40 @@ def test_plane_commands_do_not_load_numpy(name, tmp_path):
 # hashlib (which maps OpenSSL) only by cover, datetime only where a
 # timestamp is written, fractions, and decimal under it, only where a
 # Fraction is computed (the balanced count lower bound; no cover command
-# computes one), and the independence and covering modules only by the
-# commands that call them: argv at q=2 and the modules of WATCHED that it
-# leaves loaded.
+# computes one), and the levi, independence and covering modules only by
+# the commands that call them: argv at q=2 and the modules of WATCHED that
+# it leaves loaded.
 WATCHED = ("dataclasses", "hashlib", "datetime", "fractions", "decimal",
-           "levicover.covering", "levicover.independence")
+           "levicover.covering", "levicover.independence", "levicover.levi")
+PLANE = {"levicover.independence", "levicover.levi"}
 FOOTPRINT = {
-    "gen": (["gen", "--q", "2", "--out", "out.g"], set()),
+    "gen": (["gen", "--q", "2", "--out", "out.g"], {"levicover.levi"}),
     "verify": (["verify", "--q", "2", "--checks",
                 "levi-props,c4free,degeneracy"],
-               {"datetime", "levicover.independence"}),
+               {"datetime", *PLANE}),
     "verify-no-timestamp": (["verify", "--in", "fano.g", "--checks",
                              "levi-props,c4free,degeneracy",
                              "--no-timestamp"],
-                            {"levicover.independence"}),
+                            PLANE),
     "verify-expansion": (["verify", "--q", "2", "--checks",
                           "expansion,product,coverbound", "--no-timestamp"],
-                         {"levicover.independence"}),
+                         PLANE),
     "verify-balanced": (["verify", "--q", "2", "--checks", "balanced",
                          "--no-timestamp"],
-                        {"fractions", "decimal", "levicover.independence"}),
+                        {"fractions", "decimal", *PLANE}),
     "bounds": (["bounds", "--q", "2", "--k", "2", "--exact"],
-               {"fractions", "decimal", "levicover.independence"}),
+               {"fractions", "decimal", *PLANE}),
+    # covering needs the graph layer alone, so no cover command loads
+    # a plane module
     "cover-build": (["cover", "build", "--in", "fano.g", "--k", "2",
                      "--delta", "0.1", "--seed", "1", "--out", "out.json"],
-                    {"hashlib", "levicover.covering",
-                     "levicover.independence"}),
+                    {"hashlib", "levicover.covering"}),
     "cover-verify": (["cover", "verify", "--in", "fano.g", "--k", "2",
                       "--family", "fam.json"],
-                     {"hashlib", "datetime", "levicover.covering",
-                      "levicover.independence"}),
+                     {"hashlib", "datetime", "levicover.covering"}),
     "cover-greedy": (["cover", "greedy", "--in", "fano.g", "--k", "2",
                       "--out", "out.json"],
-                     {"hashlib", "levicover.covering",
-                      "levicover.independence"}),
+                     {"hashlib", "levicover.covering"}),
 }
 
 

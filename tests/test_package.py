@@ -2,7 +2,9 @@
 object of its home module, and ``import levicover`` alone loads no
 submodule."""
 
+import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,22 +15,25 @@ import pytest
 
 import levicover
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "levicover"
 # Every name the package exports, by home module.
 EXPORTS = {
     "graphs": ["BudgetExceededError", "DegeneracyResult", "Graph",
-               "GraphError", "ParseError", "VertexSet", "degeneracy_order",
-               "graph_hash", "is_c4_free", "iter_members", "members",
+               "GraphError", "ParseError", "VertexSet",
+               "count_independent_sets", "degeneracy_order",
+               "enumerate_independent_sets",
+               "enumerate_maximal_independent_sets", "graph_hash",
+               "is_c4_free", "iter_members", "members",
                "neighborhood_of_set", "parse_graph", "sqrt_degeneracy_bound",
                "vset", "write_graph"],
     "levi": ["LeviIndexing", "gen_levi", "infer_q", "is_prime",
              "plane_size", "verify_levi_properties"],
     "independence": ["BoundsReport", "balanced_count_lower_bound",
-                     "count_balanced", "count_independent_sets",
-                     "enumerate_independent_sets",
-                     "enumerate_maximal_independent_sets", "evaluate_bounds",
-                     "expansion_bound", "max_cover_capacity",
-                     "max_side_product", "per_set_capacity_bound",
-                     "profile_frontier", "side_product_bound"],
+                     "count_balanced", "evaluate_bounds", "expansion_bound",
+                     "max_cover_capacity", "max_side_product",
+                     "per_set_capacity_bound", "profile_frontier",
+                     "side_product_bound"],
     "covering": ["CoveringFamily", "build_family_mc", "dump_family",
                  "family_from_json", "family_to_json", "greedy_cover",
                  "load_family", "required_samples", "substream",
@@ -115,3 +120,87 @@ def test_import_alone_loads_no_submodule(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert json.loads(proc.stdout) == [[], ["levicover.graphs"]]
+
+
+# The package modules that each module may import: only layers below its
+# own. The graph layer and the schemas import none, levi the graph layer,
+# covering the graph layer and schemas (for family files), the plane's
+# checks in independence the graph layer and levi, and cli any of them.
+LAYERS = {
+    "__init__": set(), "graphs": set(), "schemas": set(),
+    "levi": {"graphs"},
+    "covering": {"graphs", "schemas"},
+    "independence": {"graphs", "levi"},
+    "cli": {"graphs", "schemas", "levi", "covering", "independence"},
+}
+ENUMERATORS = ("count_independent_sets", "enumerate_independent_sets",
+               "enumerate_maximal_independent_sets")
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules that the import statements of tree name,
+    function-level ones included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module or ""
+            elif (node.module or "").split(".")[0] == "levicover":
+                base = node.module.partition(".")[2]
+            else:
+                continue
+            out |= ({base.split(".")[0]} if base
+                    else {alias.name for alias in node.names})
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("levicover.")}
+    return out
+
+
+def _tracer_wrapped() -> dict:
+    """perfbench/tracer.py's WRAPPED: the names it looks up, by module."""
+    spec = importlib.util.spec_from_file_location(
+        "levicover_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.WRAPPED
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SRC.glob("*.py")} == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_imports_follow_the_layers(module):
+    assert _package_imports(_tree(module)) <= LAYERS[module]
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_module_uses_every_name_it_imports(module):
+    """Every name an import binds is read somewhere in the module, but
+    for those that perfbench/tracer.py looks up in it."""
+    tree = _tree(module)
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    kept = set(_tracer_wrapped().get(module, ()))
+    assert sorted(bound - used - kept) == []
+
+
+@pytest.mark.parametrize("name", ENUMERATORS)
+def test_enumerator_is_defined_once_in_the_graph_layer(name):
+    homes = [module for module in LAYERS for node in _tree(module).body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert homes == ["graphs"]
+    graphs = importlib.import_module("levicover.graphs")
+    for module in ("independence", "covering"):
+        held = getattr(importlib.import_module(f"levicover.{module}"),
+                       name, None)
+        assert held in (None, getattr(graphs, name))
