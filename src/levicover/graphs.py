@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 VertexSet = int
 DEFAULT_BUDGET = 10 ** 7  # every command's --budget when none is given
+_WINDOW = 1 << 16  # characters of a graph file split into lines at once
 
 
 class GraphError(ValueError):
@@ -379,51 +380,65 @@ def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
     """Parse the canonical edge-list format: a text is accepted iff it is
     byte-equal to write_graph of the graph it describes.
 
-    The header's vertex count is charged against ``budget`` before any
-    memory is taken for it, then, on a budget of its own, the rows the
-    edges fill: two per edge line, at most n. The text is then checked
-    line by line as it is read, with no second serialisation: the header
-    must be "n m side" in decimal with 0 <= side <= n and m edge lines
-    after it, each edge line must be the decimal names "u v" of an edge
-    with u < v < n, crossing the bipartition when side > 0, in strictly
-    ascending order, and the text must end in one newline. Those are
-    exactly the texts write_graph prints.
+    The header's vertex count is charged against ``budget``, then, on a
+    budget of its own, the rows the edges fill: two per edge line, at most
+    n. Both come before any memory that grows with the text, as the edge
+    count is read off the newlines and the header off the text before the
+    first. The edge lines are then split and checked one window at a time,
+    about _WINDOW characters cut at a newline, with no second
+    serialisation: the header must be "n m side" in decimal with
+    0 <= side <= n and m edge lines after it, each edge line must be the
+    decimal names "u v" of an edge with u < v < n, crossing the
+    bipartition when side > 0, in strictly ascending order, and the text
+    must end in one newline. Those are exactly the texts write_graph
+    prints. ASCII bytes are decoded a window at a time; other bytes are
+    decoded whole, as UTF-8, and then rejected, since write_graph prints
+    ASCII alone.
     """
-    if isinstance(data, (bytes, bytearray)):
+    if isinstance(data, (bytes, bytearray)) and not data.isascii():
         try:
-            text = bytes(data).decode("utf-8")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc}") from exc
+    if isinstance(data, str):
+        newline, decode = "\n", str
     else:
-        text = data
-    lines = text.split("\n")
-    del text  # a decoded copy of the file, not held while the rows are built
-    m = len(lines) - 2
+        newline, decode = b"\n", lambda window: str(window, "ascii")
+    m = data.count(newline) - 1
+    end = data.find(newline)
+    header = decode(data[:end] if end >= 0 else data)
     try:
-        n, _, side = map(int, lines[0].split(" "))
+        n, _, side = map(int, header.split(" "))
     except ValueError as exc:
         raise ParseError(f"malformed header: {exc}") from exc
     Budget(budget).charge(n, f"the graph has {n} vertices")
     Budget(budget).charge_rows(min(2 * m, n), n, "the adjacency")
-    if not (0 <= side <= n and lines[0] == f"{n} {m} {side}"
-            and lines[-1] == ""):
-        raise ParseError(f"header {lines[0][:80]!r} is not 'n m side' for "
+    if not (0 <= side <= n and header == f"{n} {m} {side}"
+            and data.endswith(newline)):
+        raise ParseError(f"header {header[:80]!r} is not 'n m side' for "
                          f"the {m} edge lines after it and one final "
                          "newline")
     index = _index_of(n, 2 * m)
     adj = [0] * n
     last = -1
-    for i in range(1, m + 1):
-        first, _, second = lines[i].partition(" ")
-        u, v = index(first, -1), index(second, -1)
-        if not (0 <= u < v and u * n + v > last
-                and (u < side <= v or not side)):
-            raise ParseError(f"line {i + 1}: {lines[i][:80]!r} is not the "
-                             "next edge of the canonical text (see "
-                             "write_graph)")
-        last = u * n + v
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    number = 1  # the number of the last line read
+    while end + 1 < len(data):
+        start = end + 1
+        end = data.rfind(newline, start, start + _WINDOW)
+        if end < 0:  # one line longer than the window
+            end = data.find(newline, start + _WINDOW)
+        for number, line in enumerate(decode(data[start:end]).split("\n"),
+                                      number + 1):
+            first, _, second = line.partition(" ")
+            u, v = index(first, -1), index(second, -1)
+            if not (0 <= u < v and u * n + v > last
+                    and (u < side <= v or not side)):
+                raise ParseError(f"line {number}: {line[:80]!r} is not the "
+                                 "next edge of the canonical text (see "
+                                 "write_graph)")
+            last = u * n + v
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     return Graph(n=n, m=m, adj=tuple(adj), side_p_size=side)
 
 

@@ -164,6 +164,24 @@ class TestCanonicalFormat:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < len(data) // 2
 
+    def test_parse_peak_under_half_of_split_lines(self):
+        # the file is walked a window of lines at a time, never held as one
+        # str per line; the oracle's peak is the same for the bytes, which
+        # it decodes and drops before it splits them
+        from test_kernels import split_lines_parse_graph
+        text = write_graph(gen_levi(37))
+        peaks = []
+        for parse, source in ((split_lines_parse_graph, text),
+                              (parse_graph, text),
+                              (parse_graph, text.encode())):
+            tracemalloc.start()
+            try:
+                assert parse(source).n == 2814
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks[1:]) < peaks[0] / 2
+
     @settings(max_examples=60, deadline=None)
     @given(random_graphs())
     def test_roundtrip_random(self, g):
@@ -197,6 +215,18 @@ class TestCanonicalFormat:
         assert parse_graph("5 0 0\n", budget=5).n == 5
         with pytest.raises(BudgetExceededError):
             parse_graph("1000000000000 0 0\n", budget=10 ** 7)
+
+    def test_vertex_count_charged_before_the_lines_are_read(self):
+        text = "1000000000000 0 0\n" + "0 1\n" * 250_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError,
+                               match="the graph has 1000000000000 vertices"):
+                parse_graph(text, budget=10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) // 2
 
 
 def test_sqrt_degeneracy_bound_values():

@@ -2,11 +2,13 @@
 
 The bucket-queue degeneracy order, the seen-twice C4 sweep and the
 integer expansion test replaced a linear rescan, a loop over vertex
-pairs and one ``check_expansion`` call per set. The parser that checks
-each line as it reads it replaced one that built the graph with
+pairs and one ``check_expansion`` call per set. The parser that walks
+the text a window of lines at a time replaced one that split the whole
+text into lines first, which had replaced one that built the graph with
 ``Graph.from_edges`` and compared ``write_graph`` of it with the text,
-which had replaced one that checked each rule of the canonical format
-in turn; the column index read from binary digits replaced a numpy
+and before it one that checked each rule of the canonical format in
+turn; the split-lines parser is the oracle for every message as well
+as every verdict. The column index read from binary digits replaced a numpy
 transpose. Those paths stay here as the oracles, and every result must
 match them exactly: the whole elimination order, the C4 verdict, the
 full check tuple, the parser's verdict and graph, and every column. The
@@ -23,6 +25,7 @@ import hashlib
 import itertools
 import random
 import re
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -33,7 +36,9 @@ from levicover import (DegeneracyResult, Graph, GraphError, LeviIndexing,
                        ParseError, degeneracy_order, gen_levi, infer_q,
                        is_c4_free, iter_members, members, parse_graph,
                        plane_size, verify_levi_properties, vset, write_graph)
+from levicover import graphs
 from levicover.covering import _columns
+from levicover.graphs import Budget, _index_of
 from levicover.independence import _verify_expansion, check_expansion
 from test_graphs import random_graphs
 
@@ -212,7 +217,50 @@ def round_trip_parse_graph(data: bytes | str) -> Graph:
     return g
 
 
-PARSERS = (parse_graph, round_trip_parse_graph, rule_by_rule_parse_graph)
+def split_lines_parse_graph(data: bytes | str,
+                            budget: Optional[int] = None) -> Graph:
+    """Oracle: the parser that split the whole text into lines first, then
+    charged and checked them; its verdicts and messages are the format's."""
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            text = bytes(data).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc}") from exc
+    else:
+        text = data
+    lines = text.split("\n")
+    del text  # a decoded copy of the file, not held while the rows are built
+    m = len(lines) - 2
+    try:
+        n, _, side = map(int, lines[0].split(" "))
+    except ValueError as exc:
+        raise ParseError(f"malformed header: {exc}") from exc
+    Budget(budget).charge(n, f"the graph has {n} vertices")
+    Budget(budget).charge_rows(min(2 * m, n), n, "the adjacency")
+    if not (0 <= side <= n and lines[0] == f"{n} {m} {side}"
+            and lines[-1] == ""):
+        raise ParseError(f"header {lines[0][:80]!r} is not 'n m side' for "
+                         f"the {m} edge lines after it and one final "
+                         "newline")
+    index = _index_of(n, 2 * m)
+    adj = [0] * n
+    last = -1
+    for i in range(1, m + 1):
+        first, _, second = lines[i].partition(" ")
+        u, v = index(first, -1), index(second, -1)
+        if not (0 <= u < v and u * n + v > last
+                and (u < side <= v or not side)):
+            raise ParseError(f"line {i + 1}: {lines[i][:80]!r} is not the "
+                             "next edge of the canonical text (see "
+                             "write_graph)")
+        last = u * n + v
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n=n, m=m, adj=tuple(adj), side_p_size=side)
+
+
+PARSERS = (parse_graph, round_trip_parse_graph, rule_by_rule_parse_graph,
+           split_lines_parse_graph)
 
 
 def edge_list_gen_levi(q: int) -> Graph:
@@ -447,6 +495,24 @@ def verdict(parse, data):
         return None
 
 
+def outcome(parse, data):
+    """The graph parse returns for data, or the type and text of the
+    ParseError it raises."""
+    try:
+        return parse(data)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+def swapped_line_at(text: str, at: int) -> str:
+    """text with the edge line "u v" that holds position ``at`` written as
+    "v u", which no canonical text holds."""
+    lo = text.rfind("\n", 0, at) + 1
+    hi = text.index("\n", at)
+    u, v = text[lo:hi].split(" ")
+    return f"{text[:lo]}{v} {u}{text[hi:]}"
+
+
 # Tokens that write_graph never prints; int() reads all but "x" as a
 # number.
 ODD_TOKENS = ["01", "+1", "-0", "1_0", "٣", "３", "\t1", "1\r", " 1", "1 ",
@@ -544,6 +610,50 @@ class TestParser:
         for parse in PARSERS:
             with pytest.raises(ParseError, match="UTF-8"):
                 parse(b"2 1 0\n0 \xff\n")
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 64])
+    @settings(max_examples=150, deadline=None)
+    @given(text=mutated_texts())
+    def test_every_window_edge_keeps_the_message(self, window, text):
+        # a window of a few characters puts every line on a window's edge
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_WINDOW", window)
+            for data in (text, text.encode()):
+                assert outcome(parse_graph, data) == \
+                    outcome(split_lines_parse_graph, data)
+
+    def test_one_empty_edge_line(self):
+        for data in ("2 1 0\n\n", b"2 1 0\n\n"):
+            got = outcome(parse_graph, data)
+            assert got == outcome(split_lines_parse_graph, data)
+            assert got == (ParseError, "line 2: '' is not the next edge of "
+                           "the canonical text (see write_graph)")
+
+    def test_plane_lines_at_window_edges(self):
+        text = write_graph(gen_levi(37))
+        start = text.index("\n") + 1
+        cut = text.rfind("\n", start, start + graphs._WINDOW)
+        assert 0 < cut < len(text) - 1  # the file takes more than a window
+        # the last line of the first window, the first of the second, and
+        # the last line of the file
+        for at in (cut - 1, cut + 1, len(text) - 2):
+            bad = swapped_line_at(text, at)
+            number = text.count("\n", 0, at) + 1
+            for data in (bad, bad.encode()):
+                got = outcome(parse_graph, data)
+                assert got == outcome(split_lines_parse_graph, data)
+                assert got[0] is ParseError
+                assert got[1].startswith(f"line {number}: ")
+
+    def test_invalid_utf8_wins_over_an_earlier_bad_line(self):
+        data = swapped_line_at(write_graph(gen_levi(37)), 20).encode()
+        at = len(data) - 3
+        data = data[:at] + b"\xff" + data[at + 1:]
+        got = outcome(parse_graph, data)
+        assert got == outcome(split_lines_parse_graph, data)
+        assert got[0] is ParseError
+        assert got[1].startswith("not valid UTF-8: ")
+        assert f"in position {at}:" in got[1]
 
 
 # Widths around the byte boundaries of the numpy packing and a 64-bit word.
