@@ -1,14 +1,16 @@
 """Command-line entry points.
 
 JSON goes to stdout, human-readable summaries to stderr, so output can be
-piped into tooling without scraping prose. Exit codes are a stable
+piped into tooling without scraping prose. Every JSON report is checked
+against its schema before it is written. Exit codes are a stable
 contract: 0 pass, 1 check failed, 2 usage or precondition error,
 3 budget exceeded.
 
 Each command imports the library modules it runs, and no others, when it
-runs: ``gen`` loads levi, ``verify`` and ``bounds`` load independence and
-levi, and ``cover`` loads covering, which needs graphs alone, so a fresh
-process pays for only one command's imports.
+runs: ``gen`` loads levi, ``verify`` and ``bounds`` load independence,
+levi and schemas, and ``cover`` loads covering, which needs graphs alone
+(``cover verify`` also schemas), so a fresh process pays for only one
+command's imports.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit_json(doc: dict):
+def _emit_json(doc: dict, schema: dict):
+    """Write doc to stdout as JSON once it passes schemas.validate."""
     import json
+    from .schemas import validate
+    validate(doc, schema)
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -85,7 +90,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import independence, levi
+    from . import independence, levi, schemas
     started = time.monotonic()
     names, options = independence.select_checks(
         args.checks, k=args.k, samples=args.samples, seed=args.seed)
@@ -96,22 +101,22 @@ def cmd_verify(args) -> int:
     doc = _run_report("verify", {"q": args.q, "in": args.infile,
                                  "checks": args.checks, **options},
                       checks, started, args.no_timestamp)
-    _emit_json(doc)
+    _emit_json(doc, schemas.RUN_REPORT_SCHEMA)
     _summary(f"verify: {doc['outcome']} "
              f"({sum(c['pass'] for c in checks)}/{len(checks)} checks ok)")
     return EXIT_PASS if doc["outcome"] == "pass" else EXIT_FAIL
 
 
 def cmd_bounds(args) -> int:
-    from . import independence
+    from . import independence, schemas
     rep = independence.evaluate_bounds(args.q, args.k, exact=args.exact,
                                        budget=args.budget)
-    frac = rep.balanced_count_lower_bound
+    num, den = bound = rep.balanced_count_lower_bound
     doc = rep._asdict()
-    doc["balanced_count_lower_bound"] = f"{frac.numerator}/{frac.denominator}"
+    doc["balanced_count_lower_bound"] = f"{num}/{den}"
     doc["balanced_count_lower_bound_float"] = (
-        independence.balanced_bound_float(rep.n, rep.k, frac))
-    _emit_json(doc)
+        independence.balanced_bound_float(rep.n, rep.k, bound))
+    _emit_json(doc, schemas.BOUNDS_REPORT_SCHEMA)
     _summary(f"bounds: q={rep.q} k={rep.k} n={rep.n} "
              f"family_size_lower_bound={rep.family_size_lower_bound:.6g}")
     return EXIT_PASS
@@ -130,7 +135,7 @@ def cmd_cover_build(args) -> int:
 
 
 def cmd_cover_verify(args) -> int:
-    from . import covering
+    from . import covering, schemas
     started = time.monotonic()
     g = parse_graph(_read(args.infile), args.budget)
     fam = covering.load_family(_read(args.family), g, args.budget)
@@ -142,7 +147,7 @@ def cmd_cover_verify(args) -> int:
                        "k": args.k}, checks, started, args.no_timestamp)
     if witness is not None:
         doc["parameters"]["witness"] = members(witness)
-    _emit_json(doc)
+    _emit_json(doc, schemas.RUN_REPORT_SCHEMA)
     _summary("cover verify: " + ("covered" if ok
                                  else f"uncovered witness {members(witness)}"))
     return EXIT_PASS if ok else EXIT_FAIL

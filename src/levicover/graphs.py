@@ -383,14 +383,14 @@ def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
     The header's vertex count is charged against ``budget``, then, on a
     budget of its own, the rows the edges fill: two per edge line, at most
     n. Both come before any memory that grows with the text, as the edge
-    count is read off the newlines and the header off the text before the
-    first. The edge lines are then split and checked one window at a time,
-    about _WINDOW characters cut at a newline, with no second
-    serialisation: the header must be "n m side" in decimal with
-    0 <= side <= n and m edge lines after it, each edge line must be the
-    decimal names "u v" of an edge with u < v < n, crossing the
-    bipartition when side > 0, in strictly ascending order, and the text
-    must end in one newline. Those are exactly the texts write_graph
+    count is read off the newlines and the header off at most the first
+    four space-separated fields before the first. The edge lines are then
+    split and checked one window at a time, about _WINDOW characters cut
+    at a newline, with no second serialisation: the header must be
+    "n m side" in decimal with 0 <= side <= n and m edge lines after it,
+    each edge line must be the decimal names "u v" of an edge with
+    u < v < n, crossing the bipartition when side > 0, in strictly
+    ascending order, and the text must end in one newline. Those are exactly the texts write_graph
     prints. ASCII bytes are decoded a window at a time; other bytes are
     decoded whole, as UTF-8, and then rejected, since write_graph prints
     ASCII alone.
@@ -401,16 +401,26 @@ def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc}") from exc
     if isinstance(data, str):
-        newline, decode = "\n", str
+        newline, space, decode = "\n", " ", str
     else:
-        newline, decode = b"\n", lambda window: str(window, "ascii")
+        newline, space, decode = (b"\n", b" ",
+                                  lambda window: str(window, "ascii"))
     m = data.count(newline) - 1
     end = data.find(newline)
-    header = decode(data[:end] if end >= 0 else data)
+    stop = end if end >= 0 else len(data)
+    # three fields make a header and a fourth refutes it, so no more are
+    # decoded, whatever the length of the first line
+    fields, start = [], 0
+    while start <= stop and len(fields) < 4:
+        cut = data.find(space, start, stop)
+        cut = stop if cut < 0 else cut
+        fields.append(decode(data[start:cut]))
+        start = cut + 1
     try:
-        n, _, side = map(int, header.split(" "))
+        n, _, side = map(int, fields)
     except ValueError as exc:
         raise ParseError(f"malformed header: {exc}") from exc
+    header = " ".join(fields)
     Budget(budget).charge(n, f"the graph has {n} vertices")
     Budget(budget).charge_rows(min(2 * m, n), n, "the adjacency")
     if not (0 <= side <= n and header == f"{n} {m} {side}"

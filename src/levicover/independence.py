@@ -1,10 +1,12 @@
 """The plane's expansion bound, profile frontier and extremal checks.
 
 Everything here is exact: neighborhood sizes are compared with the
-expansion bound rounded up to an int, counts are integers, the balanced
-count lower bound is a Fraction, and the only floating point appears in
-the closed-form bound values that are irrational by nature (those are
-compared with an explicit relative margin by callers).
+expansion bound rounded up to an int, counts are integers, and the
+balanced count lower bound (n/4k)^k is a pair of ints in lowest terms.
+Floats appear only in the bounds that are irrational by nature, the
+per-set capacity bound and the family size lower bound, and in the
+margins of checks: ``coverbound`` compares the exact largest capacity
+with the float per-set capacity bound as it is, with no margin.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import random
 from collections import Counter
 from itertools import accumulate, combinations
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .graphs import (Budget, Graph, GraphError, VertexSet, degeneracy_order,
                      enumerate_maximal_independent_sets, is_c4_free,
@@ -22,9 +24,6 @@ from .graphs import (Budget, Graph, GraphError, VertexSet, degeneracy_order,
 from .graphs import enumerate_independent_sets  # perfbench/tracer.py wraps it
 from .levi import (LeviIndexing, gen_levi, infer_q, plane_size,
                    require_prime, verify_levi_properties)
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def expansion_bound(q: int, size: int) -> int:
@@ -306,19 +305,18 @@ def max_cover_capacity(frontier: tuple[int, ...], k: int) -> int:
     return max(_capacity(a, b, half) for a, b in enumerate(frontier))
 
 
-def balanced_count_lower_bound(n: int, k: int,
-                               budget: Optional[int] = None) -> Fraction:
-    """(n/4k)^k, the floor on the number of balanced k-sets; the words of
-    the power's numerator and denominator are charged against ``budget``
-    before it is taken. The only Fraction of this module, so only the
-    commands that read this bound load ``fractions``."""
-    from fractions import Fraction
-    base = Fraction(n, 4 * k)
-    size = words(k * (base.numerator.bit_length()
-                      + base.denominator.bit_length()))
+def balanced_count_lower_bound(n: int, k: int, budget: Optional[int] = None
+                               ) -> tuple[int, int]:
+    """(n/4k)^k, the floor on the number of balanced k-sets, as the pair
+    (numerator, denominator) in lowest terms: n and 4k divided by their
+    gcd, each raised to the k-th power. The words of both powers are
+    charged against ``budget`` before either is taken."""
+    common = math.gcd(n, 4 * k)
+    num, den = n // common, 4 * k // common
+    size = words(k * (num.bit_length() + den.bit_length()))
     Budget(budget).charge(size, "the balanced count lower bound at "
                                 f"n={n}, k={k} takes {{}} words")
-    return base ** k
+    return num ** k, den ** k
 
 
 def _float_bound(what: str, value: Callable[[], float]) -> float:
@@ -332,11 +330,12 @@ def _float_bound(what: str, value: Callable[[], float]) -> float:
     return out
 
 
-def balanced_bound_float(n: int, k: int, bound: Fraction) -> float:
-    """float(bound), bound the balanced count lower bound at (n, k);
+def balanced_bound_float(n: int, k: int, bound: tuple[int, int]) -> float:
+    """num / den, (num, den) the balanced count lower bound at (n, k);
     GraphError when that does not fit a float."""
+    num, den = bound
     return _float_bound(f"balanced count lower bound at n={n}, k={k}",
-                        lambda: float(bound))
+                        lambda: num / den)
 
 
 def per_set_capacity_bound(n: int, k: int) -> float:
@@ -359,7 +358,7 @@ class BoundsReport(NamedTuple):
     q: int
     k: int
     n: int
-    balanced_count_lower_bound: Fraction
+    balanced_count_lower_bound: tuple[int, int]
     per_set_capacity_bound: float
     family_size_lower_bound: float
     measured_balanced_count: Optional[int] = None
@@ -416,9 +415,9 @@ def _at_most(bound, observed) -> CheckResult:
 def _balanced(g: Graph, *, k: int, budget: Optional[int],
               **_) -> CheckResult:
     count = count_balanced(g, k, budget=budget)
-    bound = balanced_count_lower_bound(g.n, k, budget)
+    num, den = bound = balanced_count_lower_bound(g.n, k, budget)
     expected = balanced_bound_float(g.n, k, bound)
-    return expected, count, count >= bound, float(count - bound)
+    return expected, count, count * den >= num, (count * den - num) / den
 
 
 def _once(memo: dict, key: str, fn: Callable, *args):

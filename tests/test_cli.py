@@ -18,7 +18,7 @@ from levicover import (Graph, count_independent_sets, covering,
 from levicover import cli
 from levicover.cli import main
 from levicover.schemas import (BOUNDS_REPORT_SCHEMA, FAMILY_SCHEMA,
-                               RUN_REPORT_SCHEMA)
+                               RUN_REPORT_SCHEMA, SchemaError)
 
 
 @pytest.fixture()
@@ -164,31 +164,32 @@ def test_plane_commands_do_not_load_numpy(name, tmp_path):
 
 # Each command imports only what it runs. dataclasses is loaded by none,
 # hashlib (which maps OpenSSL) only by cover, datetime only where a
-# timestamp is written, fractions, and decimal under it, only where a
-# Fraction is computed (the balanced count lower bound; no cover command
-# computes one), and the levi, independence and covering modules only by
-# the commands that call them: argv at q=2 and the modules of WATCHED that
-# it leaves loaded.
+# timestamp is written, fractions and decimal by none (the balanced count
+# lower bound is a pair of ints), schemas only where a report is checked
+# or a family file read, and the levi, independence and covering modules
+# only by the commands that call them: argv at q=2 and the modules of
+# WATCHED that it leaves loaded.
 WATCHED = ("dataclasses", "hashlib", "datetime", "fractions", "decimal",
-           "levicover.covering", "levicover.independence", "levicover.levi")
+           "levicover.covering", "levicover.independence", "levicover.levi",
+           "levicover.schemas")
 PLANE = {"levicover.independence", "levicover.levi"}
+REPORT = {"levicover.schemas", *PLANE}
 FOOTPRINT = {
     "gen": (["gen", "--q", "2", "--out", "out.g"], {"levicover.levi"}),
     "verify": (["verify", "--q", "2", "--checks",
                 "levi-props,c4free,degeneracy"],
-               {"datetime", *PLANE}),
+               {"datetime", *REPORT}),
     "verify-no-timestamp": (["verify", "--in", "fano.g", "--checks",
                              "levi-props,c4free,degeneracy",
                              "--no-timestamp"],
-                            PLANE),
+                            REPORT),
     "verify-expansion": (["verify", "--q", "2", "--checks",
                           "expansion,product,coverbound", "--no-timestamp"],
-                         PLANE),
+                         REPORT),
     "verify-balanced": (["verify", "--q", "2", "--checks", "balanced",
                          "--no-timestamp"],
-                        {"fractions", "decimal", *PLANE}),
-    "bounds": (["bounds", "--q", "2", "--k", "2", "--exact"],
-               {"fractions", "decimal", *PLANE}),
+                        REPORT),
+    "bounds": (["bounds", "--q", "2", "--k", "2", "--exact"], REPORT),
     # covering needs the graph layer alone, so no cover command loads
     # a plane module
     "cover-build": (["cover", "build", "--in", "fano.g", "--k", "2",
@@ -196,7 +197,8 @@ FOOTPRINT = {
                     {"hashlib", "levicover.covering"}),
     "cover-verify": (["cover", "verify", "--in", "fano.g", "--k", "2",
                       "--family", "fam.json"],
-                     {"hashlib", "datetime", "levicover.covering"}),
+                     {"hashlib", "datetime", "levicover.covering",
+                      "levicover.schemas"}),
     "cover-greedy": (["cover", "greedy", "--in", "fano.g", "--k", "2",
                       "--out", "out.json"],
                      {"hashlib", "levicover.covering"}),
@@ -226,6 +228,40 @@ def test_command_import_footprint(name, tmp_path):
                           text=True, timeout=120)
     rc, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert rc == 0 and set(loaded) == expected
+
+
+def _extra_key(monkeypatch):
+    run_report = cli._run_report
+    monkeypatch.setattr(cli, "_run_report",
+                        lambda *args: dict(run_report(*args), extra=1))
+
+
+def _string_q(monkeypatch):
+    evaluate = independence.evaluate_bounds
+    monkeypatch.setattr(independence, "evaluate_bounds",
+                        lambda *args, **kw: evaluate(*args, **kw)._replace(
+                            q="2"))
+
+
+@pytest.mark.parametrize("argv, breaks, message", [
+    (["verify", "--q", "2", "--checks", "c4free", "--no-timestamp"],
+     _extra_key, r"\$\.extra is not allowed"),
+    (["cover", "verify", "--in", "fano.g", "--k", "2", "--family",
+      "fam.json", "--no-timestamp"], _extra_key, r"\$\.extra is not allowed"),
+    (["bounds", "--q", "2", "--k", "2"], _string_q,
+     r"\$\.q is not of type integer"),
+], ids=["verify", "cover-verify", "bounds"])
+def test_report_that_breaks_its_schema_is_not_written(
+        argv, breaks, message, tmp_path, capsys, monkeypatch):
+    fano = gen_levi(2)
+    (tmp_path / "fano.g").write_text(write_graph(fano))
+    (tmp_path / "fam.json").write_text(
+        covering.dump_family(covering.greedy_family(fano, 2)))
+    monkeypatch.chdir(tmp_path)
+    breaks(monkeypatch)
+    with pytest.raises(SchemaError, match=message):
+        main(argv)
+    assert capsys.readouterr().out == ""
 
 
 # A graph header whose vertex count alone is over the default budget.

@@ -31,6 +31,10 @@ class TestConstruction:
             for v in members(fano.adj[u]):
                 assert (fano.adj[v] >> u) & 1
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(GraphError, match="vertex count must be non-neg"):
+            Graph.from_edges(-1, [])
+
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
             Graph.from_edges(3, [(0, 0)])
@@ -215,6 +219,21 @@ class TestCanonicalFormat:
         assert parse_graph("5 0 0\n", budget=5).n == 5
         with pytest.raises(BudgetExceededError):
             parse_graph("1000000000000 0 0\n", budget=10 ** 7)
+
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_long_header_read_in_bounded_memory(self, end):
+        # a first line of half a million fields, with or without a newline:
+        # no more than four of them are decoded
+        text = "1 " * 500_000 + end
+        for data in (text, text.encode()):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError, match="too many values"):
+                    parse_graph(data)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < len(text) // 8
 
     def test_vertex_count_charged_before_the_lines_are_read(self):
         text = "1000000000000 0 0\n" + "0 1\n" * 250_000

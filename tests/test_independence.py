@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicover import (Graph, GraphError, count_balanced,
-                       count_independent_sets, enumerate_independent_sets,
+from levicover import (Graph, GraphError, balanced_count_lower_bound,
+                       count_balanced, count_independent_sets,
+                       enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
                        gen_levi, graph_hash, is_c4_free, max_cover_capacity,
                        max_side_product, members, neighborhood_of_set,
@@ -46,6 +47,10 @@ class TestEnumeration:
     def test_all_emitted_independent(self, plane3):
         for s in enumerate_independent_sets(plane3, 3):
             assert plane3.is_independent(s)
+
+    def test_negative_size_limit_rejected(self, fano):
+        with pytest.raises(GraphError, match="size limit must be non-neg"):
+            list(enumerate_independent_sets(fano, -1))
 
     def test_budget_raises(self, fano):
         # 14 covers the first level's 14 one-word rows, not the walk
@@ -695,11 +700,35 @@ class TestBounds:
     def test_fano_formula_values(self):
         rep = evaluate_bounds(2, 2)
         assert rep.n == 14
-        assert rep.balanced_count_lower_bound == Fraction(49, 16)
+        assert rep.balanced_count_lower_bound == (49, 16)
         assert rep.family_size_lower_bound == \
             pytest.approx(math.sqrt(14) / 128, rel=1e-12)
         assert rep.per_set_capacity_bound == \
             pytest.approx(2 * 14 ** 1.5, rel=1e-12)
+
+    def test_balanced_bound_is_the_fraction_in_lowest_terms(self):
+        for n in range(1, 201):
+            for k in range(2, 41, 2):
+                assert balanced_count_lower_bound(n, k) == (
+                    Fraction(n, 4 * k) ** k).as_integer_ratio()
+
+    @pytest.mark.parametrize("n, k", [(14, 2), (26, 2), (62, 4), (64, 2),
+                                      (2814, 4), (120, 30)])
+    def test_balanced_check_equals_the_fraction_formulas(self, n, k,
+                                                         monkeypatch):
+        # count just under, at and just over the bound; 64/8 squared is
+        # the integral bound 64, which a count can equal
+        bound = Fraction(n, 4 * k) ** k
+        low, high = math.floor(bound), math.ceil(bound)
+        g = edgeless_bipartite(n // 2, n - n // 2)
+        for count in sorted({low - 1, low, high, high + 1}):
+            monkeypatch.setattr(independence, "count_balanced",
+                                lambda g, k, budget=None: count)
+            got = independence.CHECKS["balanced"](g, k=k, budget=None,
+                                                  memo={})
+            assert got == (float(bound), count, count >= bound,
+                           float(count - bound))
+            assert type(got[3]) is float
 
     def test_fano_exact_counts(self):
         rep = evaluate_bounds(2, 2, exact=True)

@@ -32,10 +32,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicover import (DegeneracyResult, Graph, GraphError, LeviIndexing,
-                       ParseError, degeneracy_order, gen_levi, infer_q,
-                       is_c4_free, iter_members, members, parse_graph,
-                       plane_size, verify_levi_properties, vset, write_graph)
+from levicover import (BudgetExceededError, DegeneracyResult, Graph,
+                       GraphError, LeviIndexing, ParseError, degeneracy_order,
+                       gen_levi, infer_q, is_c4_free, iter_members, members,
+                       parse_graph, plane_size, verify_levi_properties, vset,
+                       write_graph)
 from levicover import graphs
 from levicover.covering import _columns
 from levicover.graphs import Budget, _index_of
@@ -621,6 +622,29 @@ class TestParser:
             for data in (text, text.encode()):
                 assert outcome(parse_graph, data) == \
                     outcome(split_lines_parse_graph, data)
+
+    @pytest.mark.parametrize("count", range(7))
+    def test_every_header_field_keeps_the_message(self, count):
+        # a header of count fields, all good, then each one bad in turn:
+        # not a number, empty, negative, or over the 4,300 digits that
+        # int() reads (Python 3.11 on); the budget stops a 5,000-digit
+        # vertex count where int() reads it
+        good = ["2", "1", "0", "0", "1", "9"][:count]
+        cases = [good] + [good[:i] + [bad] + good[i + 1:]
+                          for i in range(count)
+                          for bad in ("x", "", "-1", "9" * 5000)]
+        for fields in cases:
+            head = " ".join(fields)
+            for text in (head + "\n0 1\n", head):
+                for data in (text, text.encode()):
+                    got = []
+                    for parse in (parse_graph, split_lines_parse_graph):
+                        try:
+                            got.append(outcome(
+                                lambda d: parse(d, 10 ** 6), data))
+                        except BudgetExceededError as exc:
+                            got.append(str(exc))
+                    assert got[0] == got[1]
 
     def test_one_empty_edge_line(self):
         for data in ("2 1 0\n\n", b"2 1 0\n\n"):
