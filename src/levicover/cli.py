@@ -73,11 +73,21 @@ def _run_report(command: str, parameters: dict, checks: list[dict],
         "checks": checks,
     }
     if not no_timestamp:
-        import datetime
         doc["duration_s"] = time.monotonic() - started
-        doc["timestamp"] = datetime.datetime.now(
-            datetime.timezone.utc).isoformat()
+        doc["timestamp"] = _utc_timestamp(time.time_ns())
     return doc
+
+
+def _utc_timestamp(ns: int) -> str:
+    """The instant ``ns`` nanoseconds after the epoch as datetime's
+    isoformat() writes it in UTC: to the microsecond, which is left out
+    when it is 0, with the offset +00:00. Built from time alone, so no
+    command imports datetime."""
+    seconds, micro = divmod(ns // 1000, 10 ** 6)
+    t = time.gmtime(seconds)
+    text = (f"{t.tm_year:04d}-{t.tm_mon:02d}-{t.tm_mday:02d}T"
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d}")
+    return f"{text}.{micro:06d}+00:00" if micro else f"{text}+00:00"
 
 
 def cmd_gen(args) -> int:

@@ -15,11 +15,12 @@ import math
 import random
 from collections import Counter
 from itertools import accumulate, combinations
-from typing import Callable, NamedTuple, Optional
+from operator import and_, or_
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .graphs import (Budget, Graph, GraphError, VertexSet, degeneracy_order,
-                     enumerate_maximal_independent_sets, is_c4_free,
-                     iter_members, members, neighborhood_of_set,
+from .graphs import (Budget, Graph, GraphError, VertexSet, _members_above,
+                     degeneracy_order, enumerate_maximal_independent_sets,
+                     is_c4_free, iter_members, members, neighborhood_of_set,
                      sqrt_degeneracy_bound, vset, words)
 from .graphs import enumerate_independent_sets  # perfbench/tracer.py wraps it
 from .levi import (LeviIndexing, gen_levi, infer_q, plane_size,
@@ -63,6 +64,99 @@ def check_expansion(g: Graph, s: VertexSet) -> ExpansionCheck:
 CheckResult = tuple[object, object, bool, Optional[float]]
 
 
+def _pairs_below(g: Graph, side: VertexSet, threshold: int) -> int:
+    """The pairs x < y of ``side`` with |N(x) | N(y)| < threshold.
+
+    |N(x) | N(y)| = deg x + deg y - codeg(x, y), so a pair counts iff
+    codeg(x, y) >= tau = deg x + deg y - threshold + 1. For each x the
+    rows r_1, r_2, ... of its neighbours build lv[t], the vertices in at
+    least t of them, so those that share at least t neighbours with x,
+    up to the largest tau that a degree class D of the side needs. Level
+    t takes one AND and one OR per neighbour: its running value after
+    r_j is the one after r_(j-1), ORed with level t-1's after r_(j-1)
+    ANDed with r_j. Each class then counts its y > x in lv[tau]: all of
+    them when tau <= 0, none when tau > min(deg x, D). An x whose levels
+    and counts would take more operations than there are y > x ORs its
+    row with theirs instead, so the sweep never takes more operations
+    than the C(|side|, 2) pair ORs.
+    """
+    adj = g.adj
+    verts = members(side)
+    classes: dict[int, VertexSet] = {}
+    for v in verts:
+        d = adj[v].bit_count()
+        classes[d] = classes.get(d, 0) | 1 << v
+    # plans[deg x]: the largest level it needs, and (tau clipped at 0,
+    # class) for each class of which some y can count
+    plans = {}
+    for dx in classes:
+        wanted = [(max(tau, 0), cls) for d, cls in classes.items()
+                  if (tau := dx + d - threshold + 1) <= min(dx, d)]
+        plans[dx] = max((t for t, _ in wanted), default=0), wanted
+    count = 0
+    for i, x in enumerate(verts):
+        row = adj[x]
+        dx = row.bit_count()
+        top, wanted = plans[dx]
+        later = len(verts) - i - 1
+        if dx * top + len(wanted) > later:
+            count += sum((row | adj[y]).bit_count() < threshold
+                         for y in verts[i + 1:])
+            continue
+        lv = [-1]
+        if top:
+            rows = [adj[w] for w in _members_above(row, -1)]
+            level = [-1] * len(rows)
+            for t in range(top):
+                level = list(accumulate(map(and_, level, rows[t:]), or_))
+                lv.append(level[-1])
+        above = -(2 << x)
+        count += sum((lv[t] & cls & above).bit_count() for t, cls in wanted)
+    return count
+
+
+def _sampled_unions(sides: list[list[VertexSet]], samples: int, seed: int
+                    ) -> Iterator[tuple[int, VertexSet]]:
+    """The size and the union of the rows of each of ``samples`` sets,
+    drawn from ``random.Random(seed)`` as _verify_expansion states; a
+    test passes the rows 1 << v to read the sets themselves."""
+    rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    for _ in range(samples):
+        rows = sides[rng.randrange(2)]
+        n = len(rows)
+        size = rng.randint(1, n)
+        setsize = 21
+        if size > 5:
+            setsize += 4 ** math.ceil(math.log(size * 3, 4))
+        union = 0
+        if n <= setsize:
+            pool = rows.copy()
+            last, stop = n - 1, n - 1 - size
+            while last > stop:
+                # a draw below last + 1 takes the same bits for every
+                # last + 1 down to 2^(bits - 1), that is last down to low + 1
+                bits = (last + 1).bit_length()
+                low = max(stop, (1 << (bits - 1)) - 2)
+                for last in range(last, low, -1):
+                    j = getrandbits(bits)
+                    while j > last:
+                        j = getrandbits(bits)
+                    union |= pool[j]
+                    pool[j] = pool[last]
+                last = low
+        else:
+            bits = n.bit_length()
+            picked: set[int] = set()
+            for _ in range(size):
+                j = getrandbits(bits)
+                while j >= n or j in picked:
+                    j = getrandbits(bits)
+                picked.add(j)
+                union |= rows[j]
+        yield size, union
+
+
 def _verify_expansion(g: Graph, *, samples: int, seed: int,
                       budget: Optional[int], **_) -> CheckResult:
     """check_expansion on every set of one or two vertices of one side,
@@ -71,12 +165,23 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
 
     A one-side set S has no edge inside it, so N(S) is the union of its
     rows, and S violates the bound iff |N(S)| < expansion_bound(q, |S|).
-    Each random set draws its side (randrange(2), 0 for P), size
-    (randint(1, |side|)) and members (sample(side, size)) from
-    ``random.Random(seed)``, in that order. The budget is charged
-    s + C(s, 2) per side of size s plus one step per sample, all before
-    the first set is tested. A negative seed, which Random would read as
-    its absolute value, is refused.
+    The pairs are counted by ``_pairs_below``'s codegree sweep. The
+    random sets are those that randrange(2) (the side, 0 for P),
+    randint(1, |side|) (the size) and sample(side, size) (the members)
+    draw from ``random.Random(seed)``, with the members' draws written
+    out over its getrandbits (``_sampled_unions``), call for call:
+    a draw below m takes getrandbits(m.bit_length()) until the value is
+    below m. When |side| is at most 21, plus 4^ceil(log4(3 size)) for a
+    size over 5, the side's rows are a pool: the i-th member (from 0) is
+    pool[j] for a draw j below |side| - i, and the pool's last unpicked
+    row moves into its place. Otherwise each member is the j-th row for
+    a draw j below |side|, drawn again while j was picked before. Each
+    row is ORed into N(S) as it is picked.
+
+    The budget is charged s + C(s, 2) per side of size s, and the larger
+    side's size per sample, the most rows a sample ORs, all before the
+    first set is tested. A negative seed, which Random would read as its
+    absolute value, is refused.
     """
     if samples < 0:
         raise GraphError("sample count must be non-negative")
@@ -88,20 +193,13 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     if not all(sides):
         raise GraphError("expansion check needs two nonempty sides")
     fixed = sum(len(rows) + math.comb(len(rows), 2) for rows in sides)
-    Budget(budget).charge(fixed + samples, "the expansion check takes {} sets")
-    violations = 0
-    for rows in sides:
-        violations += sum(r.bit_count() < one for r in rows)
-        for i, x in enumerate(rows):
-            violations += sum((x | y).bit_count() < two for y in rows[i + 1:])
-    rng = random.Random(seed)
-    for _ in range(samples):
-        rows = sides[rng.randrange(2)]
-        size = rng.randint(1, len(rows))
-        union = 0
-        for r in rng.sample(rows, size):
-            union |= r
-        violations += union.bit_count() < expansion_bound(q, size)
+    Budget(budget).charge(fixed + samples * max(map(len, sides)),
+                          "the expansion check takes {} steps")
+    violations = sum(r.bit_count() < one for rows in sides for r in rows)
+    violations += sum(_pairs_below(g, s, two) for s in (g.side_p, g.side_l))
+    violations += sum(union.bit_count() < expansion_bound(q, size)
+                      for size, union in _sampled_unions(sides, samples,
+                                                         seed))
     return (0, violations, violations == 0,
             float(fixed + samples - violations))
 

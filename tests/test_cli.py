@@ -163,12 +163,12 @@ def test_plane_commands_do_not_load_numpy(name, tmp_path):
 
 
 # Each command imports only what it runs. dataclasses is loaded by none,
-# hashlib (which maps OpenSSL) only by cover, datetime only where a
-# timestamp is written, fractions and decimal by none (the balanced count
-# lower bound is a pair of ints), schemas only where a report is checked
-# or a family file read, and the levi, independence and covering modules
-# only by the commands that call them: argv at q=2 and the modules of
-# WATCHED that it leaves loaded.
+# hashlib (which maps OpenSSL) only by cover, datetime by none (report
+# timestamps are built from time), fractions and decimal by none (the
+# balanced count lower bound is a pair of ints), schemas only where a
+# report is checked or a family file read, and the levi, independence and
+# covering modules only by the commands that call them: argv at q=2 and
+# the modules of WATCHED that it leaves loaded.
 WATCHED = ("dataclasses", "hashlib", "datetime", "fractions", "decimal",
            "levicover.covering", "levicover.independence", "levicover.levi",
            "levicover.schemas")
@@ -178,7 +178,7 @@ FOOTPRINT = {
     "gen": (["gen", "--q", "2", "--out", "out.g"], {"levicover.levi"}),
     "verify": (["verify", "--q", "2", "--checks",
                 "levi-props,c4free,degeneracy"],
-               {"datetime", *REPORT}),
+               REPORT),
     "verify-no-timestamp": (["verify", "--in", "fano.g", "--checks",
                              "levi-props,c4free,degeneracy",
                              "--no-timestamp"],
@@ -197,8 +197,7 @@ FOOTPRINT = {
                     {"hashlib", "levicover.covering"}),
     "cover-verify": (["cover", "verify", "--in", "fano.g", "--k", "2",
                       "--family", "fam.json"],
-                     {"hashlib", "datetime", "levicover.covering",
-                      "levicover.schemas"}),
+                     {"hashlib", "levicover.covering", "levicover.schemas"}),
     "cover-greedy": (["cover", "greedy", "--in", "fano.g", "--k", "2",
                       "--out", "out.json"],
                      {"hashlib", "levicover.covering"}),
@@ -228,6 +227,20 @@ def test_command_import_footprint(name, tmp_path):
                           text=True, timeout=120)
     rc, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert rc == 0 and set(loaded) == expected
+
+
+@pytest.mark.parametrize("ns", [
+    0, 1_000, -1_000, 999_999_999, 1_700_000_000_000_000_000,
+    1_700_000_000_123_456_789, 951_782_400_000_001_000,
+    253_402_300_799_999_999_000, -2_208_988_800_000_000_000])
+def test_timestamp_is_datetime_isoformat(ns):
+    # datetime is the oracle, at the microsecond the instant falls in;
+    # among the instants, 0 microseconds (no fraction is written), the
+    # epoch, before it, 29 February 2000 and the last microsecond of 9999
+    import datetime
+    epoch = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
+    assert cli._utc_timestamp(ns) == (
+        epoch + datetime.timedelta(microseconds=ns // 1000)).isoformat()
 
 
 def _extra_key(monkeypatch):
@@ -485,21 +498,23 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--q", "2", "--checks",
                              "expansion", "--samples", "200000", "--budget",
                              "100000", "--no-timestamp")
-        # 7 + 21 fixed sets per side, then the 200,000 samples
+        # 7 + 21 fixed sets per side, then 7 steps for each of the 200,000
+        # samples
         assert code == 3 and out == "" and err == (
-            "error: the expansion check takes 200056 sets, over the budget "
-            "of 100000\n")
+            "error: the expansion check takes 1400056 steps, over the "
+            "budget of 100000\n")
         assert time.monotonic() - started < 5
 
     def test_expansion_budget_threshold(self, capsys):
-        # 31 + 465 fixed sets per side of the q=5 plane, then 10 samples
+        # 31 + 465 fixed sets per side of the q=5 plane, then 31 steps for
+        # each of 10 samples
         argv = ["verify", "--q", "5", "--checks", "expansion", "--samples",
                 "10", "--no-timestamp", "--budget"]
-        code, out, err = run(capsys, *argv, "1001")
+        code, out, err = run(capsys, *argv, "1301")
         assert code == 3 and out == "" and err == (
-            "error: the expansion check takes 1002 sets, over the budget "
-            "of 1001\n")
-        code, out, _ = run(capsys, *argv, "1002")
+            "error: the expansion check takes 1302 steps, over the budget "
+            "of 1301\n")
+        code, out, _ = run(capsys, *argv, "1302")
         assert code == 0 and json.loads(out)["outcome"] == "pass"
 
     def test_odd_k_coverbound_exits_2(self, capsys):
@@ -518,9 +533,10 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "k must be an even integer >= 2" in err
 
-    @pytest.mark.parametrize("budget,code", [("156", 0), ("155", 3)])
+    @pytest.mark.parametrize("budget,code", [("756", 0), ("755", 3)])
     def test_expansion_budget(self, budget, code, capsys):
-        # 7 + 21 sets of one or two vertices per side, then 100 samples
+        # 7 + 21 sets of one or two vertices per side, then 7 steps for
+        # each of 100 samples
         got, _, err = run(capsys, "verify", "--q", "2", "--checks",
                           "expansion", "--samples", "100", "--budget",
                           budget, "--no-timestamp")

@@ -19,12 +19,16 @@ row by row keeps the one built from its edge list; and the plane test
 from degrees and C4-freeness keeps the rule it replaced: each side's
 degrees and its pairwise codegree range. The expansion oracle draws its
 sets by the check's stream contract, and a digest of one draw is pinned.
+The codegree sweep that counts the expansion check's pairs keeps the
+loop that ORs every pair of rows as its oracle, and the draws written out
+over getrandbits keep random.sample: the same sets from the same calls.
 """
 
 import hashlib
 import itertools
 import random
 import re
+import types
 from typing import Optional
 
 import numpy as np
@@ -37,10 +41,11 @@ from levicover import (BudgetExceededError, DegeneracyResult, Graph,
                        gen_levi, infer_q, is_c4_free, iter_members, members,
                        parse_graph, plane_size, verify_levi_properties, vset,
                        write_graph)
-from levicover import graphs
+from levicover import graphs, independence
 from levicover.covering import _columns
 from levicover.graphs import Budget, _index_of
-from levicover.independence import _verify_expansion, check_expansion
+from levicover.independence import (_pairs_below, _sampled_unions,
+                                    _verify_expansion, check_expansion)
 from test_graphs import random_graphs
 
 
@@ -112,18 +117,36 @@ def pairwise_levi_rule(g: Graph, q: int) -> bool:
         for lo, hi in ((0, s), (s, g.n)))
 
 
-def expansion_draws(g: Graph, samples: int, seed: int) -> list[int]:
+def expansion_draws(g: Graph, samples: int, seed: int,
+                    make_rng=random.Random) -> list[int]:
     """The random sets of the expansion check, drawn by its contract:
-    from random.Random(seed), the side (randrange(2), 0 for P), then the
+    from make_rng(seed), the side (randrange(2), 0 for P), then the
     size (randint(1, |side|)), then the members (sample(side, size))."""
     sides = (members(g.side_p), members(g.side_l))
-    rng = random.Random(seed)
+    rng = make_rng(seed)
     drawn = []
     for _ in range(samples):
         verts = sides[rng.randrange(2)]
         size = rng.randint(1, len(verts))
         drawn.append(vset(rng.sample(verts, size)))
     return drawn
+
+
+def pair_loop(g: Graph, side: int, threshold: int) -> int:
+    """Oracle: the pairs x < y of ``side`` with |N(x) | N(y)| below
+    ``threshold``, one OR per pair."""
+    rows = [g.adj[v] for v in members(side)]
+    return sum((x | y).bit_count() < threshold
+               for i, x in enumerate(rows) for y in rows[i + 1:])
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its getrandbits calls."""
+    calls = 0
+
+    def getrandbits(self, k):
+        CountingRandom.calls += 1
+        return super().getrandbits(k)
 
 
 def expansion_by_check(g: Graph, samples: int, seed: int):
@@ -332,6 +355,15 @@ PLANES = {f"q{q}{cut}": (gen_levi(q) if cut == "" else
                          without_edge(gen_levi(q), 0 if cut == "-first"
                                       else -1))
           for q in (2, 3, 5, 7) for cut in ("", "-first", "-last")}
+# irregular degrees for the pair sweep: few and many degree classes, and
+# levels up to the largest degree
+IRREGULAR = {**{f"bip{side}-p{p}-s{s}": seeded_graph(2 * side, p, s,
+                                                     side_p_size=side)
+                for side, p, s in [(13, 0.3, 1), (13, 0.7, 2), (31, 0.15, 3),
+                                   (31, 0.6, 4)]},
+             **{f"n{n}-p{p}-s{s}": seeded_graph(n, p, s)
+                for n, p, s in [(30, 0.2, 5), (60, 0.1, 6), (60, 0.5, 7)]},
+             "q5-first": without_edge(gen_levi(5), 0)}
 DENSE = {f"n{n}-p{p}-s{s}": seeded_graph(n, p, s)
          for n, p, s in [(40, 0.05, 1), (40, 0.2, 2), (40, 0.5, 3),
                          (60, 0.1, 4), (60, 0.9, 5), (1, 0.5, 6)]}
@@ -477,6 +509,53 @@ class TestExpansion:
         got = _verify_expansion(g, samples=200, seed=q, budget=None)
         assert got[1] > 0 and not got[2]
         assert got == expansion_by_check(g, 200, q)
+
+    # the sides of the planes of order 2, 3 and 23, and the side sizes 21
+    # and 85 at which sample's pool gives way to its set of picked indices
+    @pytest.mark.parametrize("side,samples,seed", [
+        (7, 300, 0), (13, 300, 5), (21, 300, 2), (85, 300, 3), (553, 200, 1)])
+    def test_written_out_draws_are_samples(self, side, samples, seed):
+        # the draws read the sides alone, so an edgeless graph serves, and
+        # the rows 1 << v make each union the drawn set itself
+        g = Graph.from_edges(2 * side, [], side_p_size=side)
+        sides = [[1 << v for v in members(s)] for s in (g.side_p, g.side_l)]
+        drawn = list(_sampled_unions(sides, samples, seed))
+        assert [s for _, s in drawn] == expansion_draws(g, samples, seed)
+        assert all(size == s.bit_count() for size, s in drawn)
+        if side == 553:
+            # a side of 553 draws a set of up to 85 members by rejection
+            # against the picked ones, and a larger one from a pool
+            sizes = [size for size, _ in drawn]
+            assert min(sizes) <= 85 < max(sizes)
+
+    def test_written_out_draws_make_the_same_calls(self, monkeypatch):
+        g = gen_levi(23)
+        CountingRandom.calls = 0
+        expansion_draws(g, 1000, 0, make_rng=CountingRandom)
+        by_sample = CountingRandom.calls
+        CountingRandom.calls = 0
+        monkeypatch.setattr(independence, "random", types.SimpleNamespace(
+            Random=CountingRandom))
+        sides = [[1 << v for v in members(s)] for s in (g.side_p, g.side_l)]
+        for _ in _sampled_unions(sides, 1000, 0):
+            pass
+        assert CountingRandom.calls == by_sample == 391_419
+
+    @pytest.mark.parametrize("name", sorted(IRREGULAR))
+    def test_pair_sweep_every_threshold(self, name):
+        g = IRREGULAR[name]
+        sides = ((g.side_p, g.side_l) if g.side_p_size
+                 else (g.all_vertices,))
+        for side in sides:
+            for threshold in range(g.n + 2):
+                assert _pairs_below(g, side, threshold) == \
+                    pair_loop(g, side, threshold)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs(), st.integers(0, 10))
+    def test_pair_sweep_random_graphs(self, g, threshold):
+        assert _pairs_below(g, g.all_vertices, threshold) == \
+            pair_loop(g, g.all_vertices, threshold)
 
     def test_pinned_draws(self):
         # On a plane no set violates the bound, so the reports cannot tell
