@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import random
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
@@ -66,7 +65,7 @@ def _p_text(d: int) -> str:
 
 # Not exported by the package; perfbench/tracer.py wraps it by name.
 def sample_independent_set(g: Graph, order: DegeneracyResult,
-                           rng: random.Random) -> VertexSet:
+                           rng) -> VertexSet:
     """Draw one independent set of g, a block of one row: mark with
     probability 1/(d+1), d = order.degeneracy, keep a marked vertex iff
     no forward neighbor is marked.
@@ -75,11 +74,12 @@ def sample_independent_set(g: Graph, order: DegeneracyResult,
         _sample_block(rng, 1, order.degeneracy, order.forward)[0], "little")
 
 
-def substream(seed: int) -> random.Random:
+def substream(seed: int):
+    import random  # here, as no other cover command draws
     return random.Random(seed)
 
 
-def _marks(rng: random.Random, lanes: int, d: int) -> int:
+def _marks(rng, lanes: int, d: int) -> int:
     """Bit l set iff lane l is marked with probability 1/(d+1).
 
     Each plane is one more digit of every lane's numeral. ``below`` holds
@@ -121,7 +121,7 @@ def _columns(sets: Sequence[VertexSet], n: int,
     return [int(digits[n - 1 - v::n] or "0", 2) for v in range(n)]
 
 
-def _sample_block(rng: random.Random, rows: int, d: int,
+def _sample_block(rng, rows: int, d: int,
                   forward: Sequence[VertexSet]) -> tuple[bytes, ...]:
     """``rows`` samples, each as ceil(n/8) bytes in which bit i of byte j
     is vertex 8j + i, so that int.from_bytes(row, "little") is its
@@ -428,17 +428,18 @@ def dump_family(fam: CoveringFamily) -> str:
     return "".join([head, '"sets": [', *rows, "]", tail, "\n"])
 
 
-def load_family(text: bytes | str, g: Graph,
+# perfbench/tracer.py reads the argument "text" by name.
+def load_family(text: bytes, g: Graph,
                 budget: Optional[int] = DEFAULT_BUDGET) -> CoveringFamily:
-    """family_from_json of the UTF-8 JSON text; text that does not decode
-    or parse, including nesting too deep for the parser, raises
-    GraphError. The text is charged against ``budget`` before it is
-    parsed, a word per 8 of its characters."""
+    """family_from_json of ``text``, the bytes of a family file, decoded
+    strictly as UTF-8; bytes that do not decode or parse, including
+    nesting too deep for the parser, raise GraphError. The bytes are
+    charged against ``budget`` before they are decoded, a word per 8 of
+    them."""
     Budget(budget).charge(words(8 * len(text)),
                           "the family file takes {} words")
     try:
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes)
-                         else text)
+        doc = json.loads(str(text, "utf-8"))
     except (ValueError, RecursionError) as exc:
         raise GraphError(f"malformed family file: {exc}") from exc
     return family_from_json(doc, g)

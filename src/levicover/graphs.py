@@ -5,8 +5,9 @@ vertex v is a member. Intersection/union/difference are &, |, &~ and
 cardinality is ``int.bit_count()``, which keeps the enumeration cores fast
 without any extra data structures.
 
-Graphs are frozen after construction, and every operation here is a
-pure function of its arguments; none knows the projective plane.
+A graph is built by levi.gen_levi or read by parse_graph from the bytes
+of a canonical file, and is frozen. Every operation here is a pure
+function of its arguments; none knows the projective plane.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 VertexSet = int
 DEFAULT_BUDGET = 10 ** 7  # every command's --budget when none is given
-_WINDOW = 1 << 16  # characters of a graph file split into lines at once
+_WINDOW = 1 << 16  # bytes of a graph file split into lines at once
 
 
 class GraphError(ValueError):
@@ -141,38 +142,13 @@ class Graph(NamedTuple):
 
     ``side_p_size`` > 0 flags the graph bipartite with side P occupying
     indices 0..side_p_size-1 and side L the rest; every edge then
-    crosses the bipartition, as from_edges, parse_graph and gen_levi
-    check or build.
+    crosses the bipartition, as parse_graph checks and gen_levi builds.
     """
 
     n: int
     m: int
     adj: tuple[int, ...]
     side_p_size: int = 0
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   side_p_size: int = 0) -> "Graph":
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
-        if side_p_size < 0 or side_p_size > n:
-            raise GraphError("side_p_size out of range")
-        adj = [0] * n
-        m = 0
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge endpoint out of range: ({u}, {v})")
-            if adj[u] >> v & 1:
-                raise GraphError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
-            if side_p_size > 0 and (u < side_p_size) == (v < side_p_size):
-                raise GraphError(
-                    f"edge ({u}, {v}) does not cross the bipartition")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            m += 1
-        return cls(n=n, m=m, adj=tuple(adj), side_p_size=side_p_size)
 
     @property
     def all_vertices(self) -> VertexSet:
@@ -185,9 +161,6 @@ class Graph(NamedTuple):
     @property
     def side_l(self) -> VertexSet:
         return self.all_vertices & ~self.side_p
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order. Only the
@@ -376,45 +349,43 @@ def enumerate_maximal_independent_sets(g: Graph,
         r, p, x = r | low, p & nb, x & nb
 
 
-def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
-    """Parse the canonical edge-list format: a text is accepted iff it is
-    byte-equal to write_graph of the graph it describes.
+def parse_graph(data: bytes, budget: Optional[int] = None) -> Graph:
+    """Parse the canonical edge-list format: the bytes are accepted iff
+    they equal write_graph of the graph they describe, encoded.
 
-    The header's vertex count is charged against ``budget``, then, on a
-    budget of its own, the rows the edges fill: two per edge line, at most
-    n. Both come before any memory that grows with the text, as the edge
-    count is read off the newlines and the header off at most the first
-    four space-separated fields before the first. The edge lines are then
-    split and checked one window at a time, about _WINDOW characters cut
-    at a newline, with no second serialisation: the header must be
+    A file with a byte outside ASCII is first checked whole as UTF-8, and
+    the decoded copy dropped at once, so that an invalid file is refused
+    with its offset before any other error. The header's vertex count is
+    then charged against ``budget``, then, on a budget of its own, the
+    rows the edges fill: two per edge line, at most n. Both come before
+    any memory that grows with the file, as the edge count is read off
+    the newlines and the header off at most the first four
+    space-separated fields before the first. The edge lines are then
+    split and checked one window at a time, about _WINDOW bytes cut at a
+    newline, with no second serialisation: the header must be
     "n m side" in decimal with 0 <= side <= n and m edge lines after it,
     each edge line must be the decimal names "u v" of an edge with
     u < v < n, crossing the bipartition when side > 0, in strictly
-    ascending order, and the text must end in one newline. Those are exactly the texts write_graph
-    prints. ASCII bytes are decoded a window at a time; other bytes are
-    decoded whole, as UTF-8, and then rejected, since write_graph prints
-    ASCII alone.
+    ascending order, and the file must end in one newline. Those are
+    exactly the texts write_graph prints. The header fields and the
+    windows are decoded as UTF-8: a cut at a space or after a newline
+    never splits a character.
     """
-    if isinstance(data, (bytes, bytearray)) and not data.isascii():
+    if not data.isascii():
         try:
-            data = data.decode("utf-8")
+            str(data, "utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc}") from exc
-    if isinstance(data, str):
-        newline, space, decode = "\n", " ", str
-    else:
-        newline, space, decode = (b"\n", b" ",
-                                  lambda window: str(window, "ascii"))
-    m = data.count(newline) - 1
-    end = data.find(newline)
+    m = data.count(b"\n") - 1
+    end = data.find(b"\n")
     stop = end if end >= 0 else len(data)
     # three fields make a header and a fourth refutes it, so no more are
     # decoded, whatever the length of the first line
     fields, start = [], 0
     while start <= stop and len(fields) < 4:
-        cut = data.find(space, start, stop)
+        cut = data.find(b" ", start, stop)
         cut = stop if cut < 0 else cut
-        fields.append(decode(data[start:cut]))
+        fields.append(str(data[start:cut], "utf-8"))
         start = cut + 1
     try:
         n, _, side = map(int, fields)
@@ -424,7 +395,7 @@ def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
     Budget(budget).charge(n, f"the graph has {n} vertices")
     Budget(budget).charge_rows(min(2 * m, n), n, "the adjacency")
     if not (0 <= side <= n and header == f"{n} {m} {side}"
-            and data.endswith(newline)):
+            and data.endswith(b"\n")):
         raise ParseError(f"header {header[:80]!r} is not 'n m side' for "
                          f"the {m} edge lines after it and one final "
                          "newline")
@@ -434,11 +405,11 @@ def parse_graph(data: bytes | str, budget: Optional[int] = None) -> Graph:
     number = 1  # the number of the last line read
     while end + 1 < len(data):
         start = end + 1
-        end = data.rfind(newline, start, start + _WINDOW)
+        end = data.rfind(b"\n", start, start + _WINDOW)
         if end < 0:  # one line longer than the window
-            end = data.find(newline, start + _WINDOW)
-        for number, line in enumerate(decode(data[start:end]).split("\n"),
-                                      number + 1):
+            end = data.find(b"\n", start + _WINDOW)
+        for number, line in enumerate(str(data[start:end], "utf-8")
+                                      .split("\n"), number + 1):
             first, _, second = line.partition(" ")
             u, v = index(first, -1), index(second, -1)
             if not (0 <= u < v and u * n + v > last

@@ -12,7 +12,6 @@ with the float per-set capacity bound as it is, with no margin.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from itertools import accumulate, combinations
 from operator import and_, or_
@@ -120,6 +119,7 @@ def _sampled_unions(sides: list[list[VertexSet]], samples: int, seed: int
     """The size and the union of the rows of each of ``samples`` sets,
     drawn from ``random.Random(seed)`` as _verify_expansion states; a
     test passes the rows 1 << v to read the sets themselves."""
+    import random  # here, as no other check draws
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     for _ in range(samples):

@@ -1,24 +1,25 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
-import types
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from levicover import (Graph, count_independent_sets, covering,
+from levicover import (count_independent_sets, covering,
                        enumerate_maximal_independent_sets, gen_levi,
                        graph_hash, independence, parse_graph, write_graph)
 from levicover import cli
 from levicover.cli import main
 from levicover.schemas import (BOUNDS_REPORT_SCHEMA, FAMILY_SCHEMA,
                                RUN_REPORT_SCHEMA, SchemaError)
+from conftest import from_edges
 
 
 @pytest.fixture()
@@ -40,9 +41,9 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "--q", "2", "--out", str(path))
         assert code == 0
         assert out.strip() == "14 21 7"
-        text = path.read_text()
-        assert text.startswith("14 21 7\n")
-        assert parse_graph(text) == gen_levi(2)
+        data = path.read_bytes()
+        assert data.startswith(b"14 21 7\n")
+        assert parse_graph(data) == gen_levi(2)
 
     def test_q3_summary(self, tmp_path, capsys):
         path = tmp_path / "g3.g"
@@ -165,13 +166,14 @@ def test_plane_commands_do_not_load_numpy(name, tmp_path):
 # Each command imports only what it runs. dataclasses is loaded by none,
 # hashlib (which maps OpenSSL) only by cover, datetime by none (report
 # timestamps are built from time), fractions and decimal by none (the
-# balanced count lower bound is a pair of ints), schemas only where a
-# report is checked or a family file read, and the levi, independence and
-# covering modules only by the commands that call them: argv at q=2 and
-# the modules of WATCHED that it leaves loaded.
+# balanced count lower bound is a pair of ints), random only where a
+# command draws (the expansion check and cover build), schemas only where
+# a report is checked or a family file read, and the levi, independence
+# and covering modules only by the commands that call them: argv at q=2
+# and the modules of WATCHED that it leaves loaded.
 WATCHED = ("dataclasses", "hashlib", "datetime", "fractions", "decimal",
-           "levicover.covering", "levicover.independence", "levicover.levi",
-           "levicover.schemas")
+           "random", "levicover.covering", "levicover.independence",
+           "levicover.levi", "levicover.schemas")
 PLANE = {"levicover.independence", "levicover.levi"}
 REPORT = {"levicover.schemas", *PLANE}
 FOOTPRINT = {
@@ -185,7 +187,7 @@ FOOTPRINT = {
                             REPORT),
     "verify-expansion": (["verify", "--q", "2", "--checks",
                           "expansion,product,coverbound", "--no-timestamp"],
-                         REPORT),
+                         {"random", *REPORT}),
     "verify-balanced": (["verify", "--q", "2", "--checks", "balanced",
                          "--no-timestamp"],
                         REPORT),
@@ -194,7 +196,7 @@ FOOTPRINT = {
     # a plane module
     "cover-build": (["cover", "build", "--in", "fano.g", "--k", "2",
                      "--delta", "0.1", "--seed", "1", "--out", "out.json"],
-                    {"hashlib", "levicover.covering"}),
+                    {"hashlib", "random", "levicover.covering"}),
     "cover-verify": (["cover", "verify", "--in", "fano.g", "--k", "2",
                       "--family", "fam.json"],
                      {"hashlib", "levicover.covering", "levicover.schemas"}),
@@ -296,7 +298,7 @@ def test_graph_vertex_count_over_budget_exits_3(argv, tmp_path, capsys,
 
 
 def _singletons_family(n: int) -> str:
-    g = parse_graph(f"{n} 0 0\n")
+    g = parse_graph(f"{n} 0 0\n".encode())
     return json.dumps({"graph_hash": graph_hash(g), "k": 1, "delta": 0.1,
                        "seed": 0, "t": 1, "d": 0, "p": "1/1",
                        "sets": [[v] for v in range(n)]})
@@ -468,7 +470,7 @@ class TestVerify:
         # is read from a file, as --q would charge the plane's 52 edges
         g = gen_levi(3)
         path = tmp_path / "cut.g"
-        path.write_text(write_graph(Graph.from_edges(
+        path.write_text(write_graph(from_edges(
             g.n, list(g.edges())[:-1], side_p_size=g.side_p_size)))
         argv = ("verify", "--in", str(path), "--checks", check,
                 "--no-timestamp", "--budget")
@@ -481,7 +483,7 @@ class TestVerify:
         # which the frame path would miss (it tops out at a*b = 14 here)
         g = gen_levi(3)
         path = tmp_path / "cut.g"
-        path.write_text(write_graph(Graph.from_edges(
+        path.write_text(write_graph(from_edges(
             g.n, list(g.edges())[:-1], side_p_size=g.side_p_size)))
         code, out, _ = run(capsys, "verify", "--in", str(path), "--checks",
                            "product,coverbound", "--no-timestamp")
@@ -492,8 +494,7 @@ class TestVerify:
                                                       monkeypatch):
         def refuse(*args):
             raise AssertionError("drew samples despite the budget")
-        monkeypatch.setattr(independence, "random",
-                            types.SimpleNamespace(Random=refuse))
+        monkeypatch.setattr(random, "Random", refuse)
         started = time.monotonic()
         code, out, err = run(capsys, "verify", "--q", "2", "--checks",
                              "expansion", "--samples", "200000", "--budget",
@@ -875,8 +876,8 @@ class TestCover:
         # here, each charged ceil(300 targets / 64) = 5 words plus its
         # member count, 8,536 in all; the enumerations need far less
         g3 = gen_levi(3)
-        g = Graph.from_edges(g3.n, list(g3.edges())[1:],
-                             side_p_size=g3.side_p_size)
+        g = from_edges(g3.n, list(g3.edges())[1:],
+                       side_p_size=g3.side_p_size)
         need = sum(-(-count_independent_sets(g, 2) // 64) + c.bit_count()
                    for c in enumerate_maximal_independent_sets(g))
         assert need == 8536

@@ -42,8 +42,9 @@ from pathlib import Path
 
 import pytest
 
-from levicover import Graph, gen_levi, write_graph
+from levicover import gen_levi, write_graph
 from levicover.cli import main
+from conftest import from_edges
 
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json")
                     .read_text(encoding="utf-8"))
@@ -58,8 +59,8 @@ def test_output_bytes_unchanged(line, tmp_path, monkeypatch, capsys):
         (tmp_path / f"plane{q}.g").write_text(write_graph(gen_levi(q)))
     for name, q in (("fano", 2), ("plane3", 3)):
         plane = gen_levi(q)
-        cut = Graph.from_edges(plane.n, list(plane.edges())[1:],
-                               side_p_size=plane.side_p_size)
+        cut = from_edges(plane.n, list(plane.edges())[1:],
+                         side_p_size=plane.side_p_size)
         (tmp_path / f"{name}-minus-edge.g").write_text(write_graph(cut))
     code = main(line.split())
     out = capsys.readouterr()

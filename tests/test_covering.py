@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicover import (Graph, GraphError, build_family_mc,
+from levicover import (GraphError, build_family_mc,
                        count_independent_sets, degeneracy_order, dump_family,
                        family_from_json, family_to_json,
                        enumerate_independent_sets,
@@ -19,7 +19,7 @@ from levicover import (Graph, GraphError, build_family_mc,
 from levicover import covering
 from levicover.covering import sample_independent_set
 from levicover.graphs import BudgetExceededError
-from conftest import complete_graph, cycle_graph, small_graphs
+from conftest import complete_graph, cycle_graph, from_edges, small_graphs
 
 P_MIN_FANO = Fraction(729, 65536)  # (1/4)^2 (3/4)^6 for d=3, k=2
 
@@ -86,7 +86,7 @@ class CountingRandom:
 
 class TestSampler:
     def test_edgeless_returns_marked_set(self):
-        g = Graph.from_edges(6, [])
+        g = from_edges(6, [])
         order = degeneracy_order(g)
         rng = substream(1)
         for _ in range(20):
@@ -184,7 +184,7 @@ def eager_greedy(g, k):
 
 
 def path_graph(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestBlockSampler:
@@ -194,8 +194,8 @@ class TestBlockSampler:
     # d=1, p=1/2, so one plane decides every lane; the edgeless graphs
     # have d=0 and n=0, which draw nothing
     @pytest.mark.parametrize("g", [gen_levi(q) for q in (2, 3, 7)]
-                             + [path_graph(9), Graph.from_edges(5, []),
-                                Graph.from_edges(0, [])],
+                             + [path_graph(9), from_edges(5, []),
+                                from_edges(0, [])],
                              ids=["q2", "q3", "q7", "path9", "edgeless5",
                                   "empty"])
     @pytest.mark.parametrize("rows", [1, 3, 17, 300])
@@ -212,7 +212,7 @@ class TestBlockSampler:
     # full byte
     @pytest.mark.parametrize("g", [gen_levi(q) for q in (2, 3, 5, 7)]
                              + [path_graph(9)]
-                             + [Graph.from_edges(n, [])
+                             + [from_edges(n, [])
                                 for n in (5, 8, 16, 0)],
                              ids=["q2", "q3", "q5", "q7", "path9", "edgeless5",
                                   "edgeless8", "edgeless16", "empty"])
@@ -315,11 +315,11 @@ class TestBlockSampler:
             "6fed7a36f6a305be52efddbb1fc7a0415c176c8ccc2cc458bc242b6ac8cd009a")
 
     def test_empty_graph_gives_no_sets(self):
-        fam = build_family_mc(Graph.from_edges(0, []), 1, 0.5, seed=0)
+        fam = build_family_mc(from_edges(0, []), 1, 0.5, seed=0)
         assert (fam.t, fam.degeneracy, fam.sets) == (1, 0, ())
 
     def test_edgeless_graph_gives_every_vertex(self):
-        fam = build_family_mc(Graph.from_edges(3, []), 1, 0.5, seed=0)
+        fam = build_family_mc(from_edges(3, []), 1, 0.5, seed=0)
         assert fam.degeneracy == 0 and fam.sets == (0b111,)
 
     @pytest.mark.parametrize("seed", [-1, -7])
@@ -354,7 +354,7 @@ class TestFastPathsAgainstOracles:
         g = gen_levi(q)
         assert greedy_cover(g, k) == eager_greedy(g, k)
 
-    @pytest.mark.parametrize("g", [Graph.from_edges(n, []) for n in (1, 5)]
+    @pytest.mark.parametrize("g", [from_edges(n, []) for n in (1, 5)]
                              + [cycle_graph(n) for n in (4, 5, 8, 9)],
                              ids=["edgeless1", "edgeless5", "C4", "C5", "C8",
                                   "C9"])
@@ -427,7 +427,7 @@ class TestBuildFamily:
         assert c.sets != a.sets
 
     def test_edgeless_single_sample(self):
-        g = Graph.from_edges(4, [])
+        g = from_edges(4, [])
         fam = build_family_mc(g, 4, 0.5, seed=0)
         # d = 0 forces p = 1, so the first sample is all of V
         assert fam.sets[0] == g.all_vertices
@@ -481,7 +481,7 @@ class TestBuildFamily:
     def test_universe_falls_back_to_n_to_the_k(self):
         # 20 + 190 + 1140 targets of size <= 3; counting them takes more
         # than 100 steps, so the union bound runs over 20^3 targets
-        g = Graph.from_edges(20, [])
+        g = from_edges(20, [])
         assert count_independent_sets(g, 3) == 1350
         with pytest.raises(BudgetExceededError):
             count_independent_sets(g, 3, budget=100)
@@ -536,7 +536,7 @@ class TestVerifyFamily:
 
 class TestGreedyCover:
     def test_edgeless_one_set(self):
-        g = Graph.from_edges(5, [])
+        g = from_edges(5, [])
         assert greedy_cover(g, 2) == [g.all_vertices]
 
     def test_four_cycle_diagonals(self):
@@ -558,7 +558,7 @@ class TestGreedyCover:
         # edgeless on 6 vertices: the 6 targets take 6 steps and the one
         # candidate 1 + 6 words, but Bron-Kerbosch makes 7 calls to reach
         # it, which scan 6 + 5 + ... + 0 = 21 one-word rows
-        g = Graph.from_edges(6, [])
+        g = from_edges(6, [])
         with pytest.raises(BudgetExceededError, match="enumeration"):
             greedy_cover(g, 1, budget=20)
         assert greedy_cover(g, 1, budget=21) == [g.all_vertices]
@@ -589,7 +589,7 @@ class TestFamilyIO:
 
     def test_roundtrip(self, fano):
         fam = build_family_mc(fano, 2, 1e-3, seed=11)
-        again = load_family(dump_family(fam), fano)
+        again = load_family(dump_family(fam).encode(), fano)
         assert again == fam
         assert fam.graph_hash == graph_hash(fano)
 
@@ -654,18 +654,17 @@ class TestFamilyIO:
     def test_rejects_what_the_schema_types_let_through(self, fano, bad):
         with pytest.raises(GraphError, match="malformed family file"):
             family_from_json(self.doc(fano, **bad), fano)
-        text = json.dumps(self.doc(fano, **bad))
+        data = json.dumps(self.doc(fano, **bad)).encode()
         with pytest.raises(GraphError, match="malformed family file"):
-            load_family(text, fano)
+            load_family(data, fano)
 
     def test_family_file_charged_before_it_is_parsed(self, fano,
                                                      monkeypatch):
-        # a word per 8 characters: the text itself fits its own charge,
-        # and one word less is refused before json reads a byte
-        text = dump_family(build_family_mc(fano, 2, 1e-3, seed=11))
-        cost = -(-len(text) // 8)
-        assert load_family(text, fano, budget=cost).t == 1020
-        assert load_family(text.encode(), fano, budget=cost).t == 1020
+        # a word per 8 bytes: the file itself fits its own charge, and
+        # one word less is refused before json reads a byte
+        data = dump_family(build_family_mc(fano, 2, 1e-3, seed=11)).encode()
+        cost = -(-len(data) // 8)
+        assert load_family(data, fano, budget=cost).t == 1020
 
         def no_parse(*args, **kwargs):
             raise AssertionError("parsed despite the budget")
@@ -673,11 +672,20 @@ class TestFamilyIO:
         with pytest.raises(BudgetExceededError,
                            match=f"the family file takes {cost} words, "
                                  f"over the budget of {cost - 1}"):
-            load_family(text, fano, budget=cost - 1)
+            load_family(data, fano, budget=cost - 1)
 
     def test_rejects_non_object(self, fano):
         with pytest.raises(GraphError):
-            load_family("[1, 2]", fano)
+            load_family(b"[1, 2]", fano)
+
+    def test_reads_utf8_bytes_alone(self, fano):
+        # a str is a TypeError, and bytes are decoded as UTF-8 alone: a
+        # UTF-16 file, which json.loads would detect and read, is refused
+        data = dump_family(build_family_mc(fano, 2, 1e-3, seed=11))
+        with pytest.raises(TypeError):
+            load_family(data, fano)
+        with pytest.raises(GraphError, match="malformed family file"):
+            load_family(data.encode("utf-16"), fano)
 
     def test_rejects_other_graph_before_member_ranges(self, fano):
         with pytest.raises(GraphError, match="different graph"):

@@ -28,7 +28,7 @@ from levicover import (BudgetExceededError, Graph, GraphError,
                        graph_hash, members, parse_graph, vset, write_graph)
 from levicover.cli import main
 from levicover.independence import CHECKS
-from conftest import brute_independent_sets
+from conftest import brute_independent_sets, from_edges
 
 MAX_N = 64
 
@@ -68,7 +68,7 @@ def _canonical(n: int, side: int, edges) -> str:
     keep = {(min(u, v), max(u, v)) for u, v in edges
             if u != v and max(u, v) < n
             and (side == 0 or (u < side) != (v < side))}
-    return write_graph(Graph.from_edges(n, keep, side_p_size=side))
+    return write_graph(from_edges(n, keep, side_p_size=side))
 
 
 @st.composite

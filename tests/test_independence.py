@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levicover import (Graph, GraphError, balanced_count_lower_bound,
+from levicover import (GraphError, balanced_count_lower_bound,
                        count_balanced, count_independent_sets,
                        enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
@@ -19,7 +20,7 @@ from levicover import independence
 from levicover.graphs import Budget, BudgetExceededError, words
 from levicover.independence import check_cover_capacity, check_expansion
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
-                      edgeless_bipartite, small_graphs)
+                      edgeless_bipartite, from_edges, small_graphs)
 
 
 class TestEnumeration:
@@ -29,7 +30,7 @@ class TestEnumeration:
         assert len(sets) == 6  # 4 singletons + 2 diagonal pairs
 
     def test_edgeless_singletons(self):
-        g = Graph.from_edges(3, [])
+        g = from_edges(3, [])
         assert count_independent_sets(g, 1) == 3
 
     def test_fano_k2(self, fano):
@@ -151,7 +152,7 @@ class TestIterativeMatchesRecursive:
         # edgeless: the walk reaches all n vertices through n nested
         # levels, and Bron-Kerbosch takes one vertex per call
         n = sys.getrecursionlimit() + 100
-        g = Graph.from_edges(n, [])
+        g = from_edges(n, [])
         walk = enumerate_independent_sets(g, n)
         assert next(islice(walk, n - 1, None)) == g.all_vertices
         assert list(enumerate_maximal_independent_sets(g)) == \
@@ -201,7 +202,7 @@ class TestMaximalEnumeration:
     def test_budget_covers_the_pivot_scans(self):
         # edgeless on 130 vertices: the calls scan 130, 129, ..., 0
         # vertices of three words each
-        g = Graph.from_edges(130, [])
+        g = from_edges(130, [])
         need = 3 * 130 * 131 // 2
         assert list(enumerate_maximal_independent_sets(
             g, budget=need)) == [g.all_vertices]
@@ -254,7 +255,7 @@ class TestExpansion:
         # called without select_checks, as CHECKS["expansion"]
         def no_draws(*args):
             raise AssertionError("sampled despite the negative seed")
-        monkeypatch.setattr(independence.random, "Random", no_draws)
+        monkeypatch.setattr(random, "Random", no_draws)
         with pytest.raises(GraphError, match="seed must be non-negative"):
             independence.CHECKS["expansion"](fano, samples=200, seed=seed,
                                              budget=None)
@@ -314,12 +315,12 @@ def relabelled(g, seed):
                            g.side_p_size + rng.permutation(
                                g.n - g.side_p_size)])
     edges = [(int(perm[u]), int(perm[v])) for u, v in g.edges()]
-    return Graph.from_edges(g.n, edges, side_p_size=g.side_p_size)
+    return from_edges(g.n, edges, side_p_size=g.side_p_size)
 
 
 def minus_one_edge(g):
-    return Graph.from_edges(g.n, list(g.edges())[:-1],
-                            side_p_size=g.side_p_size)
+    return from_edges(g.n, list(g.edges())[:-1],
+                      side_p_size=g.side_p_size)
 
 
 def full_path_best(g, score):
@@ -400,8 +401,8 @@ def bipartite_graphs(draw):
     pairs = [(p, a + j) for p in range(a) for j in range(b)]
     bits = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
-    return Graph.from_edges(a + b, [e for e, on in zip(pairs, bits) if on],
-                            side_p_size=a)
+    return from_edges(a + b, [e for e, on in zip(pairs, bits) if on],
+                      side_p_size=a)
 
 
 # Scores non-decreasing in both side counts. The last two are settled
@@ -786,13 +787,13 @@ class TestBounds:
 ], ids=["check_cover_capacity", "check_expansion", "count_balanced"])
 def test_unflagged_graph_rejected(call):
     with pytest.raises(GraphError, match="not flagged bipartite"):
-        call(Graph.from_edges(4, [(0, 2), (1, 3)]))
+        call(from_edges(4, [(0, 2), (1, 3)]))
 
 
 OPTIONS = {"k": 2, "samples": 1000, "seed": 0}
 # a C4 through points 0, 1 and lines 7, 8 on the sides of the Fano plane
-SQUARE_ON_FANO_SIDES = Graph.from_edges(14, [(0, 7), (0, 8), (1, 7), (1, 8)],
-                                        side_p_size=7)
+SQUARE_ON_FANO_SIDES = from_edges(14, [(0, 7), (0, 8), (1, 7), (1, 8)],
+                                  side_p_size=7)
 
 
 class TestRunChecks:
@@ -841,7 +842,7 @@ class TestRunChecks:
         # budget 0 would refuse the sweep; the side size is refused first
         with pytest.raises(GraphError, match="prime-order plane"):
             independence.run_checks(
-                Graph.from_edges(12, [], side_p_size=6),
+                from_edges(12, [], side_p_size=6),
                 ["levi-props", "c4free"], OPTIONS, 0)
 
     def test_one_sweep_charge_for_both(self, plane3):

@@ -3,9 +3,10 @@ import itertools
 
 import pytest
 
-from levicover import (Graph, GraphError, LeviIndexing, gen_levi, infer_q,
+from levicover import (GraphError, LeviIndexing, gen_levi, infer_q,
                        is_c4_free, is_prime, verify_levi_properties,
                        write_graph)
+from conftest import from_edges
 
 
 class TestPrimality:
@@ -17,7 +18,7 @@ class TestPrimality:
         assert infer_q(fano) == 2 and infer_q(plane3) == 3
         for side in (0, 4, 21, 12):  # 21 = 4^2 + 4 + 1, but 4 is not prime
             with pytest.raises(GraphError, match="prime-order plane"):
-                infer_q(Graph.from_edges(2 * side, [], side_p_size=side))
+                infer_q(from_edges(2 * side, [], side_p_size=side))
 
     def test_non_prime_rejected(self):
         for q in (0, 1, 4, 6, 9):
@@ -71,8 +72,8 @@ class TestGeneration:
             assert on == ((a * x + b) % q == y)
 
     def test_regularity(self, fano, plane3):
-        assert all(fano.degree(v) == 3 for v in range(fano.n))
-        assert all(plane3.degree(v) == 4 for v in range(plane3.n))
+        assert all(a.bit_count() == 3 for a in fano.adj)
+        assert all(a.bit_count() == 4 for a in plane3.adj)
 
     def test_deterministic_bytes(self):
         assert write_graph(gen_levi(3)) == write_graph(gen_levi(3))
@@ -101,18 +102,18 @@ class TestPropertyReport:
     def test_plane5_values(self):
         g = gen_levi(5)
         assert verify_levi_properties(g) is True
-        assert g.n == 62 and {g.degree(v) for v in range(g.n)} == {6}
+        assert g.n == 62 and {a.bit_count() for a in g.adj} == {6}
 
     def test_deleted_edge_breaks_degree(self, fano):
         edges = list(fano.edges())[1:]
-        broken = Graph.from_edges(14, edges, side_p_size=7)
+        broken = from_edges(14, edges, side_p_size=7)
         assert is_c4_free(broken)
         assert verify_levi_properties(broken) is False
 
     def test_wrong_side_size_raises(self):
         # 6 points fit no prime-order plane (7 is the least)
         with pytest.raises(GraphError, match="prime-order plane"):
-            verify_levi_properties(Graph.from_edges(12, [], side_p_size=6))
+            verify_levi_properties(from_edges(12, [], side_p_size=6))
 
     def test_given_sweep_is_not_run_again(self, fano, monkeypatch):
         # a caller that swept g passes the result; the shape is still read
@@ -121,7 +122,7 @@ class TestPropertyReport:
         monkeypatch.setattr("levicover.levi.is_c4_free", no_sweep)
         assert verify_levi_properties(fano, c4_free=True) is True
         assert verify_levi_properties(fano, c4_free=False) is False
-        broken = Graph.from_edges(14, list(fano.edges())[1:], side_p_size=7)
+        broken = from_edges(14, list(fano.edges())[1:], side_p_size=7)
         assert verify_levi_properties(broken, c4_free=True) is False
 
     def test_indexing_refuses_a_non_prime_order(self):

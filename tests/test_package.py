@@ -5,6 +5,7 @@ submodule."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import levicover
+from levicover import gen_levi, write_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "levicover"
@@ -204,3 +206,112 @@ def test_enumerator_is_defined_once_in_the_graph_layer(name):
         held = getattr(importlib.import_module(f"levicover.{module}"),
                        name, None)
         assert held in (None, getattr(graphs, name))
+
+
+# The functions of src/ that no command enters: those that
+# perfbench/tracer.py looks up by name and the two that only they call,
+# which ROADMAP item 8 moves into the tests once the tracer is gone. Any
+# other function that only the tests reach belongs in tests/, so that the
+# library holds what the commands run.
+UNREACHED = {"check_cover_capacity", "check_expansion",
+             "sample_independent_set", "Graph.is_independent",
+             "neighborhood_of_set"}
+# A fresh interpreter, so that every first use is seen (the package's lazy
+# names among them), runs each argv of the grid in-process under
+# sys.setprofile and prints the src/ functions that were entered.
+REACH = """
+import contextlib, io, json, os, sys
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call"
+               and entered.add(frame.f_code))
+from levicover.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+sys.setprofile(None)
+import levicover
+home = os.path.realpath(levicover.__path__[0])
+print(json.dumps(sorted(
+    (os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
+    for c in entered
+    if os.path.dirname(os.path.realpath(c.co_filename)) == home)))
+"""
+SEVEN = "levi-props,c4free,degeneracy,expansion,product,balanced,coverbound"
+REACH_GRID = [
+    ["gen", "--q", "2", "--out", "fano.g"],
+    ["verify", "--q", "2", "--checks", SEVEN, "--k", "2"],
+    ["verify", "--in", "plane3.g", "--checks", SEVEN, "--k", "2",
+     "--samples", "50", "--seed", "1", "--no-timestamp"],
+    ["verify", "--in", "damaged3.g", "--checks", SEVEN, "--k", "2",
+     "--no-timestamp"],
+    # n > 2m, so names are read by int, not from a table
+    ["verify", "--in", "sparse.g", "--checks", "c4free,degeneracy",
+     "--no-timestamp"],
+    ["bounds", "--q", "3", "--k", "2"],
+    ["bounds", "--q", "3", "--k", "2", "--exact"],
+    ["cover", "build", "--in", "fano.g", "--k", "2", "--delta", "0.1",
+     "--seed", "1", "--out", "fam.json"],
+    ["cover", "verify", "--in", "fano.g", "--k", "2", "--family",
+     "fam.json"],
+    ["cover", "greedy", "--in", "damaged3.g", "--k", "2", "--out",
+     "greedy.json"],
+    # the count runs out of budget, so t comes from n^k
+    ["cover", "build", "--in", "edgeless20.g", "--k", "3", "--delta",
+     "0.1", "--seed", "0", "--budget", "100"],
+    # rejected inputs, and a budget refusal that prints its cost
+    ["verify", "--in", "bad.g", "--checks", "c4free"],
+    ["verify", "--in", "utf8.g", "--checks", "c4free"],
+    ["cover", "verify", "--in", "fano.g", "--k", "2", "--family", "bad.g"],
+    ["gen", "--q", "3", "--budget", "10"],
+]
+
+
+def _functions(code, prefix: str = ""):
+    """(line, name) -> qualified name of every function that code
+    defines, in classes and functions too; comprehensions and lambdas
+    are left out."""
+    out = {}
+    for const in code.co_consts:
+        if hasattr(const, "co_code") and not const.co_name.startswith("<"):
+            name = prefix + const.co_name
+            if const.co_flags & inspect.CO_NEWLOCALS:
+                out[const.co_firstlineno, const.co_name] = name
+            out.update(_functions(const, name + "."))
+    return out
+
+
+def test_every_library_function_but_the_tracer_chain_is_run(tmp_path):
+    plane3 = write_graph(gen_levi(3))
+    lines = plane3.split("\n")
+    head = lines[0].split(" ")
+    files = {
+        "plane3.g": plane3,
+        "damaged3.g": "\n".join([f"{head[0]} {int(head[1]) - 1} {head[2]}",
+                                 *lines[2:]]),
+        "sparse.g": "5 1 0\n0 4\n",
+        "edgeless20.g": "20 0 0\n",
+        "bad.g": "2 1 0\n1 0\n",
+        "utf8.g": "2 1 0\n0 ٣\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", REACH, json.dumps(REACH_GRID)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=tmp_path,
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    entered = {(f, line, name) for f, line, name in json.loads(proc.stdout)}
+    never = set()
+    for path in sorted(SRC.glob("*.py")):
+        code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        never |= {qualified for (line, name), qualified
+                  in _functions(code).items()
+                  if (path.name, line, name) not in entered}
+    # a function inside one that is never entered is not reported again
+    outermost = {name for name in never
+                 if not any(name.startswith(other + ".") for other in never)}
+    assert outermost == UNREACHED
