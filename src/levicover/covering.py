@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple, Optional, Sequence
 
 from .graphs import (DEFAULT_BUDGET, Budget, BudgetExceededError,
@@ -256,25 +256,46 @@ def verify_family(g: Graph, k: int, sets: Sequence[VertexSet],
     """Exact coverage check; returns the first uncovered set on failure.
 
     Every member must be an independent set of g and k at least 1, else
-    GraphError. The witness is lexicographically first because the
-    enumeration is. The column index is charged against ``budget``
-    before it is built.
+    GraphError. The column index is charged against ``budget`` before it
+    is built. The targets are walked, and charged, as
+    enumerate_independent_sets walks them: n rows, then one step per
+    vertex tried. Each level carries its prefix's holders, the sets that
+    contain it, so a target costs one AND with its last vertex's column,
+    and the first target with none is the witness, lexicographically
+    first. The at most min(k, n) prefixes held are no larger than the
+    n columns.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
     sets = list(sets)
-    if any(s < 0 or s >> g.n for s in sets):
+    if sets and (min(sets) < 0 or max(sets) >> g.n):
         raise GraphError("family member has a vertex outside the graph")
     cols = _columns(sets, g.n, budget)
     for u, v in g.edges():
         if cols[u] & cols[v]:
             raise GraphError(f"family member contains the edge ({u}, {v})")
-    for z in enumerate_independent_sets(g, k, budget):
-        holders = -1
-        for v in iter_members(z):
-            holders &= cols[v]
-        if not holders:
-            return False, z
+    Budget(budget).charge_rows(g.n, g.n, "the independent-set sweep")
+    b = Budget(budget)
+    adj, n = g.adj, g.n
+    masks, held, tries = [0], [-1], [iter(range(n))]
+    while tries:
+        mask, holders = masks[-1], held[-1]
+        for v in tries[-1]:
+            b.charge()
+            if adj[v] & mask:
+                continue
+            inside = holders & cols[v]
+            if not inside:
+                return False, mask | 1 << v
+            if len(tries) < k:
+                masks.append(mask | 1 << v)
+                held.append(inside)
+                tries.append(iter(range(v + 1, n)))
+                break
+        else:
+            masks.pop()
+            held.pop()
+            tries.pop()
     return True, None
 
 
@@ -363,12 +384,9 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
 
     Everything but the member arrays is checked against FAMILY_SCHEMA by
     schemas.validate, p must be exactly "1/<d+1>", k, seed, t and d must
-    be ints, not integral floats, and delta must be finite.
-    The arrays are checked in the loop that packs them, with maps over
-    each array rather than a schema walk item by item, which would
-    dominate the load time of a large family. An index of g.n or more is
-    rejected before it is turned into a bitmask, which would take memory
-    linear in the index.
+    be ints, not integral floats, and delta must be finite. The arrays
+    are checked as they are packed, by _pack_sets, not by a schema walk
+    item by item, which would dominate the load time of a large family.
     """
     # Imported here, so that only the commands that read a family file
     # load the schemas and their checker.
@@ -394,6 +412,39 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
     if doc["graph_hash"] != graph_hash(g):
         raise GraphError("family file was built for a different graph "
                          f"(hash {doc['graph_hash'][:12]}...)")
+    return CoveringFamily(
+        sets=tuple(_pack_sets(sets, g.n)), k=doc["k"], delta=doc["delta"],
+        seed=doc["seed"], t=doc["t"], degeneracy=doc["d"],
+        graph_hash=doc["graph_hash"])
+
+
+def _pack_sets(sets: list, n: int) -> list[VertexSet]:
+    """The bitmasks of the member arrays ``sets``, each of which must be a
+    strictly ascending list of ints from 0 to n - 1, else GraphError.
+
+    The checks are C-level passes over the whole family: the types of
+    the arrays and of their items; the masks, as sums of bits from a
+    table of the vertices, where a missing key is an index out of range;
+    as many mask bits as items, so no array repeats an index; and each
+    array equal to its sorted copy. The table, about top^2/16 bytes,
+    holds the vertices below top = min(n, isqrt(128 items)), so it is no
+    larger than the items' 8-byte slots. When a pass fails, the loop
+    over the arrays raises the first bad array's message, or packs them
+    all when the failure was an index above the table. That loop checks
+    an index against n before it shifts by it.
+    """
+    if (set(map(type, sets)) <= {list}
+            and set(map(type, chain.from_iterable(sets))) <= {int}):
+        items = sum(map(len, sets))
+        bit = {v: 1 << v for v in range(min(n, math.isqrt(items << 7)))}
+        try:
+            masks = list(map(sum, map(map, repeat(bit.__getitem__), sets)))
+        except KeyError:  # an index out of range, or above the table
+            pass
+        else:
+            if (sum(map(int.bit_count, masks)) == items
+                    and all(map(operator.eq, sets, map(sorted, sets)))):
+                return masks
     masks = []
     for arr in sets:
         if not (isinstance(arr, list) and set(map(type, arr)) <= {int}
@@ -401,27 +452,55 @@ def family_from_json(doc: dict, g: Graph) -> CoveringFamily:
                 and (not arr or arr[0] >= 0)):
             raise GraphError("family set is not a strictly ascending array "
                              "of vertex indices")
-        if arr and arr[-1] >= g.n:
+        if arr and arr[-1] >= n:
             raise GraphError("family member has a vertex outside the graph: "
                              f"{arr[-1]}")
         # The members are distinct, so the sum of their bits is their OR.
         masks.append(sum(map((1).__lshift__, arr)))
-    return CoveringFamily(
-        sets=tuple(masks), k=doc["k"], delta=doc["delta"], seed=doc["seed"],
-        t=doc["t"], degeneracy=doc["d"], graph_hash=doc["graph_hash"])
+    return masks
+
+
+_SEP = ",\n      "  # between the members of a set in a family file
+
+
+class _ByteNames(dict):
+    """The member text of each value of byte j of a set's little-endian
+    bytes, the _SEP-joined names of its vertices, filled in on first
+    use."""
+
+    def __init__(self, j: int):
+        super().__init__()
+        self.base = 8 * j
+
+    def __missing__(self, byte: int) -> str:
+        text = self[byte] = _SEP.join([str(self.base + i) for i in range(8)
+                                       if byte >> i & 1])
+        return text
 
 
 def dump_family(fam: CoveringFamily) -> str:
     """The text of json.dumps(family_to_json(fam), indent=2,
     sort_keys=True) + "\n". json's indenting encoder is pure Python, so
     it encodes the family without its member arrays, which are nearly
-    all of the text. Those are written here, one string per set straight
-    from its bitmask, and joined with the encoder's text around the
-    empty array in one pass."""
+    all of the text. Those are written here, each set from its
+    little-endian bytes through one _ByteNames table per byte position,
+    and joined with the encoder's text around the empty array in one
+    pass. A family of more than 4 bytes per member, sparse sets in wide
+    ints, scans fewer bits member by member, with iter_members."""
     head, tail = json.dumps(family_to_json(fam._replace(sets=())),
                             indent=2, sort_keys=True).split('"sets": []')
-    rows = [",\n    [\n      " + ",\n      ".join(map(str, iter_members(s)))
-            + "\n    ]" if s else ",\n    []" for s in fam.sets]
+    sets = fam.sets
+    width = (max(sets, default=0).bit_length() + 7) // 8
+    if width * len(sets) > 4 * sum(map(int.bit_count, sets)):
+        texts = map(_SEP.join, map(map, repeat(str), map(iter_members, sets)))
+    else:
+        tables = [_ByteNames(j) for j in range(width)]
+        texts = map(_SEP.join, map(
+            filter, repeat(None),
+            map(map, repeat(dict.__getitem__), repeat(tables),
+                map(int.to_bytes, sets, repeat(width), repeat("little")))))
+    rows = [",\n    [\n      " + text + "\n    ]" if text else ",\n    []"
+            for text in texts]
     if rows:
         rows[0] = rows[0][1:]  # no comma before the first row
         rows.append("\n  ")

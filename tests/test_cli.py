@@ -373,6 +373,11 @@ LARGE_K = {
                      "--delta", "0.5", "--seed", "0"],
                     "sampling needs t>=2^3245114 or more samples, over the "
                     "budget of 10000000"),
+    "cover-build-3000000": ({"fano.g": write_graph(gen_levi(2))},
+                            ["cover", "build", "--in", "fano.g", "--k",
+                             "3000000", "--delta", "0.5", "--seed", "0"],
+                            "sampling needs t>=2^9735339 or more samples, "
+                            "over the budget of 10000000"),
 }
 
 

@@ -18,7 +18,7 @@ from levicover import (GraphError, build_family_mc,
                        required_samples, substream, verify_family, vset)
 from levicover import covering
 from levicover.covering import sample_independent_set
-from levicover.graphs import BudgetExceededError
+from levicover.graphs import BudgetExceededError, words
 from conftest import complete_graph, cycle_graph, from_edges, small_graphs
 
 P_MIN_FANO = Fraction(729, 65536)  # (1/4)^2 (3/4)^6 for d=3, k=2
@@ -140,6 +140,128 @@ def oracle_verify(g, k, sets):
         if not any(z & ~s == 0 for s in sets):
             return False, z
     return True, None
+
+
+def column_verify(g, k, sets, budget=None):
+    """The column-index coverage check that verify_family's prefix walk
+    replaced: the same checks and charges, then each target's members'
+    columns ANDed afresh, over enumerate_independent_sets."""
+    if k < 1:
+        raise GraphError("k must be at least 1")
+    sets = list(sets)
+    if any(s < 0 or s >> g.n for s in sets):
+        raise GraphError("family member has a vertex outside the graph")
+    cols = covering._columns(sets, g.n, budget)
+    for u, v in g.edges():
+        if cols[u] & cols[v]:
+            raise GraphError(f"family member contains the edge ({u}, {v})")
+    for z in enumerate_independent_sets(g, k, budget):
+        holders = -1
+        for v in members(z):
+            holders &= cols[v]
+        if not holders:
+            return False, z
+    return True, None
+
+
+def outcome(f, *args, **kwargs):
+    """f's result, or the type and message of the error it raised."""
+    try:
+        return f(*args, **kwargs)
+    except (GraphError, BudgetExceededError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def least_budget(f, *args):
+    """The least budget at which f(*args, budget) returns, by bisection."""
+    lo, hi = 0, 10 ** 7
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if isinstance(outcome(f, *args, mid)[0], bool):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def oracle_pack(sets, n):
+    """Oracle: the per-array loop that family_from_json's whole-family
+    passes replaced. Each array is checked, then packed, in file order,
+    so the first bad array's message is raised."""
+    masks = []
+    for arr in sets:
+        if not (isinstance(arr, list) and set(map(type, arr)) <= {int}
+                and all(a < b for a, b in zip(arr, arr[1:]))
+                and (not arr or arr[0] >= 0)):
+            raise GraphError("family set is not a strictly ascending array "
+                             "of vertex indices")
+        if arr and arr[-1] >= n:
+            raise GraphError("family member has a vertex outside the graph: "
+                             f"{arr[-1]}")
+        masks.append(sum(1 << v for v in arr))
+    return tuple(masks)
+
+
+def _insert(arr, item, at):
+    return arr[:at % (len(arr) + 1)] + [item] + arr[at % (len(arr) + 1):]
+
+
+# How a member array is spoiled: each takes the array, the graph's n and
+# an int to place the change
+MUTATIONS = {
+    "keep": lambda arr, n, at: arr,
+    "dict": lambda arr, n, at: {str(v): v for v in arr},
+    "int": lambda arr, n, at: at,
+    "str-array": lambda arr, n, at: ",".join(map(str, arr)),
+    "bool": lambda arr, n, at: _insert(arr, at % 2 == 0, at),
+    "float": lambda arr, n, at: _insert(arr, float(at % n), at),
+    "str": lambda arr, n, at: _insert(arr, str(at % n), at),
+    "negative": lambda arr, n, at: [-1 - at % 3] + arr,
+    "outside": lambda arr, n, at: arr + [n + at % 3],
+    "far-outside": lambda arr, n, at: arr + [10 ** 10],
+    "duplicate": lambda arr, n, at: (_insert(arr, arr[at % len(arr)], at)
+                                     if arr else [at % n, at % n]),
+    "descending": lambda arr, n, at: arr[::-1] if len(arr) > 1 else [1, 0],
+    "empty": lambda arr, n, at: [],
+    "nested": lambda arr, n, at: _insert(arr, [at % n], at),
+    "wrapped": lambda arr, n, at: [arr],
+}
+
+
+@st.composite
+def family_documents(draw):
+    """The member arrays of a family document for a graph on n vertices:
+    ascending arrays, with up to three of them spoiled by MUTATIONS, so a
+    bad array may come after good ones."""
+    n = draw(st.sampled_from([1, 14, 26, 70]))
+    arrays = draw(st.lists(st.lists(st.integers(0, n - 1), unique=True,
+                                    max_size=8).map(sorted), max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        if not arrays:
+            break
+        i = draw(st.integers(0, len(arrays) - 1))
+        name = draw(st.sampled_from(sorted(MUTATIONS)))
+        if isinstance(arrays[i], list):
+            arrays[i] = MUTATIONS[name](arrays[i], n,
+                                        draw(st.integers(0, 99)))
+    return n, arrays
+
+
+@st.composite
+def graphs_with_families(draw):
+    """A small graph, a k in 1..4 and a family of its independent sets:
+    random vertex subsets, each cut to an independent set by keeping a
+    vertex only when no kept vertex is its neighbour."""
+    g = draw(small_graphs())
+    family = []
+    for subset in draw(st.lists(st.integers(0, (1 << g.n) - 1),
+                                max_size=12)):
+        kept = 0
+        for v in members(subset):
+            if not g.adj[v] & kept:
+                kept |= 1 << v
+        family.append(kept)
+    return g, draw(st.integers(1, 4)), family
 
 
 def oracle_greedy(g, k):
@@ -343,6 +465,47 @@ class TestFastPathsAgainstOracles:
         for k in (2, 4):
             assert verify_family(g, k, prefix) == oracle_verify(g, k, prefix)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_verify_every_50th_set(self, q3_family, k):
+        # 463 of the 23,133 sets: every target covered at k <= 2, the
+        # walk ends at {0, 1, 7} at k = 3 and {0, 1, 2, 3} at k = 4
+        g = gen_levi(3)
+        cut = q3_family[::50]
+        assert verify_family(g, k, cut) == oracle_verify(g, k, cut)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_families())
+    def test_verify_random_families(self, case):
+        g, k, family = case
+        assert verify_family(g, k, family) == oracle_verify(g, k, family)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_families())
+    def test_verify_charges_as_the_column_loop(self, case):
+        # the same verdict, witness or budget message on either side of
+        # the least budget at which the column loop finishes
+        g, k, family = case
+        least = least_budget(column_verify, g, k, family)
+        for budget in (least - 1, least):
+            assert (outcome(verify_family, g, k, family, budget)
+                    == outcome(column_verify, g, k, family, budget))
+
+    @pytest.mark.parametrize("dropped", [None, 20, 73, 145])
+    def test_verify_greedy_family_budget_threshold(self, dropped):
+        # the k=4 greedy family, whole or without one set, walks far
+        # enough that the steps, not the column index, set the least
+        # budget
+        g = gen_levi(3)
+        family = greedy_cover(g, 4)
+        if dropped is not None:
+            del family[dropped]
+        least = least_budget(column_verify, g, 4, family)
+        assert least > words(8 * g.n * len(family))
+        assert outcome(verify_family, g, 4, family, least - 1) == (
+            "BudgetExceededError", "enumeration budget exceeded")
+        assert (verify_family(g, 4, family, least)
+                == column_verify(g, 4, family, least))
+
     @pytest.mark.parametrize("q,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
     def test_greedy_matches_scalar_greedy(self, q, k):
         g = gen_levi(q)
@@ -527,6 +690,11 @@ class TestVerifyFamily:
         with pytest.raises(GraphError, match="outside"):
             verify_family(fano, 1, [fano.side_p, 1 << 14])
 
+    def test_rejects_negative_member(self, fano):
+        # the largest member is in range; the least is below 0
+        with pytest.raises(GraphError, match="outside"):
+            verify_family(fano, 1, [fano.side_p, -2])
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, fano, k):
         # the size-<=0 target universe is empty, so any family would pass
@@ -608,6 +776,24 @@ class TestFamilyIO:
 
     def test_dump_matches_json_encoder_q3k4(self):
         fam = build_family_mc(gen_levi(3), 4, 1e-3, seed=0)
+        assert dump_family(fam) == json.dumps(
+            covering.family_to_json(fam), indent=2, sort_keys=True) + "\n"
+
+    # n=62 fills 8 byte positions, the last one in part; the edgeless
+    # graph on 130 vertices gives one set of 17 bytes, its singletons
+    # more than 4 bytes per member, which are written member by member,
+    # and the mixed family has both dense and empty sets
+    @pytest.mark.parametrize("make", [
+        lambda: build_family_mc(gen_levi(5), 2, 0.1, seed=2),
+        lambda: build_family_mc(from_edges(130, []), 2, 0.5, seed=0),
+        lambda: build_family_mc(from_edges(130, []), 2, 0.5, seed=0)._replace(
+            sets=tuple(1 << v for v in range(130))),
+        lambda: build_family_mc(from_edges(130, []), 2, 0.5, seed=0)._replace(
+            sets=(0, (1 << 130) - 1, 0b1011 << 60, 1 << 129, 0))],
+        ids=["q5-sampled", "edgeless130", "edgeless130-singletons",
+             "edgeless130-mixed"])
+    def test_dump_matches_json_encoder_wide(self, make):
+        fam = make()
         assert dump_family(fam) == json.dumps(
             covering.family_to_json(fam), indent=2, sort_keys=True) + "\n"
 
@@ -694,3 +880,29 @@ class TestFamilyIO:
     def test_rejects_member_outside_graph(self, fano):
         with pytest.raises(GraphError, match="outside the graph: 14"):
             family_from_json(self.doc(fano, sets=[[0], [3, 14]]), fano)
+
+    @settings(max_examples=300, deadline=None)
+    @given(family_documents())
+    def test_member_arrays_as_the_per_array_loop(self, case):
+        # the oracle's masks, or its exact message for the first bad array
+        n, arrays = case
+        g = from_edges(n, [])
+        doc = self.doc(g, sets=arrays)
+        assert (outcome(lambda: family_from_json(doc, g).sets)
+                == outcome(oracle_pack, arrays, n))
+
+    @pytest.mark.parametrize("n,arrays", [
+        (2000, [[1999]]), (2000, [[0, 5], [3, 1999]]), (64, [[63]] * 3)],
+        ids=["one-item", "two-arrays", "three-items"])
+    def test_indices_above_the_bit_table(self, n, arrays):
+        # the table covers the vertices below isqrt(128 items), so these
+        # valid indices are packed by the per-array loop
+        g = from_edges(n, [])
+        assert (family_from_json(self.doc(g, sets=arrays), g).sets
+                == oracle_pack(arrays, n))
+
+    def test_workload_family_packs_as_the_per_array_loop(self):
+        g = gen_levi(3)
+        text = dump_family(build_family_mc(g, 4, 1e-3, seed=0))
+        assert (load_family(text.encode(), g).sets
+                == oracle_pack(json.loads(text)["sets"], g.n))

@@ -369,6 +369,21 @@ DENSE = {f"n{n}-p{p}-s{s}": seeded_graph(n, p, s)
                          (60, 0.1, 4), (60, 0.9, 5), (1, 0.5, 6)]}
 
 
+def threshold_graph(n: int, seed: int) -> Graph:
+    """Each vertex after the first joins every earlier vertex, or none,
+    by a fair coin: degrees spread over many classes."""
+    rng = random.Random(seed)
+    return from_edges(n, [(u, v) for v in range(1, n) if rng.random() < 0.5
+                          for u in range(v)])
+
+
+# neighbours in classes far apart: a removed leaf's one neighbour, the
+# centre, sits hundreds of classes above the lowest bucket
+FAR_CLASSES = {"star300": from_edges(300, [(0, v) for v in range(1, 300)]),
+               "threshold600": threshold_graph(600, 0),
+               "threshold90": threshold_graph(90, 1)}
+
+
 class TestDegeneracyOrder:
     @settings(max_examples=200, deadline=None)
     @given(random_graphs())
@@ -378,6 +393,11 @@ class TestDegeneracyOrder:
     @pytest.mark.parametrize("name", sorted(PLANES) + sorted(DENSE))
     def test_planes_and_seeded_graphs(self, name):
         g = PLANES.get(name) or DENSE[name]
+        assert degeneracy_order(g) == scan_degeneracy_order(g)
+
+    @pytest.mark.parametrize("name", sorted(FAR_CLASSES))
+    def test_neighbours_in_far_classes(self, name):
+        g = FAR_CLASSES[name]
         assert degeneracy_order(g) == scan_degeneracy_order(g)
 
     def test_empty_graph(self):
