@@ -460,21 +460,11 @@ def _pack_sets(sets: list, n: int) -> list[VertexSet]:
     return masks
 
 
-_SEP = ",\n      "  # between the members of a set in a family file
+class _Names(dict):
+    """The decimal text of each vertex, filled in on first use."""
 
-
-class _ByteNames(dict):
-    """The member text of each value of byte j of a set's little-endian
-    bytes, the _SEP-joined names of its vertices, filled in on first
-    use."""
-
-    def __init__(self, j: int):
-        super().__init__()
-        self.base = 8 * j
-
-    def __missing__(self, byte: int) -> str:
-        text = self[byte] = _SEP.join([str(self.base + i) for i in range(8)
-                                       if byte >> i & 1])
+    def __missing__(self, v: int) -> str:
+        text = self[v] = str(v)
         return text
 
 
@@ -482,23 +472,15 @@ def dump_family(fam: CoveringFamily) -> str:
     """The text of json.dumps(family_to_json(fam), indent=2,
     sort_keys=True) + "\n". json's indenting encoder is pure Python, so
     it encodes the family without its member arrays, which are nearly
-    all of the text. Those are written here, each set from its
-    little-endian bytes through one _ByteNames table per byte position,
-    and joined with the encoder's text around the empty array in one
-    pass. A family of more than 4 bytes per member, sparse sets in wide
-    ints, scans fewer bits member by member, with iter_members."""
+    all of the text. Those are written here, each set's members named
+    through one _Names table as iter_members yields them, and joined
+    with the encoder's text around the empty array in one pass. The
+    table holds only the vertices that occur, so its size does not grow
+    with the width of the sets' ints."""
     head, tail = json.dumps(family_to_json(fam._replace(sets=())),
                             indent=2, sort_keys=True).split('"sets": []')
-    sets = fam.sets
-    width = (max(sets, default=0).bit_length() + 7) // 8
-    if width * len(sets) > 4 * sum(map(int.bit_count, sets)):
-        texts = map(_SEP.join, map(map, repeat(str), map(iter_members, sets)))
-    else:
-        tables = [_ByteNames(j) for j in range(width)]
-        texts = map(_SEP.join, map(
-            filter, repeat(None),
-            map(map, repeat(dict.__getitem__), repeat(tables),
-                map(int.to_bytes, sets, repeat(width), repeat("little")))))
+    texts = map(",\n      ".join, map(map, repeat(_Names().__getitem__),
+                                       map(iter_members, fam.sets)))
     rows = [",\n    [\n      " + text + "\n    ]" if text else ",\n    []"
             for text in texts]
     if rows:

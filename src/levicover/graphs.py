@@ -230,17 +230,13 @@ def degeneracy_order(g: Graph,
     bitmask; a removal moves each remaining neighbour down one bucket, so
     the lowest non-empty bucket drops by at most one per step. The
     neighbours still remaining when v is removed are v's ``forward`` set.
-    They move a class at a time from the lowest bucket up, one AND per
-    class, for as many classes as there are neighbours; any left after
-    that, in classes far above, move one by one, each class read off
-    the row as the remaining degree plus one. Its n rows are charged
-    against ``budget`` first.
+    Its n rows are charged against ``budget`` first.
     """
     Budget(budget).charge_rows(g.n, g.n, "the degeneracy order")
-    adj = g.adj
-    buckets = [0] * (max(map(int.bit_count, adj), default=0) + 1)
-    for v, row in enumerate(adj):
-        buckets[row.bit_count()] |= 1 << v
+    deg = [a.bit_count() for a in g.adj]
+    buckets = [0] * (max(deg, default=0) + 1)
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
     remaining = g.all_vertices
     order = []
     forward = [0] * g.n
@@ -254,19 +250,12 @@ def degeneracy_order(g: Graph,
         remaining ^= bit
         order.append(v)
         degeneracy = max(degeneracy, low)
-        later = forward[v] = adj[v] & remaining
-        for d in range(low, low + later.bit_count()):
-            if not later:
-                break
-            moved = later & buckets[d]
-            if moved:
-                buckets[d] ^= moved
-                buckets[d - 1] |= moved
-                later ^= moved
-        for w in iter_members(later):
-            d = (adj[w] & remaining).bit_count() + 1
+        forward[v] = g.adj[v] & remaining
+        for w in iter_members(forward[v]):
+            d = deg[w]
             buckets[d] ^= 1 << w
             buckets[d - 1] |= 1 << w
+            deg[w] = d - 1
         low = max(low - 1, 0)
     return DegeneracyResult(order=tuple(order), degeneracy=degeneracy,
                             forward=tuple(forward))

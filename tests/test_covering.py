@@ -779,10 +779,9 @@ class TestFamilyIO:
         assert dump_family(fam) == json.dumps(
             covering.family_to_json(fam), indent=2, sort_keys=True) + "\n"
 
-    # n=62 fills 8 byte positions, the last one in part; the edgeless
-    # graph on 130 vertices gives one set of 17 bytes, its singletons
-    # more than 4 bytes per member, which are written member by member,
-    # and the mixed family has both dense and empty sets
+    # sets in ints wider than a machine word: n=62 on the q=5 plane, and
+    # on the edgeless graph of 130 vertices one set of all of them, its
+    # singletons, and a mixed family of dense, sparse and empty sets
     @pytest.mark.parametrize("make", [
         lambda: build_family_mc(gen_levi(5), 2, 0.1, seed=2),
         lambda: build_family_mc(from_edges(130, []), 2, 0.5, seed=0),
