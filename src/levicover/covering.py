@@ -257,13 +257,15 @@ def verify_family(g: Graph, k: int, sets: Sequence[VertexSet],
 
     Every member must be an independent set of g and k at least 1, else
     GraphError. The column index is charged against ``budget`` before it
-    is built. The targets are walked, and charged, as
-    enumerate_independent_sets walks them: n rows, then one step per
-    vertex tried. Each level carries its prefix's holders, the sets that
-    contain it, so a target costs one AND with its last vertex's column,
-    and the first target with none is the witness, lexicographically
-    first. The at most min(k, n) prefixes held are no larger than the
-    n columns.
+    is built. The coverage walk is the target enumeration,
+    enumerate_independent_sets(g, k, budget), drawn once with its
+    charges: n rows, then one step per vertex tried. It is
+    lexicographic, so a target of j members comes right after its prefix
+    of j - 1, and held[j - 1] still holds the prefix's holders, the sets
+    that contain it: a target costs one AND with its last vertex's
+    column, and the first target with none is the witness,
+    lexicographically first. The at most min(k, n) prefixes held are no
+    larger than the n columns.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
@@ -274,28 +276,12 @@ def verify_family(g: Graph, k: int, sets: Sequence[VertexSet],
     for u, v in g.edges():
         if cols[u] & cols[v]:
             raise GraphError(f"family member contains the edge ({u}, {v})")
-    Budget(budget).charge_rows(g.n, g.n, "the independent-set sweep")
-    b = Budget(budget)
-    adj, n = g.adj, g.n
-    masks, held, tries = [0], [-1], [iter(range(n))]
-    while tries:
-        mask, holders = masks[-1], held[-1]
-        for v in tries[-1]:
-            b.charge()
-            if adj[v] & mask:
-                continue
-            inside = holders & cols[v]
-            if not inside:
-                return False, mask | 1 << v
-            if len(tries) < k:
-                masks.append(mask | 1 << v)
-                held.append(inside)
-                tries.append(iter(range(v + 1, n)))
-                break
-        else:
-            masks.pop()
-            held.pop()
-            tries.pop()
+    held = [-1] * (min(k, g.n) + 1)
+    for target in enumerate_independent_sets(g, k, budget):
+        j = target.bit_count()
+        inside = held[j] = held[j - 1] & cols[target.bit_length() - 1]
+        if not inside:
+            return False, target
     return True, None
 
 

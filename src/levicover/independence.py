@@ -515,7 +515,9 @@ def _balanced(g: Graph, *, k: int, budget: Optional[int],
     count = count_balanced(g, k, budget=budget)
     num, den = bound = balanced_count_lower_bound(g.n, k, budget)
     expected = balanced_bound_float(g.n, k, bound)
-    return expected, count, count * den >= num, (count * den - num) / den
+    margin = _float_bound(f"balanced count margin at n={g.n}, k={k}",
+                          lambda: (count * den - num) / den)
+    return expected, count, count * den >= num, margin
 
 
 def _once(memo: dict, key: str, fn: Callable, *args):

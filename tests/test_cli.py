@@ -735,6 +735,21 @@ class TestBounds:
         code, out, err = run(capsys, "bounds", "--q", "101", "--k", "96")
         assert code == 2 and out == "" and "does not fit a float" in err
 
+    def test_overflowing_balanced_margin_exits_2(self, tmp_path):
+        # edgeless, sides of 200 and 9,000: the count C(9000, 200), about
+        # 10^414, is over the largest float while (23/4)^400, about
+        # 10^304, is not
+        (tmp_path / "e.g").write_text("9200 0 200\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "levicover.cli", "verify", "--in", "e.g",
+             "--checks", "balanced", "--k", "400"],
+            env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: the balanced count margin at n=9200, "
+                               "k=400 does not fit a float\n")
+
     def test_formula_only_large_q(self, capsys):
         code, out, _ = run(capsys, "bounds", "--q", "101", "--k", "4")
         assert code == 0
@@ -783,6 +798,23 @@ class TestCover:
         code, out, err = run(capsys, "cover", "verify", "--in", fano_file,
                              "--k", "0", "--family", fam, "--no-timestamp")
         assert code == 2 and "at least 1" in err and out == ""
+
+    def test_verify_k_above_n(self, fano_file, tmp_path, capsys):
+        # no independent set of the Fano plane has more than 7 members,
+        # so k = 10^9 walks the targets of k = 7, and what the walk holds
+        # grows with min(k, n), not with k
+        fam = str(tmp_path / "greedy.json")
+        run(capsys, "cover", "greedy", "--in", fano_file, "--k", "2",
+            "--out", fam)
+        argv = ("cover", "verify", "--in", fano_file, "--family", fam,
+                "--no-timestamp", "--k")
+        _, _, seven = run(capsys, *argv, "7")
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv, "1000000000")
+        assert time.monotonic() - started < 2
+        assert code == 1 and err == seven
+        assert err == "cover verify: uncovered witness [0, 1, 12, 13]\n"
+        assert json.loads(out)["parameters"]["witness"] == [0, 1, 12, 13]
 
     @pytest.mark.parametrize("header,sets,t", [("0 0 0", [], 1),
                                               ("3 0 0", [[0, 1, 2]], 2)],

@@ -682,6 +682,39 @@ class TestVerifyFamily:
         with pytest.raises(BudgetExceededError, match="enumeration"):
             verify_family(fano, 5, fam, budget=65)
 
+    @staticmethod
+    def spy_walk(monkeypatch):
+        """One list per call of covering.enumerate_independent_sets, of
+        the targets drawn from it."""
+        calls = []
+        real = covering.enumerate_independent_sets
+
+        def spy(*args, **kwargs):
+            drawn = []
+            calls.append(drawn)
+            for target in real(*args, **kwargs):
+                drawn.append(target)
+                yield target
+        monkeypatch.setattr(covering, "enumerate_independent_sets", spy)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_covered_family_draws_every_target_once(self, plane3, k,
+                                                    monkeypatch):
+        family = greedy_cover(plane3, k)
+        calls = self.spy_walk(monkeypatch)
+        assert verify_family(plane3, k, family) == (True, None)
+        assert [len(drawn) for drawn in calls] == [
+            count_independent_sets(plane3, k)]
+
+    def test_uncovered_family_stops_at_the_witness(self, plane3,
+                                                   monkeypatch):
+        family = greedy_cover(plane3, 2)
+        calls = self.spy_walk(monkeypatch)
+        assert verify_family(plane3, 4, family) == (
+            False, vset([0, 1, 2, 23]))
+        assert len(calls) == 1 and calls[0][-1] == vset([0, 1, 2, 23])
+
     def test_rejects_dependent_member(self, fano):
         with pytest.raises(GraphError, match="edge"):
             verify_family(fano, 1, [fano.all_vertices])
