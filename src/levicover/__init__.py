@@ -16,8 +16,8 @@ _HOMES = {
                "count_independent_sets", "degeneracy_order",
                "enumerate_independent_sets",
                "enumerate_maximal_independent_sets", "graph_hash",
-               "is_c4_free", "iter_members", "members", "neighborhood_of_set",
-               "parse_graph", "sqrt_degeneracy_bound", "vset", "write_graph"),
+               "is_c4_free", "iter_members", "members", "parse_graph",
+               "sqrt_degeneracy_bound", "vset", "write_graph"),
     "levi": ("LeviIndexing", "gen_levi", "infer_q", "is_prime",
              "plane_size", "verify_levi_properties"),
     "independence": ("BoundsReport", "balanced_count_lower_bound",

@@ -48,15 +48,16 @@ def _read(path: str) -> bytes:
 
 
 def _write(text: str, out):
-    """Write text to the file out, or to stdout when out is not given. A
-    file is written in slices of 64 Ki characters, so that no encoded copy
-    of the whole text is held."""
-    if out:
-        with open(out, "w", encoding="utf-8") as f:
-            for start in range(0, len(text), 1 << 16):
-                f.write(text[start:start + (1 << 16)])
-    else:
-        sys.stdout.write(text)
+    """Write text to the file out, or to stdout when out is not given, in
+    slices of 64 Ki characters, so that no encoded copy of the whole text
+    is held."""
+    f = open(out, "w", encoding="utf-8") if out else sys.stdout
+    try:
+        for start in range(0, len(text), 1 << 16):
+            f.write(text[start:start + (1 << 16)])
+    finally:
+        if out:
+            f.close()
 
 
 def _check(name, expected, observed, passed, margin=None) -> dict:

@@ -482,11 +482,17 @@ def load_family(text: bytes, g: Graph,
     strictly as UTF-8; bytes that do not decode or parse, including
     nesting too deep for the parser, raise GraphError. The bytes are
     charged against ``budget`` before they are decoded, a word per 8 of
-    them."""
+    them. The sets it parses to, an n-bit int each once packed, are
+    charged on their own account before any is packed or the rest of the
+    document is checked."""
     Budget(budget).charge(words(8 * len(text)),
                           "the family file takes {} words")
     try:
         doc = json.loads(str(text, "utf-8"))
     except (ValueError, RecursionError) as exc:
         raise GraphError(f"malformed family file: {exc}") from exc
+    sets = doc.get("sets") if isinstance(doc, dict) else None
+    if isinstance(sets, list):
+        Budget(budget).charge(words(g.n * len(sets)),
+                              f"the {len(sets)} family sets take {{}} words")
     return family_from_json(doc, g)

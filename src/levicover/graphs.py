@@ -169,12 +169,6 @@ class Graph(NamedTuple):
             for v in _members_above(self.adj[u], u):
                 yield u, v
 
-    def is_independent(self, s: VertexSet) -> bool:
-        for v in iter_members(s):
-            if self.adj[v] & s:
-                return False
-        return True
-
 
 class DegeneracyResult(NamedTuple):
     """Min-degree elimination order, the resulting degeneracy, and each
@@ -184,16 +178,6 @@ class DegeneracyResult(NamedTuple):
     order: tuple[int, ...]
     degeneracy: int
     forward: tuple[VertexSet, ...]
-
-
-def neighborhood_of_set(g: Graph, s: VertexSet) -> VertexSet:
-    """Union of neighborhoods of the members of s, minus s itself."""
-    if s & ~g.all_vertices:
-        raise GraphError("vertex index out of range")
-    out = 0
-    for v in iter_members(s):
-        out |= g.adj[v]
-    return out & ~s
 
 
 def is_c4_free(g: Graph, budget: Optional[int] = None) -> bool:

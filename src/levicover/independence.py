@@ -19,8 +19,8 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from .graphs import (Budget, Graph, GraphError, VertexSet, _members_above,
                      degeneracy_order, enumerate_maximal_independent_sets,
-                     is_c4_free, iter_members, members, neighborhood_of_set,
-                     sqrt_degeneracy_bound, vset, words)
+                     is_c4_free, iter_members, members, sqrt_degeneracy_bound,
+                     vset, words)
 from .graphs import enumerate_independent_sets  # perfbench/tracer.py wraps it
 from .levi import (LeviIndexing, gen_levi, infer_q, plane_size,
                    require_prime, verify_levi_properties)
@@ -43,8 +43,9 @@ class ExpansionCheck(NamedTuple):
 
 
 def check_expansion(g: Graph, s: VertexSet) -> ExpansionCheck:
-    """Compare |N(S)| against expansion_bound(q, |S|), q the plane order
-    read off g (see infer_q)."""
+    """Compare |N(S)|, the union of the rows of S's members less S,
+    against expansion_bound(q, |S|), q the plane order read off g (see
+    infer_q)."""
     if not s:
         raise GraphError("expansion check needs a nonempty set")
     if g.side_p_size == 0:
@@ -53,7 +54,12 @@ def check_expansion(g: Graph, s: VertexSet) -> ExpansionCheck:
     if (s & g.side_p) and (s & g.side_l):
         raise GraphError("set straddles both sides")
     bound = expansion_bound(q, s.bit_count())
-    nsize = neighborhood_of_set(g, s).bit_count()
+    if s & ~g.all_vertices:
+        raise GraphError("vertex index out of range")
+    union = 0
+    for v in iter_members(s):
+        union |= g.adj[v]
+    nsize = (union & ~s).bit_count()
     return ExpansionCheck(holds=nsize >= bound, neighborhood_size=nsize,
                           bound=bound)
 
@@ -388,7 +394,9 @@ def _capacity(a: int, b: int, half: int) -> int:
 # Not exported by the package; perfbench/tracer.py wraps it by name.
 def check_cover_capacity(g: Graph, i: VertexSet, k: int) -> int:
     """Number of balanced k-subsets inside the independent set i."""
-    if not g.is_independent(i):
+    if i & ~g.all_vertices:
+        raise GraphError("vertex index out of range")
+    if any(g.adj[v] & i for v in iter_members(i)):
         raise GraphError("set is not independent")
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
@@ -532,7 +540,7 @@ def _levi_props(g: Graph, *, budget: Optional[int], memo: dict,
                 **_) -> CheckResult:
     infer_q(g)  # a graph that fits no plane is refused before the sweep
     return _flag(verify_levi_properties(
-        g, budget, c4_free=_once(memo, "c4free", is_c4_free, g, budget)))
+        g, _once(memo, "c4free", is_c4_free, g, budget)))
 
 
 # The checks of ``levicover verify`` by name, in report order. Every

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .graphs import Budget, Graph, GraphError, is_c4_free
+from .graphs import Budget, Graph, GraphError
 
 
 def is_prime(q: int) -> bool:
@@ -149,23 +149,19 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     return Graph(n=ix.n, m=size, adj=tuple(adj), side_p_size=ix.side_size)
 
 
-def verify_levi_properties(g: Graph, budget: Optional[int] = None,
-                           c4_free: Optional[bool] = None) -> bool:
-    """True iff g is C4-free, has two sides of s = q^2 + q + 1 vertices
-    and every degree is q + 1, where q is ``infer_q(g)``; GraphError
-    when the side P of g fits no prime-order plane.
+def verify_levi_properties(g: Graph, c4_free: bool) -> bool:
+    """True iff g is C4-free, as ``c4_free`` says from the caller's
+    is_c4_free sweep, has two sides of s = q^2 + q + 1 vertices and
+    every degree is q + 1, where q is ``infer_q(g)``; GraphError when the
+    side P of g fits no prime-order plane.
 
     Those facts give the one-common-neighbour law by double counting: the
     s lines cover s C(q+1, 2) = C(s, 2) pairs of points, and with no C4
     no pair is covered twice, so every two points share exactly one
     line. The same count holds for lines. A graph that is not a valid
     incidence graph (e.g. after deleting an edge) gives False, never an
-    error. The sweep is charged against ``budget`` as is_c4_free's; a
-    caller that has swept g already passes its result as ``c4_free``,
-    and g is not swept again.
+    error.
     """
     q = infer_q(g)
-    if c4_free is None:
-        c4_free = is_c4_free(g, budget)
     return (c4_free and g.n == 2 * g.side_p_size
             and all(row.bit_count() == q + 1 for row in g.adj))

@@ -4,7 +4,7 @@ from typing import Iterable
 import pytest
 from hypothesis import strategies as st
 
-from levicover import Graph, GraphError, gen_levi
+from levicover import Graph, GraphError, gen_levi, members
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]],
@@ -34,6 +34,19 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]],
         adj[v] |= 1 << u
         m += 1
     return Graph(n=n, m=m, adj=tuple(adj), side_p_size=side_p_size)
+
+
+def is_independent(g: Graph, s: int) -> bool:
+    """True iff no two members of the vertex set s are adjacent."""
+    return not any(g.adj[v] & s for v in members(s))
+
+
+def neighborhood_of_set(g: Graph, s: int) -> int:
+    """Union of the neighborhoods of the members of s, minus s itself."""
+    out = 0
+    for v in members(s):
+        out |= g.adj[v]
+    return out & ~s
 
 
 @pytest.fixture(scope="session")

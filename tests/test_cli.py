@@ -75,6 +75,23 @@ def test_file_written_in_slices(tmp_path):
     assert peak < len(text) // 4
 
 
+def test_stdout_written_in_slices(tmp_path, monkeypatch):
+    # stdout takes the same slices: its text wrapper never holds an
+    # encoded copy of the whole text, as it did given the text at once
+    text = "".join(f"{i}\n" for i in range(200000))
+    path = tmp_path / "stdout.txt"
+    with open(path, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        tracemalloc.start()
+        try:
+            cli._write(text, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert path.read_bytes() == text.encode()
+    assert peak < len(text) // 4
+
+
 # Refusals whose cost has more digits than Python will print: a
 # 1,500-digit order has a plane of about 10^4497 edges, and at k=5000
 # the Fano plane needs more than 10^4800 samples.
@@ -876,6 +893,21 @@ class TestCover:
         assert ("the family file takes 92 words, over the budget of 91"
                 in err)
         assert run(capsys, *argv, "92")[0] == 0
+
+    def test_wide_family_refused_before_it_is_packed(self, tmp_path,
+                                                     capsys):
+        # 400 copies of the last of 10^5 vertices: a 4 KB file whose sets
+        # pack into 5 MB of masks. They are charged ceil(10^5 * 400 / 64)
+        # words once the file is parsed, before the header is checked
+        graph, fam = tmp_path / "wide.g", tmp_path / "wide.json"
+        graph.write_text("100000 0 0\n")
+        fam.write_text(json.dumps({"sets": [[99999]] * 400}))
+        code, out, err = run(capsys, "cover", "verify", "--in", str(graph),
+                             "--k", "2", "--family", str(fam),
+                             "--budget", "200000")
+        assert (code, out) == (3, "")
+        assert err == ("error: the 400 family sets take 625000 words, over "
+                       "the budget of 200000\n")
 
     def test_workers_do_not_change_bytes(self, fano_file, tmp_path, capsys):
         outs = []

@@ -15,11 +15,13 @@ from levicover import (GraphError, build_family_mc,
                        enumerate_independent_sets,
                        enumerate_maximal_independent_sets, gen_levi,
                        graph_hash, greedy_cover, load_family, members,
-                       required_samples, substream, verify_family, vset)
+                       parse_graph, required_samples, substream,
+                       verify_family, vset)
 from levicover import covering
 from levicover.covering import sample_independent_set
 from levicover.graphs import BudgetExceededError, words
-from conftest import complete_graph, cycle_graph, from_edges, small_graphs
+from conftest import (complete_graph, cycle_graph, from_edges,
+                      is_independent, small_graphs)
 
 P_MIN_FANO = Fraction(729, 65536)  # (1/4)^2 (3/4)^6 for d=3, k=2
 
@@ -92,7 +94,7 @@ class TestSampler:
         for _ in range(20):
             # p = 1/2; no forward neighbors, so nothing is pruned
             s = sample_independent_set(g, order._replace(degeneracy=1), rng)
-            assert g.is_independent(s)
+            assert is_independent(g, s)
         full = sample_independent_set(g, order, rng)  # d = 0, p = 1
         assert full == g.all_vertices
 
@@ -108,7 +110,7 @@ class TestSampler:
         rng = substream(3)
         for _ in range(500):
             s = sample_independent_set(fano, order, rng)
-            assert fano.is_independent(s)
+            assert is_independent(fano, s)
 
     def test_substream_reproducible(self, fano):
         order = degeneracy_order(fano)
@@ -125,7 +127,7 @@ class TestSampler:
         # Monte Carlo estimate of one pair's containment probability
         order = degeneracy_order(fano)
         x = vset([0, 1])
-        assert fano.is_independent(x)
+        assert is_independent(fano, x)
         rng = substream(5)
         hits = sum(
             1 for _ in range(10 ** 4)
@@ -578,7 +580,7 @@ class TestBuildFamily:
         assert fam.t == 1020 and fam.degeneracy == 3
         assert family_to_json(fam)["p"] == "1/4"
         assert len(fam.sets) <= fam.t
-        assert all(fano.is_independent(s) for s in fam.sets)
+        assert all(is_independent(fano, s) for s in fam.sets)
         ok, witness = verify_family(fano, 2, fam.sets)
         assert ok and witness is None
 
@@ -668,7 +670,7 @@ class TestVerifyFamily:
         one = [next(enumerate_maximal_independent_sets(fano))]
         ok, witness = verify_family(fano, 2, one)
         assert not ok and witness is not None
-        assert fano.is_independent(witness)
+        assert is_independent(fano, witness)
 
     def test_empty_family_first_singleton(self, fano):
         ok, witness = verify_family(fano, 1, [])
@@ -891,6 +893,26 @@ class TestFamilyIO:
                            match=f"the family file takes {cost} words, "
                                  f"over the budget of {cost - 1}"):
             load_family(data, fano, budget=cost - 1)
+
+    def test_sets_charged_before_they_are_packed(self):
+        # 400 copies of the last of 10^5 vertices pack into 5 MB of masks;
+        # a budget one word short of their charge refuses the 4 KB file
+        # at about the memory of its parse
+        g = parse_graph(b"100000 0 0\n")
+        data = json.dumps(self.doc(g, sets=[[99999]] * 400)).encode()
+        cost = words(100000 * 400)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError,
+                               match=f"the 400 family sets take {cost} "
+                                     f"words, over the budget of "
+                                     f"{cost - 1}"):
+                load_family(data, g, budget=cost - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(load_family(data, g, budget=cost).sets) == 400
 
     def test_rejects_non_object(self, fano):
         with pytest.raises(GraphError):

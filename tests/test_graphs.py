@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from levicover import (BudgetExceededError, GraphError, ParseError,
                        degeneracy_order, gen_levi, is_c4_free, members,
-                       neighborhood_of_set, parse_graph,
-                       sqrt_degeneracy_bound, vset, write_graph)
+                       parse_graph, sqrt_degeneracy_bound, vset,
+                       write_graph)
 from conftest import (brute_has_c4, complete_graph, cycle_graph,
-                      edgeless_bipartite, from_edges, path_graph)
+                      edgeless_bipartite, from_edges, neighborhood_of_set,
+                      path_graph)
 
 
 def random_graphs():
@@ -56,28 +57,14 @@ class TestConstruction:
 
 
 class TestNeighborhoodOfSet:
-    def test_single_point_has_three_lines(self, fano):
-        ns = neighborhood_of_set(fano, 1 << 0)
-        assert ns.bit_count() == 3
-        assert all(v >= fano.side_p_size for v in members(ns))
-
+    # the tests' helper; check_expansion's tests in test_independence
+    # check the library's own union of rows
     def test_empty_set(self, fano):
         assert neighborhood_of_set(fano, 0) == 0
-
-    def test_full_point_side_reaches_all_lines(self, fano):
-        # oracle: union of adjacency rows of the point side
-        expect = 0
-        for v in range(7):
-            expect |= fano.adj[v]
-        assert neighborhood_of_set(fano, fano.side_p) == expect == fano.side_l
 
     def test_disjoint_from_input(self, fano):
         s = vset([0, 3, 9])
         assert neighborhood_of_set(fano, s) & s == 0
-
-    def test_out_of_range_raises(self, fano):
-        with pytest.raises(GraphError):
-            neighborhood_of_set(fano, 1 << fano.n)
 
 
 class TestC4Free:

@@ -14,13 +14,14 @@ from levicover import (GraphError, balanced_count_lower_bound,
                        enumerate_independent_sets,
                        enumerate_maximal_independent_sets, evaluate_bounds,
                        gen_levi, graph_hash, is_c4_free, max_cover_capacity,
-                       max_side_product, members, neighborhood_of_set,
-                       plane_size, profile_frontier, vset)
+                       max_side_product, members, plane_size,
+                       profile_frontier, vset)
 from levicover import independence
 from levicover.graphs import Budget, BudgetExceededError, words
 from levicover.independence import check_cover_capacity, check_expansion
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
-                      edgeless_bipartite, from_edges, small_graphs)
+                      edgeless_bipartite, from_edges, is_independent,
+                      neighborhood_of_set, small_graphs)
 
 
 class TestEnumeration:
@@ -47,7 +48,7 @@ class TestEnumeration:
 
     def test_all_emitted_independent(self, plane3):
         for s in enumerate_independent_sets(plane3, 3):
-            assert plane3.is_independent(s)
+            assert is_independent(plane3, s)
 
     def test_negative_size_limit_rejected(self, fano):
         with pytest.raises(GraphError, match="size limit must be non-neg"):
@@ -87,7 +88,7 @@ def recursive_maximal_sets(g, containing=0, budget=None):
     enumerate_maximal_independent_sets (which starts at R = 0)."""
     if containing & ~g.all_vertices:
         raise GraphError("vertex index out of range")
-    if not g.is_independent(containing):
+    if not is_independent(g, containing):
         raise GraphError("set is not independent")
     Budget(budget).charge_rows(g.n, g.n, "the complement graph")
     b = Budget(budget)
@@ -237,6 +238,10 @@ class TestExpansion:
             size = int(rng.integers(1, len(verts) + 1))
             s = vset(rng.choice(verts, size=size, replace=False))
             assert check_expansion(plane3, s).holds
+
+    def test_out_of_range_raises(self, fano):
+        with pytest.raises(GraphError, match="vertex index out of range"):
+            check_expansion(fano, 1 << fano.n)
 
     def test_empty_or_straddling_raises(self, fano):
         with pytest.raises(GraphError):
@@ -696,6 +701,13 @@ class TestCoverCapacity:
         with pytest.raises(GraphError):
             check_cover_capacity(fano, vset(edge), 2)
 
+    @pytest.mark.parametrize("s", [1 << 14, 1 | 1 << 14, -1])
+    def test_out_of_range_rejected(self, fano, s):
+        # refused as a GraphError before any row is read, not an
+        # IndexError from the row of a vertex past the graph
+        with pytest.raises(GraphError, match="vertex index out of range"):
+            check_cover_capacity(fano, s, 2)
+
 
 class TestBounds:
     def test_fano_formula_values(self):
@@ -813,7 +825,6 @@ class TestRunChecks:
             sweeps.append(budget)
             return is_c4_free(g, budget)
         monkeypatch.setattr(independence, "is_c4_free", counted)
-        monkeypatch.setattr("levicover.levi.is_c4_free", counted)
         assert independence.run_checks(g, names, OPTIONS, 10 ** 6) == alone
         assert sweeps == [10 ** 6]
 

@@ -497,12 +497,14 @@ class TestLeviProperties:
     @given(perturbed_planes())
     def test_perturbed_planes(self, qg):
         q, g = qg
-        assert verify_levi_properties(g) == pairwise_levi_rule(g, q)
+        assert (verify_levi_properties(g, is_c4_free(g))
+                == pairwise_levi_rule(g, q))
 
     @pytest.mark.parametrize("name", sorted(PLANES))
     def test_planes_and_cut_planes(self, name):
         g = PLANES[name]
-        assert verify_levi_properties(g) == pairwise_levi_rule(g, infer_q(g))
+        assert (verify_levi_properties(g, is_c4_free(g))
+                == pairwise_levi_rule(g, infer_q(g)))
 
 
 class TestExpansion:

@@ -6,6 +6,7 @@ import pytest
 from levicover import (GraphError, LeviIndexing, gen_levi, infer_q,
                        is_c4_free, is_prime, verify_levi_properties,
                        write_graph)
+from levicover import levi
 from conftest import from_edges
 
 
@@ -96,30 +97,32 @@ class TestPropertyReport:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_all_properties_hold(self, q):
         g = gen_levi(q)
-        assert verify_levi_properties(g) is True
+        assert verify_levi_properties(g, is_c4_free(g)) is True
         assert g.n == 2 * (q * q + q + 1)
 
     def test_plane5_values(self):
         g = gen_levi(5)
-        assert verify_levi_properties(g) is True
+        assert verify_levi_properties(g, is_c4_free(g)) is True
         assert g.n == 62 and {a.bit_count() for a in g.adj} == {6}
 
     def test_deleted_edge_breaks_degree(self, fano):
         edges = list(fano.edges())[1:]
         broken = from_edges(14, edges, side_p_size=7)
         assert is_c4_free(broken)
-        assert verify_levi_properties(broken) is False
+        assert verify_levi_properties(broken, is_c4_free(broken)) is False
 
     def test_wrong_side_size_raises(self):
         # 6 points fit no prime-order plane (7 is the least)
         with pytest.raises(GraphError, match="prime-order plane"):
-            verify_levi_properties(from_edges(12, [], side_p_size=6))
+            g = from_edges(12, [], side_p_size=6)
+            verify_levi_properties(g, is_c4_free(g))
 
     def test_given_sweep_is_not_run_again(self, fano, monkeypatch):
-        # a caller that swept g passes the result; the shape is still read
+        # the caller that swept g passes the result; the shape is still read
         def no_sweep(*args):
             raise AssertionError("swept again")
-        monkeypatch.setattr("levicover.levi.is_c4_free", no_sweep)
+        monkeypatch.setattr("levicover.graphs.is_c4_free", no_sweep)
+        assert not hasattr(levi, "is_c4_free")
         assert verify_levi_properties(fano, c4_free=True) is True
         assert verify_levi_properties(fano, c4_free=False) is False
         broken = from_edges(14, list(fano.edges())[1:], side_p_size=7)

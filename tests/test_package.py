@@ -26,9 +26,8 @@ EXPORTS = {
                "count_independent_sets", "degeneracy_order",
                "enumerate_independent_sets",
                "enumerate_maximal_independent_sets", "graph_hash",
-               "is_c4_free", "iter_members", "members",
-               "neighborhood_of_set", "parse_graph", "sqrt_degeneracy_bound",
-               "vset", "write_graph"],
+               "is_c4_free", "iter_members", "members", "parse_graph",
+               "sqrt_degeneracy_bound", "vset", "write_graph"],
     "levi": ["LeviIndexing", "gen_levi", "infer_q", "is_prime",
              "plane_size", "verify_levi_properties"],
     "independence": ["BoundsReport", "balanced_count_lower_bound",
@@ -209,13 +208,12 @@ def test_enumerator_is_defined_once_in_the_graph_layer(name):
 
 
 # The functions of src/ that no command enters: those that
-# perfbench/tracer.py looks up by name and the two that only they call,
-# which ROADMAP item 8 moves into the tests once the tracer is gone. Any
-# other function that only the tests reach belongs in tests/, so that the
-# library holds what the commands run.
+# perfbench/tracer.py looks up by name, which ROADMAP item 8 moves into
+# the tests once the tracer is gone. Any other function that only the
+# tests reach belongs in tests/, so that the library holds what the
+# commands run.
 UNREACHED = {"check_cover_capacity", "check_expansion",
-             "sample_independent_set", "Graph.is_independent",
-             "neighborhood_of_set"}
+             "sample_independent_set"}
 # A fresh interpreter, so that every first use is seen (the package's lazy
 # names among them), runs each argv of the grid in-process under
 # sys.setprofile and prints the src/ functions that were entered.
