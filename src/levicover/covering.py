@@ -417,7 +417,7 @@ def _pack_sets(sets: list, n: int) -> list[VertexSet]:
     larger than the items' 8-byte slots. When a pass fails, the loop
     over the arrays raises the first bad array's message, or packs them
     all when the failure was an index above the table. That loop checks
-    an index against n before it shifts by it.
+    an index against n before it writes a mask's binary digits.
     """
     if (set(map(type, sets)) <= {list}
             and set(map(type, chain.from_iterable(sets))) <= {int}):
@@ -441,8 +441,11 @@ def _pack_sets(sets: list, n: int) -> list[VertexSet]:
         if arr and arr[-1] >= n:
             raise GraphError("family member has a vertex outside the graph: "
                              f"{arr[-1]}")
-        # The members are distinct, so the sum of their bits is their OR.
-        masks.append(sum(map((1).__lshift__, arr)))
+        # the mask's binary digits, top first: members plus top steps
+        digits = bytearray(b"0") * (arr[-1] + 2 if arr else 1)
+        for v in arr:
+            digits[-1 - v] = 49  # "1"
+        masks.append(int(digits, 2))
     return masks
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
 from itertools import accumulate, combinations
 from operator import and_, or_
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -69,21 +70,20 @@ def check_expansion(g: Graph, s: VertexSet) -> ExpansionCheck:
 CheckResult = tuple[object, object, bool, Optional[float]]
 
 
-def _pairs_below(g: Graph, side: VertexSet, threshold: int) -> int:
-    """The pairs x < y of ``side`` with |N(x) | N(y)| < threshold.
+def _pair_unions(g: Graph, side: VertexSet) -> list[int]:
+    """tally[u], the pairs x < y of ``side`` with |N(x) | N(y)| = u.
 
-    |N(x) | N(y)| = deg x + deg y - codeg(x, y), so a pair counts iff
-    codeg(x, y) >= tau = deg x + deg y - threshold + 1. For each x the
-    rows r_1, r_2, ... of its neighbours build lv[t], the vertices in at
-    least t of them, so those that share at least t neighbours with x,
-    up to the largest tau that a degree class D of the side needs. Level
-    t takes one AND and one OR per neighbour: its running value after
-    r_j is the one after r_(j-1), ORed with level t-1's after r_(j-1)
-    ANDed with r_j. Each class then counts its y > x in lv[tau]: all of
-    them when tau <= 0, none when tau > min(deg x, D). An x whose levels
-    and counts would take more operations than there are y > x ORs its
-    row with theirs instead, so the sweep never takes more operations
-    than the C(|side|, 2) pair ORs.
+    |N(x) | N(y)| = deg x + deg y - codeg(x, y). For each x the rows r_1,
+    r_2, ... of its neighbours build the levels: level t holds the
+    vertices in at least t of them, those that share at least t
+    neighbours with x. Level 0 holds every vertex, and the running value
+    of level t after r_j is the one after r_(j-1) ORed with level t-1's
+    after r_(j-1) ANDed with r_j. The later vertices in level t but not
+    in t+1 share exactly t, and each degree class D counts its own with
+    one AND, at u = deg x + D - t. The levels stop once none holds a
+    later vertex. An x whose next level would take its levels past one
+    operation per later vertex ORs its row with the later vertices left
+    instead, so the sweep takes at most twice the C(|side|, 2) pair ORs.
     """
     adj = g.adj
     verts = members(side)
@@ -91,33 +91,29 @@ def _pairs_below(g: Graph, side: VertexSet, threshold: int) -> int:
     for v in verts:
         d = adj[v].bit_count()
         classes[d] = classes.get(d, 0) | 1 << v
-    # plans[deg x]: the largest level it needs, and (tau clipped at 0,
-    # class) for each class of which some y can count
-    plans = {}
-    for dx in classes:
-        wanted = [(max(tau, 0), cls) for d, cls in classes.items()
-                  if (tau := dx + d - threshold + 1) <= min(dx, d)]
-        plans[dx] = max((t for t, _ in wanted), default=0), wanted
-    count = 0
+    tally = [0] * (2 * max(classes, default=0) + 1)
     for i, x in enumerate(verts):
         row = adj[x]
         dx = row.bit_count()
-        top, wanted = plans[dx]
-        later = len(verts) - i - 1
-        if dx * top + len(wanted) > later:
-            count += sum((row | adj[y]).bit_count() < threshold
-                         for y in verts[i + 1:])
-            continue
-        lv = [-1]
-        if top:
-            rows = [adj[w] for w in _members_above(row, -1)]
-            level = [-1] * len(rows)
-            for t in range(top):
-                level = list(accumulate(map(and_, level, rows[t:]), or_))
-                lv.append(level[-1])
-        above = -(2 << x)
-        count += sum((lv[t] & cls & above).bit_count() for t, cls in wanted)
-    return count
+        left = side & -(2 << x)  # the later vertices not yet counted
+        rows = [adj[w] for w in _members_above(row, -1)]
+        spent = t = 0
+        while left:
+            spent += dx - t + len(classes)
+            if spent > len(verts) - i - 1:
+                for u in map(int.bit_count, map(row.__or__, map(
+                        adj.__getitem__, _members_above(left, -1)))):
+                    tally[u] += 1
+                break
+            level = list(accumulate(
+                map(and_, level, rows[t:]) if t else rows, or_))
+            deeper = level[-1] if level else 0
+            exact = left & ~deeper
+            for d, cls in classes.items():
+                tally[dx + d - t] += (exact & cls).bit_count()
+            left &= deeper
+            t += 1
+    return tally
 
 
 def _sampled_unions(sides: list[list[VertexSet]], samples: int, seed: int
@@ -171,7 +167,7 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
 
     A one-side set S has no edge inside it, so N(S) is the union of its
     rows, and S violates the bound iff |N(S)| < expansion_bound(q, |S|).
-    The pairs are counted by ``_pairs_below``'s codegree sweep. The
+    The pairs are counted by ``_pair_unions``' codegree sweep. The
     random sets are those that randrange(2) (the side, 0 for P),
     randint(1, |side|) (the size) and sample(side, size) (the members)
     draw from ``random.Random(seed)``, with the members' draws written
@@ -202,7 +198,8 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     Budget(budget).charge(fixed + samples * max(map(len, sides)),
                           "the expansion check takes {} steps")
     violations = sum(r.bit_count() < one for rows in sides for r in rows)
-    violations += sum(_pairs_below(g, s, two) for s in (g.side_p, g.side_l))
+    violations += sum(sum(_pair_unions(g, s)[:two])
+                      for s in (g.side_p, g.side_l))
     violations += sum(union.bit_count() < expansion_bound(q, size)
                       for size, union in _sampled_unions(sides, samples,
                                                          seed))
@@ -351,10 +348,10 @@ def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
     """Exact number of independent sets with k/2 members on each side.
 
     Any same-side set in a bipartite graph is independent, so the count is
-    a sum over P-side (k/2)-subsets S of C(#L - |N(S)|, k/2). The subsets
-    are tallied by |N(S)|, so each distinct binomial is computed once.
-    Each subset takes one OR of its rows: C(|P|, k/2) times the words of
-    #L are charged against ``budget`` before the first.
+    a sum over P-side (k/2)-subsets S of C(#L - |N(S)|, k/2), one per
+    distinct |N(S)|: at k = 4 from ``_pair_unions``' tally, else from one
+    OR of rows per subset. C(|P|, k/2) times the words of #L are charged
+    against ``budget`` before either.
     """
     half = _half(k)
     if g.side_p_size == 0:
@@ -363,14 +360,11 @@ def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
     if budget is not None:
         Budget(budget, "balanced count").charge(
             _comb_over(g.side_p_size, half, budget) * words(l_size))
-    tally: Counter[int] = Counter()
-    for combo in combinations(range(g.side_p_size), half):
-        blocked = 0
-        for v in combo:
-            blocked |= g.adj[v]
-        tally[blocked.bit_count()] += 1
-    return sum(count * math.comb(l_size - c, half)
-               for c, count in tally.items())
+    tally = (enumerate(_pair_unions(g, g.side_p)) if half == 2 else Counter(
+        reduce(or_, map(g.adj.__getitem__, combo)).bit_count()
+        for combo in combinations(range(g.side_p_size), half)).items())
+    return sum(count * math.comb(l_size - u, half)
+               for u, count in tally if count)  # no set meets u > #L lines
 
 
 def _comb_over(n: int, r: int, cap: int) -> int:

@@ -109,12 +109,14 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     (a, b), each moved one place up within its block, the top place
     wrapping to the bottom: a few n-bit operations per row.
 
-    The (q+1)(q^2+q+1) edges are charged against ``budget`` first, so an
-    order too large to build is refused before primality is tested or any
-    memory is taken.
+    The (q+1)(q^2+q+1) edges are charged against ``budget`` first, then,
+    on a budget of its own, the n rows of words(n) that it builds, as
+    parse_graph charges them: an order too large to build is refused
+    before primality is tested or any memory is taken.
     """
-    size = (q + 1) * plane_size(q)
+    size, n = (q + 1) * plane_size(q), 2 * plane_size(q)
     Budget(budget).charge(size, f"the plane of order {q} has {{}} edges")
+    Budget(budget).charge_rows(n, n, f"the plane of order {q}")
     ix = LeviIndexing(q)
     r = range(q)
     block = (1 << q) - 1

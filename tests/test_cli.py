@@ -12,9 +12,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from levicover import (count_independent_sets, covering,
-                       enumerate_maximal_independent_sets, gen_levi,
-                       graph_hash, independence, parse_graph, write_graph)
+from levicover import (BudgetExceededError, count_independent_sets,
+                       covering, enumerate_maximal_independent_sets,
+                       gen_levi, graph_hash, independence, parse_graph,
+                       write_graph)
 from levicover import cli
 from levicover.cli import main
 from levicover.schemas import (BOUNDS_REPORT_SCHEMA, FAMILY_SCHEMA,
@@ -367,15 +368,67 @@ def test_row_memory_over_budget_exits_3_at_once(name, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("check", ["levi-props", "c4free"])
-def test_structural_checks_share_one_codegree_charge(check, capsys):
-    # the plane of order 17 has 614 vertices, rows of 10 words each
-    argv = ("verify", "--q", "17", "--checks", check, "--no-timestamp",
-            "--budget")
+def test_structural_checks_share_one_codegree_charge(check, tmp_path,
+                                                     capsys, monkeypatch):
+    # 614 vertices, rows of 10 words each, in two sides of the size of the
+    # plane of order 17. The plane itself is charged the same rows before
+    # it is built, from --q or from its file; with no edge line no
+    # adjacency row is charged, so the sweep's charge is the one refused.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sides17.g").write_text("614 0 307\n")
+    argv = ("verify", "--in", "sides17.g", "--checks", check,
+            "--no-timestamp", "--budget")
     code, out, err = run(capsys, *argv, "6139")
     assert code == 3 and out == ""
     assert ("the codegree sweep takes 614 rows of 10 words, over the "
             "budget of 6139") in err
+    # C4-free, but not a plane
+    assert run(capsys, *argv, "6140")[0] == (check == "levi-props")
+
+
+def test_plane_rows_charged_before_generation(capsys):
+    # the plane of order 17: 5,526 edges, then 614 rows of 10 words, as
+    # parse_graph charges the rows of its file
+    argv = ("verify", "--q", "17", "--checks", "c4free", "--no-timestamp",
+            "--budget")
+    code, out, err = run(capsys, *argv, "6139")
+    assert code == 3 and out == ""
+    assert err == ("error: the plane of order 17 takes 614 rows of 10 "
+                   "words, over the budget of 6139\n")
     assert run(capsys, *argv, "6140")[0] == 0
+
+
+def test_gen_211_refused_before_the_plane_is_built(tmp_path, capsys,
+                                                   monkeypatch):
+    # its 9,483,396 edges fit the default budget, but not its 89,466 rows
+    # of 1,398 words, about 800 MB once built
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "gen", "--q", "211", "--out", "p.g")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err == ("error: the plane of order 211 takes 89466 rows of 1398 "
+                   "words, over the budget of 10000000\n")
+    assert peak < 1 << 20
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("q,fits", [(109, True), (113, False)])
+def test_plane_rows_fit_the_default_budget_up_to_109(q, fits, monkeypatch):
+    # both charges come before the plane's indexing, which is stopped
+    # here, so no plane is built
+    class Charged(Exception):
+        pass
+
+    def stop(q):
+        raise Charged
+    monkeypatch.setattr("levicover.levi.LeviIndexing", stop)
+    with pytest.raises(Charged if fits else BudgetExceededError,
+                       match=None if fits else f"plane of order {q} takes"):
+        gen_levi(q, 10 ** 7)
 
 
 # A k whose work is astronomically over the default budget: C(500000,

@@ -955,6 +955,20 @@ class TestFamilyIO:
         assert (family_from_json(self.doc(g, sets=arrays), g).sets
                 == oracle_pack(arrays, n))
 
+    def test_wide_sparse_sets_as_the_shift_sum(self):
+        # members far above the bit table, up to the last of 10^6 vertices:
+        # the per-array loop reads each mask off its binary digits, at a
+        # cost of the members plus the largest one, where the sum of their
+        # bits took one 10^6-bit int per member
+        n = 10 ** 6
+        rng = random.Random(5)
+        arrays = [[], [0], [n - 1], [0, 4096, n - 1],
+                  sorted(rng.sample(range(n), 300)),
+                  list(range(n - 2000, n))]
+        g = from_edges(n, [])
+        assert (family_from_json(self.doc(g, sets=arrays), g).sets
+                == oracle_pack(arrays, n))
+
     def test_workload_family_packs_as_the_per_array_loop(self):
         g = gen_levi(3)
         text = dump_family(build_family_mc(g, 4, 1e-3, seed=0))

@@ -19,13 +19,16 @@ row by row keeps the one built from its edge list; and the plane test
 from degrees and C4-freeness keeps the rule it replaced: each side's
 degrees and its pairwise codegree range. The expansion oracle draws its
 sets by the check's stream contract, and a digest of one draw is pinned.
-The codegree sweep that counts the expansion check's pairs keeps the
-loop that ORs every pair of rows as its oracle, and the draws written out
-over getrandbits keep random.sample: the same sets from the same calls.
+The codegree sweep that tallies the expansion check's pairs keeps the
+loop that ORs every pair of rows as its oracle, and the balanced count at
+k=4, which reads the same tally, keeps one binomial per point pair. The
+draws written out over getrandbits keep random.sample: the same sets from
+the same calls.
 """
 
 import hashlib
 import itertools
+import math
 import random
 import re
 from typing import Optional
@@ -40,12 +43,13 @@ from levicover import (BudgetExceededError, DegeneracyResult, Graph,
                        gen_levi, infer_q, is_c4_free, iter_members, members,
                        parse_graph, plane_size, verify_levi_properties, vset,
                        write_graph)
-from levicover import graphs
+from levicover import graphs, independence
 from levicover.covering import _columns
 from levicover.graphs import Budget, _index_of
-from levicover.independence import (_pairs_below, _sampled_unions,
-                                    _verify_expansion, check_expansion)
-from conftest import from_edges
+from levicover.independence import (_pair_unions, _sampled_unions,
+                                    _verify_expansion, check_expansion,
+                                    count_balanced)
+from conftest import from_edges, neighborhood_of_set
 from test_graphs import random_graphs
 
 
@@ -568,14 +572,15 @@ class TestExpansion:
         sides = ((g.side_p, g.side_l) if g.side_p_size
                  else (g.all_vertices,))
         for side in sides:
+            tally = _pair_unions(g, side)
             for threshold in range(g.n + 2):
-                assert _pairs_below(g, side, threshold) == \
+                assert sum(tally[:threshold]) == \
                     pair_loop(g, side, threshold)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graphs(), st.integers(0, 10))
     def test_pair_sweep_random_graphs(self, g, threshold):
-        assert _pairs_below(g, g.all_vertices, threshold) == \
+        assert sum(_pair_unions(g, g.all_vertices)[:threshold]) == \
             pair_loop(g, g.all_vertices, threshold)
 
     def test_pinned_draws(self):
@@ -586,6 +591,61 @@ class TestExpansion:
             "\n".join(map(str, drawn)).encode()).hexdigest()
         assert digest == ("3fee14e113113034ade36505531a2e35"
                           "4b5faed3bb90940d631652b6f2ea7123")
+
+
+def balanced_by_subset(g: Graph, k: int) -> int:
+    """Oracle: one binomial per point subset of k/2 members."""
+    half, lines = k // 2, g.n - g.side_p_size
+    return sum(math.comb(lines - neighborhood_of_set(g, vset(combo))
+                         .bit_count(), half)
+               for combo in itertools.combinations(range(g.side_p_size),
+                                                   half))
+
+
+# dense bipartite graphs of many degree classes and high codegrees: each
+# x but the last takes the pair ORs, on the larger sides after a level
+# or more has counted the points that share few lines with it
+DENSE_BIPARTITE = {f"bip{side}-p{p}-s{s}": seeded_graph(2 * side, p, s,
+                                                        side_p_size=side)
+                   for side, p, s in [(13, 0.9, 9), (31, 0.5, 10),
+                                      (120, 0.5, 13), (150, 0.3, 15)]}
+
+
+class TestBalancedTally:
+    """count_balanced at k=4 reads the codegree sweep's tally; the sum of
+    one binomial per point pair stays its oracle."""
+
+    def test_plane_of_order_37(self):
+        # every two points share one line: C(s, 2) C(s - 2q - 1, 2)
+        s = plane_size(37)
+        count = count_balanced(gen_levi(37), 4)
+        assert count == 876_802_353_966 == \
+            math.comb(s, 2) * math.comb(s - 2 * 37 - 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed_planes())
+    def test_perturbed_planes(self, qg):
+        _, g = qg
+        assert count_balanced(g, 4) == balanced_by_subset(g, 4)
+
+    @pytest.mark.parametrize("name", sorted(DENSE_BIPARTITE))
+    def test_dense_bipartite_with_the_or_fallback(self, name, monkeypatch):
+        g = DENSE_BIPARTITE[name]
+        calls = []
+
+        def counted(row, u):
+            calls.append(row)
+            return graphs._members_above(row, u)
+        monkeypatch.setattr(independence, "_members_above", counted)
+        assert count_balanced(g, 4) == balanced_by_subset(g, 4)
+        # one call per point reads its neighbours; each call past those
+        # reads the later points that one x ORs its row with
+        assert len(calls) == 2 * g.side_p_size - 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(bipartite_graphs(6))
+    def test_random_bipartite(self, g):
+        assert count_balanced(g, 4) == balanced_by_subset(g, 4)
 
 
 def verdict(parse, data):
