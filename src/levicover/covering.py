@@ -113,9 +113,8 @@ def _columns(sets: Sequence[VertexSet], n: int,
     as one binary numeral with the bit of sets[0] last. Those n |sets|
     one-byte digits are charged against ``budget`` first.
     """
-    cost = words(8 * n * len(sets))
-    Budget(budget).charge(cost, f"the column index of {len(sets)} sets "
-                                f"takes {cost} words")
+    Budget(budget, f"the column index of {len(sets)} sets takes {{}} "
+                   "words").charge(words(8 * n * len(sets)))
     top = 1 << n
     digits = "".join([bin(s | top)[3:] for s in reversed(sets)])
     return [int(digits[n - 1 - v::n] or "0", 2) for v in range(n)]
@@ -228,17 +227,16 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
         raise GraphError("seed must be non-negative")
     order = degeneracy_order(g, budget)
     d = order.degeneracy
-    Budget(budget).charge(_samples_floor(math.log(max(g.n, 1)), d, k,
-                                         delta),
-                          "sampling needs t>={} samples")
+    Budget(budget, "sampling needs t>={} samples").charge(
+        _samples_floor(math.log(max(g.n, 1)), d, k, delta))
     try:
         universe = max(count_independent_sets(g, k, budget), 1)
     except BudgetExceededError:
-        Budget(budget).charge(_samples_floor(k * math.log(g.n), d, k, delta),
-                              "sampling needs t>={} samples")
+        Budget(budget, "sampling needs t>={} samples").charge(
+            _samples_floor(k * math.log(g.n), d, k, delta))
         universe = g.n ** k
     t = required_samples(universe, d, k, delta)
-    Budget(budget).charge(t, "sampling needs t={} samples")
+    Budget(budget, "sampling needs t={} samples").charge(t)
     rng = substream(seed)
     seen: dict[bytes, None] = {}
     for start in range(0, t, BLOCK):
@@ -301,12 +299,12 @@ def greedy_cover(g: Graph, k: int,
     """
     if k < 1:
         raise GraphError("k must be at least 1")
-    targets = Budget(budget, "greedy target memory")
+    targets = Budget(budget, "the greedy targets take at least {} words")
     universe = []
     for z in enumerate_independent_sets(g, k, budget):
         targets.charge(words(g.n))
         universe.append(z)
-    held = Budget(budget, "greedy candidate memory")
+    held = Budget(budget, "the greedy candidates take at least {} words")
     mask_words = words(len(universe))
     candidates = []
     for c in enumerate_maximal_independent_sets(g, budget=budget):
@@ -488,14 +486,14 @@ def load_family(text: bytes, g: Graph,
     them. The sets it parses to, an n-bit int each once packed, are
     charged on their own account before any is packed or the rest of the
     document is checked."""
-    Budget(budget).charge(words(8 * len(text)),
-                          "the family file takes {} words")
+    Budget(budget, "the family file takes {} words").charge(
+        words(8 * len(text)))
     try:
         doc = json.loads(str(text, "utf-8"))
     except (ValueError, RecursionError) as exc:
         raise GraphError(f"malformed family file: {exc}") from exc
     sets = doc.get("sets") if isinstance(doc, dict) else None
     if isinstance(sets, list):
-        Budget(budget).charge(words(g.n * len(sets)),
-                              f"the {len(sets)} family sets take {{}} words")
+        Budget(budget, f"the {len(sets)} family sets take {{}} words").charge(
+            words(g.n * len(sets)))
     return family_from_json(doc, g)

@@ -35,39 +35,39 @@ class BudgetExceededError(RuntimeError):
 
 class Budget:
     """Mutable step counter; None means unlimited. This is the only code
-    that raises BudgetExceededError. ``what`` names the budget in the
-    error raised when a step runs it out.
+    that raises BudgetExceededError. ``why`` names the stage the account
+    pays for: a charge that runs it out raises
+    "<why>, over the budget of <limit>", with a ``{}`` in ``why`` standing
+    for the total charged so far. That total is printed here, and only
+    on refusal, because one too large to build may be too large for
+    Python to print too.
 
     Memory and the work that grows with it are charged in 64-bit machine
     words (see ``words``): a stage that builds or walks one n-bit int per
     vertex is charged its rows before it starts, on a budget of its own.
     """
 
-    def __init__(self, limit: Optional[int], what: str = "enumeration"):
+    def __init__(self, limit: Optional[int], why: str):
         self.limit = limit
         self.left = limit
-        self.what = what
+        self.why = why
 
-    def charge(self, cost: int = 1, why: Optional[str] = None):
-        """Take ``cost`` steps. A charge that pays for a whole stage at
-        once says ``why``, and the error then reads
-        "<why>, over the budget of <limit>", with a ``{}`` in ``why``
-        standing for the cost. The cost is printed here, and only on
-        refusal, because one too large to build may be too large for
-        Python to print too."""
+    def charge(self, cost: int = 1):
+        """Take ``cost`` steps."""
         if self.left is None:
             return
         self.left -= cost
         if self.left < 0:
             raise BudgetExceededError(
-                f"{why.format(_decimal(cost))}, over the budget of "
-                f"{self.limit}" if why else f"{self.what} budget exceeded")
+                f"{self.why.format(_decimal(self.limit - self.left))}, "
+                f"over the budget of {self.limit}")
 
-    def charge_rows(self, rows: int, n: int, what: str):
-        """Charge ``rows`` n-bit ints at words(n) each for the stage
-        ``what``."""
-        self.charge(rows * words(n),
-                    f"{what} takes {rows} rows of {words(n)} words")
+
+def charge_rows(budget: Optional[int], rows: int, n: int, what: str):
+    """Charge ``rows`` n-bit ints at words(n) each, on an account of their
+    own, for the stage ``what``."""
+    Budget(budget, f"{what} takes {rows} rows of {words(n)} words").charge(
+        rows * words(n))
 
 
 def _decimal(n: int) -> str:
@@ -192,7 +192,7 @@ def is_c4_free(g: Graph, budget: Optional[int] = None) -> bool:
     and the sweep from the first of its P vertices finds it. Its n rows
     are charged against ``budget`` first.
     """
-    Budget(budget).charge_rows(g.n, g.n, "the codegree sweep")
+    charge_rows(budget, g.n, g.n, "the codegree sweep")
     adj = g.adj
     for u in range(g.side_p_size or g.n):
         seen = 0
@@ -216,7 +216,7 @@ def degeneracy_order(g: Graph,
     neighbours still remaining when v is removed are v's ``forward`` set.
     Its n rows are charged against ``budget`` first.
     """
-    Budget(budget).charge_rows(g.n, g.n, "the degeneracy order")
+    charge_rows(budget, g.n, g.n, "the degeneracy order")
     deg = [a.bit_count() for a in g.adj]
     buckets = [0] * (max(deg, default=0) + 1)
     for v, d in enumerate(deg):
@@ -261,8 +261,8 @@ def enumerate_independent_sets(g: Graph, k: int,
         raise GraphError("size limit must be non-negative")
     if k < 1:
         return
-    Budget(budget).charge_rows(g.n, g.n, "the independent-set sweep")
-    b = Budget(budget)
+    charge_rows(budget, g.n, g.n, "the independent-set sweep")
+    b = Budget(budget, "the independent-set walk takes at least {} steps")
     adj, n = g.adj, g.n
     masks, tries = [0], [iter(range(n))]
     while tries:
@@ -301,10 +301,8 @@ def enumerate_maximal_independent_sets(g: Graph,
     the candidates left] on an explicit stack, so the depth is bounded
     by the largest independent set, not by Python's recursion limit.
     """
-    Budget(budget).charge_rows(g.n, g.n, "the complement graph")
-    if not g.n:
-        return
-    b = Budget(budget)
+    charge_rows(budget, g.n, g.n, "the complement graph")
+    b = Budget(budget, "Bron-Kerbosch takes at least {} words")
     row = words(g.n)
     full = g.all_vertices
     comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
@@ -376,8 +374,8 @@ def parse_graph(data: bytes, budget: Optional[int] = None) -> Graph:
     except ValueError as exc:
         raise ParseError(f"malformed header: {exc}") from exc
     header = " ".join(fields)
-    Budget(budget).charge(n, f"the graph has {n} vertices")
-    Budget(budget).charge_rows(min(2 * m, n), n, "the adjacency")
+    Budget(budget, f"the graph has {n} vertices").charge(n)
+    charge_rows(budget, min(2 * m, n), n, "the adjacency")
     if not (0 <= side <= n and header == f"{n} {m} {side}"
             and data.endswith(b"\n")):
         raise ParseError(f"header {header[:80]!r} is not 'n m side' for "

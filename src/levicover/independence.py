@@ -195,8 +195,8 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
     if not all(sides):
         raise GraphError("expansion check needs two nonempty sides")
     fixed = sum(len(rows) + math.comb(len(rows), 2) for rows in sides)
-    Budget(budget).charge(fixed + samples * max(map(len, sides)),
-                          "the expansion check takes {} steps")
+    Budget(budget, "the expansion check takes {} steps").charge(
+        fixed + samples * max(map(len, sides)))
     violations = sum(r.bit_count() < one for rows in sides for r in rows)
     violations += sum(sum(_pair_unions(g, s)[:two])
                       for s in (g.side_p, g.side_l))
@@ -292,7 +292,7 @@ def _fewest_lines_met(g: Graph, frame: VertexSet, budget: Optional[int]
         mu.append(hit.bit_count())
     start = len(mu) - 1
     mu += [lines + 1] * (top - start)
-    b = Budget(budget, "frontier search")
+    b = Budget(budget, "the frontier search takes at least {} words")
     row = words(lines)
     size = g.side_p_size
     cands = [v for v in range(size) if not frame >> v & 1]
@@ -358,7 +358,7 @@ def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
         raise GraphError("graph is not flagged bipartite")
     l_size = g.n - g.side_p_size
     if budget is not None:
-        Budget(budget, "balanced count").charge(
+        Budget(budget, "the balanced count takes at least {} words").charge(
             _comb_over(g.side_p_size, half, budget) * words(l_size))
     tally = (enumerate(_pair_unions(g, g.side_p)) if half == 2 else Counter(
         reduce(or_, map(g.adj.__getitem__, combo)).bit_count()
@@ -414,8 +414,8 @@ def balanced_count_lower_bound(n: int, k: int, budget: Optional[int] = None
     common = math.gcd(n, 4 * k)
     num, den = n // common, 4 * k // common
     size = words(k * (num.bit_length() + den.bit_length()))
-    Budget(budget).charge(size, "the balanced count lower bound at "
-                                f"n={n}, k={k} takes {{}} words")
+    Budget(budget, f"the balanced count lower bound at n={n}, k={k} takes "
+                   "{} words").charge(size)
     return num ** k, den ** k
 
 
@@ -484,7 +484,8 @@ def evaluate_bounds(q: int, k: int, exact: bool = False,
         raise GraphError(
             f"k must be at most q (covering bound hypothesis): k={k}, q={q}")
     g = gen_levi(q, budget) if exact else None
-    Budget(budget, "primality test").charge(math.isqrt(max(q, 0)))
+    Budget(budget, "the primality test takes {} steps").charge(
+        math.isqrt(max(q, 0)))
     require_prime(q)
     n = 2 * plane_size(q)
     report = BoundsReport(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .graphs import Budget, Graph, GraphError
+from .graphs import Budget, Graph, GraphError, charge_rows
 
 
 def is_prime(q: int) -> bool:
@@ -115,8 +115,8 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     before primality is tested or any memory is taken.
     """
     size, n = (q + 1) * plane_size(q), 2 * plane_size(q)
-    Budget(budget).charge(size, f"the plane of order {q} has {{}} edges")
-    Budget(budget).charge_rows(n, n, f"the plane of order {q}")
+    Budget(budget, f"the plane of order {q} has {{}} edges").charge(size)
+    charge_rows(budget, n, n, f"the plane of order {q}")
     ix = LeviIndexing(q)
     r = range(q)
     block = (1 << q) - 1

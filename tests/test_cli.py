@@ -437,7 +437,8 @@ LARGE_K = {
     "balanced": ({"g.txt": "1000000 0 500000\n"},
                  ["verify", "--in", "g.txt", "--checks", "balanced", "--k",
                   "200000"],
-                 "balanced count budget exceeded"),
+                 "the balanced count takes at least 976623046750000 words, "
+                 "over the budget of 10000000"),
     "cover-build": ({"fano.g": write_graph(gen_levi(2))},
                     ["cover", "build", "--in", "fano.g", "--k", "1000000",
                      "--delta", "0.5", "--seed", "0"],
@@ -461,6 +462,58 @@ def test_large_k_exits_3_at_once(name, tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and message in err
     assert time.monotonic() - started < 2
+
+
+def _plane3_less_first_edge():
+    g = gen_levi(3)
+    return write_graph(from_edges(g.n, list(g.edges())[1:],
+                                  side_p_size=g.side_p_size))
+
+
+# One input per account charged as its stage runs. The refusal names the
+# stage's row of README's budget table and the total charged so far.
+STAGE_REFUSALS = {
+    "walk": ({"plane3.g": write_graph(gen_levi(3))},
+             ["cover", "greedy", "--in", "plane3.g", "--k", "2",
+              "--budget", "200"],
+             "the independent-set walk takes at least 201 steps, over the "
+             "budget of 200"),
+    "greedy-candidates": ({"plane3.g": write_graph(gen_levi(3))},
+                          ["cover", "greedy", "--in", "plane3.g", "--k", "2",
+                           "--budget", "400"],
+                          "the greedy candidates take at least 403 words, "
+                          "over the budget of 400"),
+    "greedy-targets": ({"edgeless.g": "25000 0 0\n"},
+                       ["cover", "greedy", "--in", "edgeless.g", "--k", "2"],
+                       "the greedy targets take at least 10000216 words, "
+                       "over the budget of 10000000"),
+    "frontier-search": ({}, ["bounds", "--q", "5", "--k", "4", "--exact",
+                             "--budget", "500"],
+                        "the frontier search takes at least 515 words, "
+                        "over the budget of 500"),
+    "primality-test": ({}, ["bounds", "--q", "99999989", "--k", "2",
+                            "--budget", "100"],
+                       "the primality test takes 9999 steps, over the "
+                       "budget of 100"),
+    "balanced-count": ({}, ["verify", "--q", "37", "--checks", "balanced",
+                            "--k", "4"],
+                       "the balanced count takes at least 21760662 words, "
+                       "over the budget of 10000000"),
+    "bron-kerbosch": ({"cut.g": _plane3_less_first_edge()},
+                      ["verify", "--in", "cut.g", "--checks", "product",
+                       "--budget", "1000"],
+                      "Bron-Kerbosch takes at least 1001 words, over the "
+                      "budget of 1000"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_REFUSALS))
+def test_stage_refusal_is_one_line(name, tmp_path, capsys, monkeypatch):
+    files, argv, message = STAGE_REFUSALS[name]
+    monkeypatch.chdir(tmp_path)
+    for path, text in files.items():
+        (tmp_path / path).write_text(text)
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
 
 def test_n_to_the_k_universe_charged_before_the_power(tmp_path):
@@ -550,7 +603,8 @@ class TestVerify:
         argv = ("verify", "--in", str(path), "--checks", check,
                 "--no-timestamp", "--budget")
         code, _, err = run(capsys, *argv, "4250")
-        assert code == 3 and "enumeration budget" in err
+        assert code == 3 and err == ("error: Bron-Kerbosch takes at least "
+                                     "4251 words, over the budget of 4250\n")
         assert run(capsys, *argv, "4251")[0] == 0
 
     def test_uncertified_plane_file_takes_full_path(self, tmp_path, capsys):
@@ -746,16 +800,19 @@ class TestBounds:
         # over the C(31, 2) = 465 point pairs, one step each
         argv = ("bounds", "--q", "5", "--k", "4", "--exact", "--budget")
         code, out, err = run(capsys, *argv, "464")
-        assert code == 3 and out == "" and "balanced count budget" in err
+        assert code == 3 and out == "" and ("the balanced count takes at "
+                                            "least 465 words" in err)
         code, _, err = run(capsys, *argv, "465")
-        assert code == 3 and "frontier search budget" in err
+        assert code == 3 and "the frontier search takes at least" in err
 
     def test_frontier_budget_exits_3(self, capsys):
         # at q=5 the plane (186 edges) and the balanced count (31 steps)
         # fit; the frontier search is charged 6,731 one-word rows
         argv = ("bounds", "--q", "5", "--k", "2", "--exact", "--budget")
         code, out, err = run(capsys, *argv, "6730")
-        assert code == 3 and out == "" and "frontier search budget" in err
+        assert code == 3 and out == "" and err == (
+            "error: the frontier search takes at least 6731 words, over the "
+            "budget of 6730\n")
         assert run(capsys, *argv, "6731")[0] == 0
 
     def test_negative_budget_exits_2(self, capsys):
@@ -770,7 +827,9 @@ class TestBounds:
         started = time.monotonic()
         code, out, err = run(capsys, "bounds", "--q",
                              "1000000000000000003", "--k", "4")
-        assert code == 3 and out == "" and "primality test budget" in err
+        assert code == 3 and out == "" and err == (
+            "error: the primality test takes 1000000000 steps, over the "
+            "budget of 10000000\n")
         assert time.monotonic() - started < 5
 
     @pytest.mark.parametrize("argv,words", [
@@ -927,7 +986,9 @@ class TestCover:
         argv = ("cover", "verify", "--in", fano_file, "--k", "2",
                 "--family", fam, "--no-timestamp", "--budget")
         code, _, err = run(capsys, *argv, "104")
-        assert code == 3 and "enumeration budget" in err
+        assert code == 3 and err == ("error: the independent-set walk takes "
+                                     "at least 105 steps, over the budget "
+                                     "of 104\n")
         assert run(capsys, *argv, "105")[0] == 0
 
     def test_family_file_budget_threshold(self, fano_file, tmp_path,
@@ -1009,7 +1070,8 @@ class TestCover:
                 "--budget")
         code, out, err = run(capsys, *argv, str(need - 1))
         assert code == 3 and out == ""
-        assert "greedy candidate memory budget" in err
+        assert err == ("error: the greedy candidates take at least 8536 "
+                       "words, over the budget of 8535\n")
         assert run(capsys, *argv, str(need))[0] == 0
 
     def test_greedy_target_memory_over_budget_exits_3(self, tmp_path,
@@ -1022,7 +1084,8 @@ class TestCover:
         code, out, err = run(capsys, "cover", "greedy", "--in", str(path),
                              "--k", "2")
         assert code == 3 and out == ""
-        assert "greedy target memory budget" in err
+        assert err == ("error: the greedy targets take at least 10000216 "
+                       "words, over the budget of 10000000\n")
 
     def test_sample_count_over_budget_exits_3(self, fano_file, tmp_path,
                                               capsys):

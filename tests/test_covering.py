@@ -504,7 +504,8 @@ class TestFastPathsAgainstOracles:
         least = least_budget(column_verify, g, 4, family)
         assert least > words(8 * g.n * len(family))
         assert outcome(verify_family, g, 4, family, least - 1) == (
-            "BudgetExceededError", "enumeration budget exceeded")
+            "BudgetExceededError", f"the independent-set walk takes at "
+            f"least {least} steps, over the budget of {least - 1}")
         assert (verify_family(g, 4, family, least)
                 == column_verify(g, 4, family, least))
 
@@ -681,7 +682,8 @@ class TestVerifyFamily:
         # walk early; 65 covers their 65-word column index and the
         # 14-word sweep, not the target enumeration
         fam = list(enumerate_maximal_independent_sets(fano))
-        with pytest.raises(BudgetExceededError, match="enumeration"):
+        with pytest.raises(BudgetExceededError, match="^the independent-set "
+                           "walk takes at least 66 steps"):
             verify_family(fano, 5, fam, budget=65)
 
     @staticmethod
@@ -752,7 +754,8 @@ class TestGreedyCover:
         # targets (84 words), their walk and the 215 rows charged to the
         # Bron-Kerbosch calls take fewer steps
         for budget in (215, 241):
-            with pytest.raises(BudgetExceededError, match="candidate memory"):
+            with pytest.raises(BudgetExceededError,
+                               match="^the greedy candidates take at least"):
                 greedy_cover(fano, 2, budget=budget)
         assert len(greedy_cover(fano, 2, budget=242)) == len(
             greedy_cover(fano, 2))
@@ -762,7 +765,8 @@ class TestGreedyCover:
         # candidate 1 + 6 words, but Bron-Kerbosch makes 7 calls to reach
         # it, which scan 6 + 5 + ... + 0 = 21 one-word rows
         g = from_edges(6, [])
-        with pytest.raises(BudgetExceededError, match="enumeration"):
+        with pytest.raises(BudgetExceededError, match="^Bron-Kerbosch takes "
+                           "at least 21 words, over the budget of 20$"):
             greedy_cover(g, 1, budget=20)
         assert greedy_cover(g, 1, budget=21) == [g.all_vertices]
 

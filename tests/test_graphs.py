@@ -9,6 +9,7 @@ from levicover import (BudgetExceededError, GraphError, ParseError,
                        degeneracy_order, gen_levi, is_c4_free, members,
                        parse_graph, sqrt_degeneracy_bound, vset,
                        write_graph)
+from levicover.graphs import Budget
 from conftest import (brute_has_c4, complete_graph, cycle_graph,
                       edgeless_bipartite, from_edges, neighborhood_of_set,
                       path_graph)
@@ -255,3 +256,16 @@ def test_edgeless_bipartite_sides():
 
 def test_complete_graph_degeneracy():
     assert degeneracy_order(complete_graph(5)).degeneracy == 4
+
+
+def test_budget_refusal_prints_the_account_total():
+    # two charges on one account: the refusal prints their sum, not the
+    # last cost
+    b = Budget(10, "the stage takes at least {} steps")
+    b.charge(6)
+    with pytest.raises(BudgetExceededError, match="^the stage takes at "
+                       "least 13 steps, over the budget of 10$"):
+        b.charge(7)
+    unlimited = Budget(None, "the stage takes {} steps")
+    unlimited.charge(10 ** 30)
+    assert unlimited.left is None

@@ -17,7 +17,7 @@ from levicover import (GraphError, balanced_count_lower_bound,
                        max_side_product, members, plane_size,
                        profile_frontier, vset)
 from levicover import independence
-from levicover.graphs import Budget, BudgetExceededError, words
+from levicover.graphs import Budget, BudgetExceededError, charge_rows, words
 from levicover.independence import check_cover_capacity, check_expansion
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
                       edgeless_bipartite, from_edges, is_independent,
@@ -56,7 +56,9 @@ class TestEnumeration:
 
     def test_budget_raises(self, fano):
         # 14 covers the first level's 14 one-word rows, not the walk
-        with pytest.raises(BudgetExceededError, match="enumeration"):
+        with pytest.raises(BudgetExceededError, match="^the independent-set "
+                           "walk takes at least 15 steps, over the budget "
+                           "of 14$"):
             list(enumerate_independent_sets(fano, 4, budget=14))
 
 
@@ -65,7 +67,7 @@ def recursive_independent_sets(g, k, budget=None):
     enumerate_independent_sets."""
     if k < 0:
         raise GraphError("size limit must be non-negative")
-    b = Budget(budget)
+    b = Budget(budget, "the independent-set walk takes at least {} steps")
 
     def extend(mask, start, depth):
         for v in range(start, g.n):
@@ -78,7 +80,7 @@ def recursive_independent_sets(g, k, budget=None):
                 yield from extend(new, v + 1, depth + 1)
 
     if k >= 1:
-        Budget(budget).charge_rows(g.n, g.n, "the independent-set sweep")
+        charge_rows(budget, g.n, g.n, "the independent-set sweep")
         yield from extend(0, 0, 0)
 
 
@@ -90,8 +92,8 @@ def recursive_maximal_sets(g, containing=0, budget=None):
         raise GraphError("vertex index out of range")
     if not is_independent(g, containing):
         raise GraphError("set is not independent")
-    Budget(budget).charge_rows(g.n, g.n, "the complement graph")
-    b = Budget(budget)
+    charge_rows(budget, g.n, g.n, "the complement graph")
+    b = Budget(budget, "Bron-Kerbosch takes at least {} words")
     full = g.all_vertices
     comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
 
@@ -111,11 +113,10 @@ def recursive_maximal_sets(g, containing=0, budget=None):
             p &= ~(1 << v)
             x |= 1 << v
 
-    if g.n:
-        p = full
-        for v in members(containing):
-            p &= comp[v]
-        yield from bk(containing, p, 0)
+    p = full
+    for v in members(containing):
+        p &= comp[v]
+    yield from bk(containing, p, 0)
 
 
 def drained(sets):
@@ -192,12 +193,19 @@ class TestMaximalEnumeration:
             assert len(got) == len(set(got))
             assert set(got) == {s for s in full if s & r == r}
 
+    def test_empty_graph_has_the_empty_maximal_set(self):
+        # no vertex can be added to the empty set of the 0-vertex graph
+        assert list(enumerate_maximal_independent_sets(
+            from_edges(0, []))) == [0]
+        assert list(recursive_maximal_sets(from_edges(0, []))) == [0]
+
     def test_budget_counts_recursive_calls(self, fano):
         # 93 Bron-Kerbosch calls enumerate Fano's 37 maximal sets; each
         # is charged its |P | X| one-word rows, 215 in all
         assert len(list(enumerate_maximal_independent_sets(
             fano, budget=215))) == 37
-        with pytest.raises(BudgetExceededError, match="enumeration"):
+        with pytest.raises(BudgetExceededError, match="^Bron-Kerbosch takes "
+                           "at least 215 words, over the budget of 214$"):
             list(enumerate_maximal_independent_sets(fano, budget=214))
 
     def test_budget_covers_the_pivot_scans(self):
@@ -207,7 +215,9 @@ class TestMaximalEnumeration:
         need = 3 * 130 * 131 // 2
         assert list(enumerate_maximal_independent_sets(
             g, budget=need)) == [g.all_vertices]
-        with pytest.raises(BudgetExceededError, match="enumeration"):
+        with pytest.raises(BudgetExceededError, match="^Bron-Kerbosch takes "
+                           f"at least {need} words, over the budget of "
+                           f"{need - 1}$"):
             list(enumerate_maximal_independent_sets(g, budget=need - 1))
 
 
@@ -591,11 +601,14 @@ class TestSymmetryReduction:
         plane5 = gen_levi(5)
         assert profile_frontier(plane5, budget=6731) == profile_frontier(
             plane5)
-        with pytest.raises(BudgetExceededError, match="frontier search"):
+        with pytest.raises(BudgetExceededError, match="^the frontier search "
+                           "takes at least 6731 words, over the budget of "
+                           "6730$"):
             profile_frontier(plane5, budget=6730)
         g = relabelled(plane3, 5)
         assert profile_frontier(g, budget=4540) == profile_frontier(g)
-        with pytest.raises(BudgetExceededError, match="enumeration"):
+        with pytest.raises(BudgetExceededError, match="^Bron-Kerbosch takes "
+                           "at least 4540 words, over the budget of 4539$"):
             profile_frontier(g, budget=4539)
 
     def test_plane5_search_nodes(self):

@@ -45,7 +45,7 @@ from levicover import (BudgetExceededError, DegeneracyResult, Graph,
                        write_graph)
 from levicover import graphs, independence
 from levicover.covering import _columns
-from levicover.graphs import Budget, _index_of
+from levicover.graphs import Budget, _index_of, charge_rows
 from levicover.independence import (_pair_unions, _sampled_unions,
                                     _verify_expansion, check_expansion,
                                     count_balanced)
@@ -263,8 +263,8 @@ def split_lines_parse_graph(data: bytes | str,
         n, _, side = map(int, lines[0].split(" "))
     except ValueError as exc:
         raise ParseError(f"malformed header: {exc}") from exc
-    Budget(budget).charge(n, f"the graph has {n} vertices")
-    Budget(budget).charge_rows(min(2 * m, n), n, "the adjacency")
+    Budget(budget, f"the graph has {n} vertices").charge(n)
+    charge_rows(budget, min(2 * m, n), n, "the adjacency")
     if not (0 <= side <= n and lines[0] == f"{n} {m} {side}"
             and lines[-1] == ""):
         raise ParseError(f"header {lines[0][:80]!r} is not 'n m side' for "
