@@ -103,8 +103,7 @@ def _marks(rng, lanes: int, d: int) -> int:
     return below
 
 
-def _columns(sets: Sequence[VertexSet], n: int,
-             budget: Optional[int] = None) -> list[int]:
+def _columns(sets: Sequence[VertexSet], n: int, budget: int) -> list[int]:
     """Column index of ``cover verify`` and ``cover greedy``: bit j of
     entry v is set iff sets[j] contains v.
 
@@ -203,7 +202,7 @@ def _samples_floor(log_universe: float, d: int, k: int,
 
 
 def build_family_mc(g: Graph, k: int, delta: float, seed: int,
-                    budget: Optional[int] = DEFAULT_BUDGET
+                    budget: int = DEFAULT_BUDGET
                     ) -> CoveringFamily:
     """Build a covering family by seeded sampling, a pure function of
     (g, k, delta, seed) and of whether the count below fits ``budget``.
@@ -249,7 +248,7 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
 
 
 def verify_family(g: Graph, k: int, sets: Sequence[VertexSet],
-                  budget: Optional[int] = DEFAULT_BUDGET
+                  budget: int = DEFAULT_BUDGET
                   ) -> tuple[bool, Optional[VertexSet]]:
     """Exact coverage check; returns the first uncovered set on failure.
 
@@ -284,7 +283,7 @@ def verify_family(g: Graph, k: int, sets: Sequence[VertexSet],
 
 
 def greedy_cover(g: Graph, k: int,
-                 budget: Optional[int] = DEFAULT_BUDGET) -> list[VertexSet]:
+                 budget: int = DEFAULT_BUDGET) -> list[VertexSet]:
     """Greedy set cover of the size-<=k independent sets by maximal ones.
 
     Ties go to the lexicographically smallest candidate (by sorted member
@@ -339,7 +338,7 @@ def greedy_cover(g: Graph, k: int,
 
 
 def greedy_family(g: Graph, k: int,
-                  budget: Optional[int] = DEFAULT_BUDGET) -> CoveringFamily:
+                  budget: int = DEFAULT_BUDGET) -> CoveringFamily:
     """greedy_cover as a family document: delta 0, seed 0, t the number
     of sets, and the degeneracy of g, from which the sampler's marking
     probability follows."""
@@ -478,7 +477,7 @@ def dump_family(fam: CoveringFamily) -> str:
 
 # perfbench/tracer.py reads the argument "text" by name.
 def load_family(text: bytes, g: Graph,
-                budget: Optional[int] = DEFAULT_BUDGET) -> CoveringFamily:
+                budget: int = DEFAULT_BUDGET) -> CoveringFamily:
     """family_from_json of ``text``, the bytes of a family file, decoded
     strictly as UTF-8; bytes that do not decode or parse, including
     nesting too deep for the parser, raise GraphError. The bytes are

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 VertexSet = int
 DEFAULT_BUDGET = 10 ** 7  # every command's --budget when none is given
@@ -34,28 +34,25 @@ class BudgetExceededError(RuntimeError):
 
 
 class Budget:
-    """Mutable step counter; None means unlimited. This is the only code
-    that raises BudgetExceededError. ``why`` names the stage the account
-    pays for: a charge that runs it out raises
-    "<why>, over the budget of <limit>", with a ``{}`` in ``why`` standing
-    for the total charged so far. That total is printed here, and only
-    on refusal, because one too large to build may be too large for
-    Python to print too.
+    """Step counter with an int limit. This is the only code that raises
+    BudgetExceededError. ``why`` names the stage the account pays for: a
+    charge that runs it out raises "<why>, over the budget of <limit>",
+    with a ``{}`` in ``why`` standing for the total charged so far. That
+    total is printed here, and only on refusal, because one too large to
+    build may be too large for Python to print too.
 
     Memory and the work that grows with it are charged in 64-bit machine
     words (see ``words``): a stage that builds or walks one n-bit int per
     vertex is charged its rows before it starts, on a budget of its own.
     """
 
-    def __init__(self, limit: Optional[int], why: str):
+    def __init__(self, limit: int, why: str):
         self.limit = limit
         self.left = limit
         self.why = why
 
     def charge(self, cost: int = 1):
         """Take ``cost`` steps."""
-        if self.left is None:
-            return
         self.left -= cost
         if self.left < 0:
             raise BudgetExceededError(
@@ -63,7 +60,7 @@ class Budget:
                 f"over the budget of {self.limit}")
 
 
-def charge_rows(budget: Optional[int], rows: int, n: int, what: str):
+def charge_rows(budget: int, rows: int, n: int, what: str):
     """Charge ``rows`` n-bit ints at words(n) each, on an account of their
     own, for the stage ``what``."""
     Budget(budget, f"{what} takes {rows} rows of {words(n)} words").charge(
@@ -180,7 +177,7 @@ class DegeneracyResult(NamedTuple):
     forward: tuple[VertexSet, ...]
 
 
-def is_c4_free(g: Graph, budget: Optional[int] = None) -> bool:
+def is_c4_free(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff no two distinct vertices share two or more neighbors.
 
     For each u, the rows of u's neighbours w, cut to the vertices after
@@ -205,7 +202,7 @@ def is_c4_free(g: Graph, budget: Optional[int] = None) -> bool:
 
 
 def degeneracy_order(g: Graph,
-                     budget: Optional[int] = None) -> DegeneracyResult:
+                     budget: int = DEFAULT_BUDGET) -> DegeneracyResult:
     """Repeated minimum-degree removal; ties broken by lowest index.
 
     The degeneracy is the maximum over removal steps of the degree of the
@@ -246,7 +243,7 @@ def degeneracy_order(g: Graph,
 
 
 def enumerate_independent_sets(g: Graph, k: int,
-                               budget: Optional[int] = None
+                               budget: int = DEFAULT_BUDGET
                                ) -> Iterator[VertexSet]:
     """Yield every independent set of size 1..k exactly once.
 
@@ -283,12 +280,12 @@ def enumerate_independent_sets(g: Graph, k: int,
 
 
 def count_independent_sets(g: Graph, k: int,
-                           budget: Optional[int] = None) -> int:
+                           budget: int = DEFAULT_BUDGET) -> int:
     return sum(1 for _ in enumerate_independent_sets(g, k, budget))
 
 
 def enumerate_maximal_independent_sets(g: Graph,
-                                       budget: Optional[int] = None
+                                       budget: int = DEFAULT_BUDGET
                                        ) -> Iterator[VertexSet]:
     """Yield every inclusion-maximal independent set exactly once.
 
@@ -331,7 +328,7 @@ def enumerate_maximal_independent_sets(g: Graph,
         r, p, x = r | low, p & nb, x & nb
 
 
-def parse_graph(data: bytes, budget: Optional[int] = None) -> Graph:
+def parse_graph(data: bytes, budget: int = DEFAULT_BUDGET) -> Graph:
     """Parse the canonical edge-list format: the bytes are accepted iff
     they equal write_graph of the graph they describe, encoded.
 

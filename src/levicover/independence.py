@@ -18,10 +18,11 @@ from itertools import accumulate, combinations
 from operator import and_, or_
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .graphs import (Budget, Graph, GraphError, VertexSet, _members_above,
-                     degeneracy_order, enumerate_maximal_independent_sets,
-                     is_c4_free, iter_members, members, sqrt_degeneracy_bound,
-                     vset, words)
+from .graphs import (DEFAULT_BUDGET, Budget, Graph, GraphError, VertexSet,
+                     _members_above, degeneracy_order,
+                     enumerate_maximal_independent_sets, is_c4_free,
+                     iter_members, members, sqrt_degeneracy_bound, vset,
+                     words)
 from .graphs import enumerate_independent_sets  # perfbench/tracer.py wraps it
 from .levi import (LeviIndexing, gen_levi, infer_q, plane_size,
                    require_prime, verify_levi_properties)
@@ -159,8 +160,8 @@ def _sampled_unions(sides: list[list[VertexSet]], samples: int, seed: int
         yield size, union
 
 
-def _verify_expansion(g: Graph, *, samples: int, seed: int,
-                      budget: Optional[int], **_) -> CheckResult:
+def _verify_expansion(g: Graph, *, samples: int, seed: int, budget: int,
+                      **_) -> CheckResult:
     """check_expansion on every set of one or two vertices of one side,
     then on ``samples`` random one-side sets; observed is the number of
     sets that violate it.
@@ -207,24 +208,25 @@ def _verify_expansion(g: Graph, *, samples: int, seed: int,
             float(fixed + samples - violations))
 
 
-def _frame(g: Graph) -> VertexSet:
+def _frame(g: Graph, budget: int) -> VertexSet:
     """The frame {0, 1, q, q+1} when g equals gen_levi(q), the generated
     plane of order q, else the empty set. Those are the affine points
     (0,0), (0,1), (1,0), (1,1); the lines through two of them, x = 0,
     x = 1, y = 0, y = 1, y = x and y = 1 - x, each hold just two. The
     edge counts are compared first, so the plane built is never larger
-    than g, whatever side size the header names."""
+    than g, whatever side size the header names, and it is charged
+    against ``budget`` as gen_levi charges it."""
     try:
         q = infer_q(g)
     except GraphError:
         return 0
-    if g.m != (q + 1) * g.side_p_size or g != gen_levi(q):
+    if g.m != (q + 1) * g.side_p_size or g != gen_levi(q, budget):
         return 0
     ix = LeviIndexing(q)
     return vset(ix.affine_point(x, y) for x in (0, 1) for y in (0, 1))
 
 
-def profile_frontier(g: Graph, budget: Optional[int] = None
+def profile_frontier(g: Graph, budget: int = DEFAULT_BUDGET
                      ) -> tuple[int, ...]:
     """b*(a) for a = 0..|P|: the most lines (L members) of an independent
     set with a points (P members); b*(0) = |L|.
@@ -241,7 +243,7 @@ def profile_frontier(g: Graph, budget: Optional[int] = None
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
     lines = g.n - g.side_p_size
-    frame = _frame(g)
+    frame = _frame(g, budget)
     if frame:
         mu, _ = _fewest_lines_met(g, frame, budget)
         best = [lines - m for m in mu]
@@ -258,7 +260,7 @@ def profile_frontier(g: Graph, budget: Optional[int] = None
     return tuple(accumulate(reversed(best), max))[::-1]
 
 
-def _fewest_lines_met(g: Graph, frame: VertexSet, budget: Optional[int]
+def _fewest_lines_met(g: Graph, frame: VertexSet, budget: int
                       ) -> tuple[list[int], int]:
     """mu(a), the fewest lines that a points meet, for a from 0 to the
     larger of top and |frame|, and the number of nodes visited. The
@@ -344,7 +346,7 @@ def _half(k: int) -> int:
     return k // 2
 
 
-def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
+def count_balanced(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of independent sets with k/2 members on each side.
 
     Any same-side set in a bipartite graph is independent, so the count is
@@ -357,9 +359,8 @@ def count_balanced(g: Graph, k: int, budget: Optional[int] = None) -> int:
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
     l_size = g.n - g.side_p_size
-    if budget is not None:
-        Budget(budget, "the balanced count takes at least {} words").charge(
-            _comb_over(g.side_p_size, half, budget) * words(l_size))
+    Budget(budget, "the balanced count takes at least {} words").charge(
+        _comb_over(g.side_p_size, half, budget) * words(l_size))
     tally = (enumerate(_pair_unions(g, g.side_p)) if half == 2 else Counter(
         reduce(or_, map(g.adj.__getitem__, combo)).bit_count()
         for combo in combinations(range(g.side_p_size), half)).items())
@@ -405,7 +406,7 @@ def max_cover_capacity(frontier: tuple[int, ...], k: int) -> int:
     return max(_capacity(a, b, half) for a, b in enumerate(frontier))
 
 
-def balanced_count_lower_bound(n: int, k: int, budget: Optional[int] = None
+def balanced_count_lower_bound(n: int, k: int, budget: int = DEFAULT_BUDGET
                                ) -> tuple[int, int]:
     """(n/4k)^k, the floor on the number of balanced k-sets, as the pair
     (numerator, denominator) in lowest terms: n and 4k divided by their
@@ -467,7 +468,7 @@ class BoundsReport(NamedTuple):
 
 
 def evaluate_bounds(q: int, k: int, exact: bool = False,
-                    budget: Optional[int] = None) -> BoundsReport:
+                    budget: int = DEFAULT_BUDGET) -> BoundsReport:
     """Evaluate the covering-family bound chain at concrete (q, k).
 
     k is checked first, before any plane is built. With ``exact``, it
@@ -513,8 +514,7 @@ def _at_most(bound, observed) -> CheckResult:
     return bound, observed, observed <= bound, float(bound - observed)
 
 
-def _balanced(g: Graph, *, k: int, budget: Optional[int],
-              **_) -> CheckResult:
+def _balanced(g: Graph, *, k: int, budget: int, **_) -> CheckResult:
     count = count_balanced(g, k, budget=budget)
     num, den = bound = balanced_count_lower_bound(g.n, k, budget)
     expected = balanced_bound_float(g.n, k, bound)
@@ -531,8 +531,7 @@ def _once(memo: dict, key: str, fn: Callable, *args):
     return memo[key]
 
 
-def _levi_props(g: Graph, *, budget: Optional[int], memo: dict,
-                **_) -> CheckResult:
+def _levi_props(g: Graph, *, budget: int, memo: dict, **_) -> CheckResult:
     infer_q(g)  # a graph that fits no plane is refused before the sweep
     return _flag(verify_levi_properties(
         g, _once(memo, "c4free", is_c4_free, g, budget)))
@@ -598,7 +597,7 @@ def select_checks(names: str, **given) -> tuple[list[str], dict]:
 
 
 def run_checks(g: Graph, names: list[str], options: dict,
-               budget: Optional[int]) -> list[CheckResult]:
+               budget: int) -> list[CheckResult]:
     """CHECKS[name](g, **options) for each of ``names`` in turn, as
     select_checks returns them, with one memo: the codegree sweep and the
     profile frontier are each computed and charged once per run."""

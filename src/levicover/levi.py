@@ -12,9 +12,8 @@ points occupy indices 0 .. q^2+q, lines q^2+q+1 .. 2(q^2+q+1)-1.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
-from .graphs import Budget, Graph, GraphError, charge_rows
+from .graphs import DEFAULT_BUDGET, Budget, Graph, GraphError, charge_rows
 
 
 def is_prime(q: int) -> bool:
@@ -94,7 +93,7 @@ class LeviIndexing:
         return self.n - 1
 
 
-def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
+def gen_levi(q: int, budget: int = DEFAULT_BUDGET) -> Graph:
     """Build the incidence graph of the projective plane of prime order q.
 
     An affine point (x, y) lies on the sloped line (a, b) iff
@@ -112,8 +111,11 @@ def gen_levi(q: int, budget: Optional[int] = None) -> Graph:
     The (q+1)(q^2+q+1) edges are charged against ``budget`` first, then,
     on a budget of its own, the n rows of words(n) that it builds, as
     parse_graph charges them: an order too large to build is refused
-    before primality is tested or any memory is taken.
+    before primality is tested or any memory is taken. An order below 2,
+    whose charges would be wrong or a credit, is refused before both.
     """
+    if q < 2:
+        require_prime(q)
     size, n = (q + 1) * plane_size(q), 2 * plane_size(q)
     Budget(budget, f"the plane of order {q} has {{}} edges").charge(size)
     charge_rows(budget, n, n, f"the plane of order {q}")

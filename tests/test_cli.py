@@ -55,6 +55,13 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--q", "4")
         assert code == 2 and "prime" in err
 
+    @pytest.mark.parametrize("q", ["-113", "-1000000000"])
+    def test_negative_order_exits_2_before_any_charge(self, q, capsys):
+        # (q+1)(q^2+q+1) is a credit below -1: no charge comes first
+        code, out, err = run(capsys, "gen", "--q", q)
+        assert (code, out, err) == (2, "", f"error: order must be a prime, "
+                                           f"got {q}\n")
+
     def test_stdout_when_no_outfile(self, capsys):
         code, out, err = run(capsys, "gen", "--q", "2")
         assert code == 0
@@ -537,7 +544,7 @@ def test_plane_certification_builds_no_plane_larger_than_the_graph(
         check, tmp_path, capsys, monkeypatch):
     # the side size of the plane of order 101, and no edges: the plane's
     # 1,050,906 edges must not be built to compare with it
-    def refuse(q, budget=None):
+    def refuse(q, budget):
         raise AssertionError(f"built the plane of order {q}")
     monkeypatch.setattr("levicover.independence.gen_levi", refuse)
     path = tmp_path / "header.g"
@@ -546,6 +553,31 @@ def test_plane_certification_builds_no_plane_larger_than_the_graph(
                          check, "--no-timestamp", "--budget", "1000000")
     assert code == 3 and out == ""
     assert "the complement graph takes 20606 rows of 322 words" in err
+
+
+def least_cli_budget(capsys, *argv):
+    """The least --budget at which the command exits 0, by bisection."""
+    lo, hi = 0, 10 ** 4
+    while lo < hi:
+        mid = (lo + hi) // 2
+        code, _, _ = run(capsys, *argv, "--budget", str(mid))
+        assert code in (0, 3)
+        lo, hi = (lo, mid) if code == 0 else (mid + 1, hi)
+    return lo
+
+
+@pytest.mark.parametrize("q, least", [(2, 21), (3, 52)])
+def test_plane_file_certified_on_the_budget_of_the_built_plane(
+        q, least, tmp_path, capsys):
+    # the frame check builds its plane on the run's budget, so a plane
+    # read with --in needs what --q needs: its (q+1)(q^2+q+1) edges
+    path = tmp_path / "plane.g"
+    path.write_text(write_graph(gen_levi(q)))
+    checks = ["--checks", "product,coverbound", "--no-timestamp"]
+    assert least_cli_budget(capsys, "verify", "--in", str(path),
+                            *checks) == least
+    assert least_cli_budget(capsys, "verify", "--q", str(q),
+                            *checks) == least
 
 
 class TestVerify:

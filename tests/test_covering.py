@@ -19,9 +19,9 @@ from levicover import (GraphError, build_family_mc,
                        verify_family, vset)
 from levicover import covering
 from levicover.covering import sample_independent_set
-from levicover.graphs import BudgetExceededError, words
+from levicover.graphs import DEFAULT_BUDGET, BudgetExceededError, words
 from conftest import (complete_graph, cycle_graph, from_edges,
-                      is_independent, small_graphs)
+                      is_independent, path_graph, small_graphs)
 
 P_MIN_FANO = Fraction(729, 65536)  # (1/4)^2 (3/4)^6 for d=3, k=2
 
@@ -68,7 +68,7 @@ def columns_block(rng, rows, d, forward):
         for w in members(fwd):
             plane &= ~planes[w]
         keep.append(plane)
-    return covering._columns(keep, rows)
+    return covering._columns(keep, rows, DEFAULT_BUDGET)
 
 
 def decoded(rows):
@@ -144,7 +144,7 @@ def oracle_verify(g, k, sets):
     return True, None
 
 
-def column_verify(g, k, sets, budget=None):
+def column_verify(g, k, sets, budget=DEFAULT_BUDGET):
     """The column-index coverage check that verify_family's prefix walk
     replaced: the same checks and charges, then each target's members'
     columns ANDed afresh, over enumerate_independent_sets."""
@@ -287,7 +287,7 @@ def eager_greedy(g, k):
     every round, as greedy_cover did before its gains were lazy."""
     universe = list(enumerate_independent_sets(g, k))
     candidates = sorted(enumerate_maximal_independent_sets(g), key=members)
-    cols = covering._columns(universe, g.n)
+    cols = covering._columns(universe, g.n, DEFAULT_BUDGET)
     uncovered = (1 << len(universe)) - 1
     contained = []
     for c in candidates:
@@ -305,10 +305,6 @@ def eager_greedy(g, k):
         chosen.append(candidates[best])
         uncovered &= ~contained[best]
     return chosen
-
-
-def path_graph(n):
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestBlockSampler:

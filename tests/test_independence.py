@@ -17,7 +17,8 @@ from levicover import (GraphError, balanced_count_lower_bound,
                        max_side_product, members, plane_size,
                        profile_frontier, vset)
 from levicover import independence
-from levicover.graphs import Budget, BudgetExceededError, charge_rows, words
+from levicover.graphs import (DEFAULT_BUDGET, Budget, BudgetExceededError,
+                              charge_rows, words)
 from levicover.independence import check_cover_capacity, check_expansion
 from conftest import (brute_independent_sets, complete_graph, cycle_graph,
                       edgeless_bipartite, from_edges, is_independent,
@@ -62,7 +63,7 @@ class TestEnumeration:
             list(enumerate_independent_sets(fano, 4, budget=14))
 
 
-def recursive_independent_sets(g, k, budget=None):
+def recursive_independent_sets(g, k, budget=DEFAULT_BUDGET):
     """Oracle: the recursive depth-first walk, with the same charges as
     enumerate_independent_sets."""
     if k < 0:
@@ -84,7 +85,7 @@ def recursive_independent_sets(g, k, budget=None):
         yield from extend(0, 0, 0)
 
 
-def recursive_maximal_sets(g, containing=0, budget=None):
+def recursive_maximal_sets(g, containing=0, budget=DEFAULT_BUDGET):
     """Oracle: recursive Bron-Kerbosch with pivoting, started at
     R = ``containing``, with the same charges as
     enumerate_maximal_independent_sets (which starts at R = 0)."""
@@ -135,7 +136,7 @@ class TestIterativeMatchesRecursive:
     @given(small_graphs(), st.integers(-1, 10), st.integers(0, 300))
     def test_same_sets_same_budget(self, g, k, budget):
         # set for set, up to the same budget step or error
-        for limit in (None, budget):
+        for limit in (DEFAULT_BUDGET, budget):
             assert drained(enumerate_independent_sets(g, k, limit)) == \
                 drained(recursive_independent_sets(g, k, limit))
             assert drained(enumerate_maximal_independent_sets(
@@ -144,7 +145,7 @@ class TestIterativeMatchesRecursive:
     @pytest.mark.parametrize("name", ["fano", "plane3"])
     def test_every_budget_on_the_planes(self, name, request):
         g = request.getfixturevalue(name)
-        for budget in [*range(0, 400, 3), None]:
+        for budget in [*range(0, 400, 3), DEFAULT_BUDGET]:
             assert drained(enumerate_independent_sets(g, 2, budget)) == \
                 drained(recursive_independent_sets(g, 2, budget))
             assert drained(enumerate_maximal_independent_sets(
@@ -152,12 +153,14 @@ class TestIterativeMatchesRecursive:
 
     def test_depth_beyond_the_recursion_limit(self):
         # edgeless: the walk reaches all n vertices through n nested
-        # levels, and Bron-Kerbosch takes one vertex per call
+        # levels, and Bron-Kerbosch takes one vertex per call; its calls
+        # scan n, n - 1, ..., 0 rows, over the default budget
         n = sys.getrecursionlimit() + 100
         g = from_edges(n, [])
         walk = enumerate_independent_sets(g, n)
         assert next(islice(walk, n - 1, None)) == g.all_vertices
-        assert list(enumerate_maximal_independent_sets(g)) == \
+        need = words(n) * n * (n + 1) // 2
+        assert list(enumerate_maximal_independent_sets(g, need)) == \
             [g.all_vertices]
 
 
@@ -262,7 +265,7 @@ class TestExpansion:
     def test_negative_samples_rejected(self, fano):
         with pytest.raises(GraphError, match="non-negative"):
             independence._verify_expansion(fano, samples=-5, seed=0,
-                                           budget=None)
+                                           budget=DEFAULT_BUDGET)
 
     @pytest.mark.parametrize("seed", [-1, -7])
     def test_negative_seed_rejected_by_the_check(self, fano, seed,
@@ -273,7 +276,7 @@ class TestExpansion:
         monkeypatch.setattr(random, "Random", no_draws)
         with pytest.raises(GraphError, match="seed must be non-negative"):
             independence.CHECKS["expansion"](fano, samples=200, seed=seed,
-                                             budget=None)
+                                             budget=DEFAULT_BUDGET)
 
     def test_unknown_name_lists_the_checks(self):
         with pytest.raises(GraphError, match="unknown check name: nosuch "
@@ -438,7 +441,7 @@ def bk_starts(monkeypatch):
     runs = []
     orig = independence.enumerate_maximal_independent_sets
 
-    def spy(g, budget=None):
+    def spy(g, budget):
         runs.append(0)
         for s in orig(g, budget):
             runs[-1] += 1
@@ -464,14 +467,14 @@ class TestSymmetryReduction:
                                                monkeypatch):
         g = gen_levi(q)
         reduced = profile_frontier(g)
-        monkeypatch.setattr(independence, "_frame", lambda g: 0)
+        monkeypatch.setattr(independence, "_frame", lambda g, budget: 0)
         assert profile_frontier(g) == reduced
         assert len(bk_starts) == 1
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_frame_frontier_equals_two_point_path(self, q):
         g = gen_levi(q)
-        f = independence._frame(g)
+        f = independence._frame(g, DEFAULT_BUDGET)
         assert f == frame(q) and not f & g.side_l
         # a frame: no line holds three of its four points
         assert all((g.adj[line] & f).bit_count() <= 2
@@ -614,7 +617,7 @@ class TestSymmetryReduction:
     def test_plane5_search_nodes(self):
         # top = 9, and mu(4..9) = 31 - b*(a)
         mu, nodes = independence._fewest_lines_met(gen_levi(5), frame(5),
-                                                   None)
+                                                   DEFAULT_BUDGET)
         assert nodes == 1183
         assert mu[:4] == [0, 6, 11, 15]
         assert mu[4:] == [18, 20, 21, 23, 24, 25]
@@ -749,8 +752,9 @@ class TestBounds:
         g = edgeless_bipartite(n // 2, n - n // 2)
         for count in sorted({low - 1, low, high, high + 1}):
             monkeypatch.setattr(independence, "count_balanced",
-                                lambda g, k, budget=None: count)
-            got = independence.CHECKS["balanced"](g, k=k, budget=None,
+                                lambda g, k, budget: count)
+            got = independence.CHECKS["balanced"](g, k=k,
+                                                  budget=DEFAULT_BUDGET,
                                                   memo={})
             assert got == (float(bound), count, count >= bound,
                            float(count - bound))
@@ -830,11 +834,12 @@ class TestRunChecks:
                                           monkeypatch):
         g = plane3 if graph == "plane3" else SQUARE_ON_FANO_SIDES
         # each check run on its own, with a sweep of its own
-        alone = [independence.CHECKS[name](g, **OPTIONS, budget=None,
-                                           memo={}) for name in names]
+        alone = [independence.CHECKS[name](g, **OPTIONS,
+                                           budget=DEFAULT_BUDGET, memo={})
+                 for name in names]
         sweeps = []
 
-        def counted(g, budget=None):
+        def counted(g, budget):
             sweeps.append(budget)
             return is_c4_free(g, budget)
         monkeypatch.setattr(independence, "is_c4_free", counted)
@@ -851,11 +856,12 @@ class TestRunChecks:
         # the relabelled plane takes the Bron-Kerbosch path
         g = plane3 if graph == "plane3" else relabelled(plane3, 5)
         # each check run on its own, with a frontier of its own
-        alone = [independence.CHECKS[name](g, **OPTIONS, budget=None,
-                                           memo={}) for name in names]
+        alone = [independence.CHECKS[name](g, **OPTIONS,
+                                           budget=DEFAULT_BUDGET, memo={})
+                 for name in names]
         searches = []
 
-        def counted(g, budget=None):
+        def counted(g, budget):
             searches.append(budget)
             return profile_frontier(g, budget)
         monkeypatch.setattr(independence, "profile_frontier", counted)

@@ -31,7 +31,6 @@ import itertools
 import math
 import random
 import re
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -45,7 +44,7 @@ from levicover import (BudgetExceededError, DegeneracyResult, Graph,
                        write_graph)
 from levicover import graphs, independence
 from levicover.covering import _columns
-from levicover.graphs import Budget, _index_of, charge_rows
+from levicover.graphs import DEFAULT_BUDGET, Budget, _index_of, charge_rows
 from levicover.independence import (_pair_unions, _sampled_unions,
                                     _verify_expansion, check_expansion,
                                     count_balanced)
@@ -246,7 +245,7 @@ def round_trip_parse_graph(data: bytes | str) -> Graph:
 
 
 def split_lines_parse_graph(data: bytes | str,
-                            budget: Optional[int] = None) -> Graph:
+                            budget: int = DEFAULT_BUDGET) -> Graph:
     """Oracle: the parser that split the whole text into lines first, then
     charged and checked them; its verdicts and messages are the format's."""
     if isinstance(data, (bytes, bytearray)):
@@ -518,21 +517,21 @@ class TestExpansion:
         g = PLANES[name]
         samples = 300 if g.n < 100 else 60
         assert _verify_expansion(g, samples=samples, seed=seed,
-                                 budget=None) == \
+                                 budget=DEFAULT_BUDGET) == \
             expansion_by_check(g, samples, seed)
 
     @settings(max_examples=60, deadline=None)
     @given(bipartite_graphs(7), st.integers(0, 40), st.integers(0, 2 ** 32))
     def test_random_bipartite(self, g, samples, seed):
         assert _verify_expansion(g, samples=samples, seed=seed,
-                                 budget=None) == \
+                                 budget=DEFAULT_BUDGET) == \
             expansion_by_check(g, samples, seed)
 
     @pytest.mark.parametrize("q,density", [(3, 0.3), (5, 0.15), (7, 0.1)])
     def test_violations_at_plane_size(self, q, density):
         side = q * q + q + 1
         g = seeded_graph(2 * side, density, q, side_p_size=side)
-        got = _verify_expansion(g, samples=200, seed=q, budget=None)
+        got = _verify_expansion(g, samples=200, seed=q, budget=DEFAULT_BUDGET)
         assert got[1] > 0 and not got[2]
         assert got == expansion_by_check(g, 200, q)
 
@@ -618,9 +617,19 @@ class TestBalancedTally:
     def test_plane_of_order_37(self):
         # every two points share one line: C(s, 2) C(s - 2q - 1, 2)
         s = plane_size(37)
-        count = count_balanced(gen_levi(37), 4)
+        # C(1407, 2) pairs of 22 words are over the default budget; CI
+        # passes the same 3 * 10^7
+        count = count_balanced(gen_levi(37), 4, 30_000_000)
         assert count == 876_802_353_966 == \
             math.comb(s, 2) * math.comb(s - 2 * 37 - 1, 2)
+
+    def test_plane_of_order_37_over_the_default_budget(self):
+        # the CLI's --budget default is the library's: C(1407, 2) pairs of
+        # 22 words each are refused before the sweep
+        with pytest.raises(BudgetExceededError, match="^the balanced count "
+                           "takes at least 21760662 words, over the budget "
+                           "of 10000000$"):
+            count_balanced(gen_levi(37), 4)
 
     @settings(max_examples=60, deadline=None)
     @given(perturbed_planes())
@@ -847,13 +856,13 @@ class TestColumns:
         st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=150))))
     def test_random_families(self, case):
         n, sets = case
-        assert _columns(sets, n) == numpy_columns(sets, n)
+        assert _columns(sets, n, DEFAULT_BUDGET) == numpy_columns(sets, n)
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_edge_families(self, n):
         full = (1 << n) - 1
         for sets in ([], [0], [full], [0, full, 0], [full] * 130):
-            assert _columns(sets, n) == numpy_columns(sets, n)
+            assert _columns(sets, n, DEFAULT_BUDGET) == numpy_columns(sets, n)
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_seeded_families(self, n):
@@ -861,4 +870,4 @@ class TestColumns:
         bits = rng.random((1000, n)) < 0.3
         sets = [sum(1 << v for v in np.flatnonzero(row).tolist())
                 for row in bits]
-        assert _columns(sets, n) == numpy_columns(sets, n)
+        assert _columns(sets, n, DEFAULT_BUDGET) == numpy_columns(sets, n)

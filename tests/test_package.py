@@ -99,6 +99,28 @@ def test_star_import_exports_every_name():
         EXPORTS)
 
 
+# The exported functions that charge a budget: each defaults to the
+# --budget of every command, so no library stage runs unbounded.
+BUDGETED = ["balanced_count_lower_bound", "build_family_mc", "count_balanced",
+            "count_independent_sets", "degeneracy_order",
+            "enumerate_independent_sets",
+            "enumerate_maximal_independent_sets", "evaluate_bounds",
+            "gen_levi", "greedy_cover", "is_c4_free", "load_family",
+            "parse_graph", "profile_frontier", "verify_family"]
+
+
+def test_every_budget_defaults_to_the_commands_budget():
+    from levicover.graphs import DEFAULT_BUDGET
+    defaults = {}
+    for name in levicover.__all__:
+        value = getattr(levicover, name)
+        if inspect.isfunction(value):
+            budget = inspect.signature(value).parameters.get("budget")
+            if budget is not None:
+                defaults[name] = budget.default
+    assert defaults == dict.fromkeys(BUDGETED, DEFAULT_BUDGET)
+
+
 @pytest.mark.parametrize("record", sorted(FIELDS))
 def test_record_fields_keep_their_order(record):
     home = {name: home for home, name in NAMES + UNEXPORTED}[record]
