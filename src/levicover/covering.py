@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .graphs import (DEFAULT_BUDGET, Budget, BudgetExceededError,
                      DegeneracyResult, Graph, GraphError, VertexSet,
-                     count_independent_sets, degeneracy_order,
+                     _Names, count_independent_sets, degeneracy_order,
                      enumerate_independent_sets,
                      enumerate_maximal_independent_sets, graph_hash,
                      iter_members, members, words)
@@ -444,14 +444,6 @@ def _pack_sets(sets: list, n: int) -> list[VertexSet]:
             digits[-1 - v] = 49  # "1"
         masks.append(int(digits, 2))
     return masks
-
-
-class _Names(dict):
-    """The decimal text of each vertex, filled in on first use."""
-
-    def __missing__(self, v: int) -> str:
-        text = self[v] = str(v)
-        return text
 
 
 def dump_family(fam: CoveringFamily) -> str:

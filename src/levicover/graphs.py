@@ -161,8 +161,8 @@ class Graph(NamedTuple):
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order. Only the
-        non-empty rows are visited."""
-        for u in compress(range(self.n), self.adj):
+        non-empty rows are visited, of side P alone when it is flagged."""
+        for u in compress(range(self.side_p_size or self.n), self.adj):
             for v in _members_above(self.adj[u], u):
                 yield u, v
 
@@ -180,22 +180,22 @@ class DegeneracyResult(NamedTuple):
 def is_c4_free(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff no two distinct vertices share two or more neighbors.
 
-    For each u, the rows of u's neighbours w, cut to the vertices after
-    u, are ORed into ``seen``: a later vertex shares two neighbours with u
-    exactly when a row names it after an earlier row did. That is
-    O(n + m) operations, and the first C4 found ends the sweep. On a
-    graph flagged bipartite only the vertices of side P are swept: every
-    edge crosses the bipartition, so a C4 has two vertices on each side,
-    and the sweep from the first of its P vertices finds it. Its n rows
-    are charged against ``budget`` first.
+    For each u, the rows of u's neighbours are ORed into ``seen``, which
+    starts as u's bit: a row that meets ``seen`` in another vertex names
+    one that shares two neighbours with u. That is O(n + m) operations,
+    and the first C4 found ends the sweep. On a graph flagged bipartite
+    only the vertices of side P are swept: every edge crosses the
+    bipartition, so a C4 has two vertices on each side, and the sweep
+    from the first of its P vertices finds it. Its n rows are charged
+    against ``budget`` first.
     """
     charge_rows(budget, g.n, g.n, "the codegree sweep")
     adj = g.adj
     for u in range(g.side_p_size or g.n):
-        seen = 0
+        seen = bit = 1 << u
         for w in _members_above(adj[u], -1):
-            row = adj[w] >> (u + 1)
-            if seen & row:
+            row = adj[w]
+            if seen & row != bit:
                 return False
             seen |= row
     return True
@@ -402,15 +402,21 @@ def parse_graph(data: bytes, budget: int = DEFAULT_BUDGET) -> Graph:
     return Graph(n=n, m=m, adj=tuple(adj), side_p_size=side)
 
 
+class _Names(dict):
+    """Each vertex's decimal name, filled in on first use."""
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = str(v)
+        return text
+
+
 def write_graph(g: Graph) -> str:
     """Canonical edge-list text: round-trips bit-exactly through parse.
-    The header "n m side", then each edge "u v", u < v, in ascending
-    order, one per line, each line ended by a newline."""
-    # a table of every name when it is no larger than the text
-    name = (list(map(str, range(g.n))).__getitem__ if g.n <= 2 * g.m
-            else str)
+    The header "n m side", then each edge "u v" of Graph.edges, its
+    vertices named by one _Names table, each line ended by a newline."""
+    name = _Names().__getitem__
     out = [f"{g.n} {g.m} {g.side_p_size}"]
-    for u in compress(range(g.n), g.adj):
+    for u in compress(range(g.side_p_size or g.n), g.adj):
         later = _members_above(g.adj[u], u)
         if later:
             head = name(u) + " "

@@ -352,13 +352,16 @@ def count_balanced(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> int:
     Any same-side set in a bipartite graph is independent, so the count is
     a sum over P-side (k/2)-subsets S of C(#L - |N(S)|, k/2), one per
     distinct |N(S)|: at k = 4 from ``_pair_unions``' tally, else from one
-    OR of rows per subset. C(|P|, k/2) times the words of #L are charged
-    against ``budget`` before either.
+    OR of rows per subset. A k/2 above either side counts 0 at once;
+    otherwise C(|P|, k/2) times the words of #L are charged against
+    ``budget`` before either.
     """
     half = _half(k)
     if g.side_p_size == 0:
         raise GraphError("graph is not flagged bipartite")
     l_size = g.n - g.side_p_size
+    if half > min(g.side_p_size, l_size):
+        return 0
     Budget(budget, "the balanced count takes at least {} words").charge(
         _comb_over(g.side_p_size, half, budget) * words(l_size))
     tally = (enumerate(_pair_unions(g, g.side_p)) if half == 2 else Counter(
@@ -410,13 +413,17 @@ def balanced_count_lower_bound(n: int, k: int, budget: int = DEFAULT_BUDGET
                                ) -> tuple[int, int]:
     """(n/4k)^k, the floor on the number of balanced k-sets, as the pair
     (numerator, denominator) in lowest terms: n and 4k divided by their
-    gcd, each raised to the k-th power. The words of both powers are
-    charged against ``budget`` before either is taken."""
+    gcd, each raised to the k-th power. Before either is taken, the w
+    words of both powers are charged against ``budget``, then, on an
+    account of its own, the 3^ceil(log2 w) word products in which
+    Karatsuba multiplies two w-word ints, the last squaring's cost."""
     common = math.gcd(n, 4 * k)
     num, den = n // common, 4 * k // common
     size = words(k * (num.bit_length() + den.bit_length()))
-    Budget(budget, f"the balanced count lower bound at n={n}, k={k} takes "
-                   "{} words").charge(size)
+    what = f"the balanced count lower bound at n={n}, k={k} takes {{}}"
+    Budget(budget, what + " words").charge(size)
+    Budget(budget, what + " word products to raise").charge(
+        3 ** (size - 1).bit_length())
     return num ** k, den ** k
 
 

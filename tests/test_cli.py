@@ -439,7 +439,10 @@ def test_plane_rows_fit_the_default_budget_up_to_109(q, fits, monkeypatch):
 
 
 # A k whose work is astronomically over the default budget: C(500000,
-# 100000) point subsets, and a t whose exact p_min has millions of bits.
+# 100000) point subsets, a t whose exact p_min has millions of bits, a
+# k/2 above both sides of the Fano plane, whose (n/4k)^k takes more
+# words than the budget, or fits it in words but not in the word
+# products that raising it takes.
 LARGE_K = {
     "balanced": ({"g.txt": "1000000 0 500000\n"},
                  ["verify", "--in", "g.txt", "--checks", "balanced", "--k",
@@ -456,6 +459,20 @@ LARGE_K = {
                              "3000000", "--delta", "0.5", "--seed", "0"],
                             "sampling needs t>=2^9735339 or more samples, "
                             "over the budget of 10000000"),
+    "balanced-10^12": ({}, ["verify", "--q", "2", "--checks", "balanced",
+                            "--k", "1000000000000"],
+                       "the balanced count lower bound at n=14, "
+                       "k=1000000000000 takes 687500000000 words, over the "
+                       "budget of 10000000"),
+    "balanced-raised": ({}, ["verify", "--q", "2", "--checks", "balanced",
+                             "--k", "4000000"],
+                        "the balanced count lower bound at n=14, k=4000000 "
+                        "takes 10460353203 word products to raise, over the "
+                        "budget of 10000000"),
+    "bounds-raised": ({}, ["bounds", "--q", "1000003", "--k", "1000002"],
+                      "the balanced count lower bound at n=2000014000026, "
+                      "k=1000002 takes 3486784401 word products to raise, "
+                      "over the budget of 10000000"),
 }
 
 
@@ -467,7 +484,7 @@ def test_large_k_exits_3_at_once(name, tmp_path, capsys, monkeypatch):
         (tmp_path / path).write_text(text)
     started = time.monotonic()
     code, out, err = run(capsys, *argv)
-    assert code == 3 and out == "" and message in err
+    assert code == 3 and out == "" and err == f"error: {message}\n"
     assert time.monotonic() - started < 2
 
 
@@ -878,6 +895,21 @@ class TestBounds:
         assert ("the balanced count lower bound at " + words
                 + ", over the budget of 10000000") in err
         assert time.monotonic() - started < 5
+
+    def test_balanced_k_above_a_side_counts_0_at_once(self, capsys):
+        # k/2 = 5 * 10^7 is above both sides of 7: no point subset is
+        # made, where itertools.combinations took 400 MB for its indices
+        # before the bound's words were refused
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "verify", "--q", "2", "--checks",
+                                 "balanced", "--k", "100000000",
+                                 "--no-timestamp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and "48437500 words" in err
+        assert peak < 8 << 20
 
     def test_balanced_bound_float_at_the_largest_float(self, capsys):
         # at q=999983, (n/120)^30 is about 4.5e306 and (n/128)^32 about

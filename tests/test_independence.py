@@ -690,6 +690,10 @@ class TestBalancedCounting:
                      for combo in combinations(range(g.side_p_size), half))
         assert count_balanced(g, k) == expect
 
+    def test_half_above_a_side_counts_0_at_once(self):
+        # 10 points and 2 lines: no line subset of 3, so no charge
+        assert count_balanced(edgeless_bipartite(10, 2), 6, budget=0) == 0
+
     @given(st.integers(0, 60), st.integers(0, 60), st.integers(0, 10 ** 6))
     def test_comb_over(self, n, r, cap):
         c = independence._comb_over(n, r, cap)
@@ -734,6 +738,20 @@ class TestBounds:
             pytest.approx(math.sqrt(14) / 128, rel=1e-12)
         assert rep.per_set_capacity_bound == \
             pytest.approx(2 * 14 ** 1.5, rel=1e-12)
+
+    def test_balanced_bound_raising_charged_on_its_own_account(self):
+        # 7^1000 and 2000^1000 take 1000 (3 + 11) bits, 219 words, and
+        # 3^8 word products to raise
+        assert balanced_count_lower_bound(14, 1000, 3 ** 8) == (
+            Fraction(14, 4000) ** 1000).as_integer_ratio()
+        with pytest.raises(BudgetExceededError, match=(
+                "^the balanced count lower bound at n=14, k=1000 takes 6561 "
+                "word products to raise, over the budget of 6560$")):
+            balanced_count_lower_bound(14, 1000, 3 ** 8 - 1)
+        with pytest.raises(BudgetExceededError, match=(
+                "^the balanced count lower bound at n=14, k=1000 takes 219 "
+                "words, over the budget of 218$")):
+            balanced_count_lower_bound(14, 1000, 218)
 
     def test_balanced_bound_is_the_fraction_in_lowest_terms(self):
         for n in range(1, 201):

@@ -31,6 +31,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ def all_rows_edges(g: Graph) -> list[tuple[int, int]]:
     """Oracle: the edges (u, v), u < v, from a walk over every row."""
     return [(u, u + 1 + v) for u in range(g.n)
             for v in iter_members(g.adj[u] >> (u + 1))]
+
+
+def all_rows_text(g: Graph) -> str:
+    """Oracle: the canonical text, its "u v" lines from all_rows_edges."""
+    return "".join([f"{g.n} {g.m} {g.side_p_size}\n",
+                    *(f"{u} {v}\n" for u, v in all_rows_edges(g))])
 
 
 def every_vertex_c4_free(g: Graph) -> bool:
@@ -372,6 +379,34 @@ DENSE = {f"n{n}-p{p}-s{s}": seeded_graph(n, p, s)
                          (60, 0.1, 4), (60, 0.9, 5), (1, 0.5, 6)]}
 
 
+def wide_graph(n: int, flagged: bool) -> Graph:
+    """Three edges on n vertices, each from side P (the first half) to
+    side L; with ``flagged`` the graph is flagged bipartite."""
+    return from_edges(n, [(5, n - 1), (0, n // 2 + 7), (7, n - 2)],
+                      side_p_size=n // 2 if flagged else 0)
+
+
+def with_edge(g: Graph, u: int, v: int, side_p_size: int) -> Graph:
+    """g with the edge (u, v) added and the given side flag."""
+    adj = list(g.adj)
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    return Graph(n=g.n, m=g.m + 1, adj=tuple(adj), side_p_size=side_p_size)
+
+
+def damaged_planes(q: int) -> list[Graph]:
+    """The plane of order q with one edge added, in every way: a missing
+    incidence, flagged bipartite, which closes a C4; and an edge inside
+    a side, unflagged, which closes a triangle through the line (or
+    point) the two vertices share, and no C4."""
+    g = gen_levi(q)
+    s = g.side_p_size
+    return ([with_edge(g, p, line, s) for p in range(s)
+             for line in range(s, g.n) if not g.adj[p] >> line & 1]
+            + [with_edge(g, u, v, 0) for lo in (0, s)
+               for u, v in itertools.combinations(range(lo, lo + s), 2)])
+
+
 def threshold_graph(n: int, seed: int) -> Graph:
     """Each vertex after the first joins every earlier vertex, or none,
     by a fair coin: degrees spread over many classes."""
@@ -413,16 +448,46 @@ class TestEdges:
     @given(random_graphs())
     def test_random_graphs(self, g):
         assert list(g.edges()) == all_rows_edges(g)
+        assert write_graph(g) == all_rows_text(g)
 
     @pytest.mark.parametrize("name", sorted(PLANES) + sorted(DENSE))
     def test_planes_and_seeded_graphs(self, name):
         g = PLANES.get(name) or DENSE[name]
         assert list(g.edges()) == all_rows_edges(g)
+        assert write_graph(g) == all_rows_text(g)
 
     def test_sparse_wide_graph(self):
         g = from_edges(10 ** 5, [(5, 99999), (0, 7), (7, 99998)])
         assert list(g.edges()) == all_rows_edges(g) == [
             (0, 7), (5, 99999), (7, 99998)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(bipartite_graphs))
+    def test_side_p_walk_on_bipartite_graphs(self, g):
+        assert list(g.edges()) == all_rows_edges(g)
+        assert write_graph(g) == all_rows_text(g)
+
+    @pytest.mark.parametrize("flagged", [False, True])
+    @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+    def test_sparse_wide_graphs(self, n, flagged):
+        g = wide_graph(n, flagged)
+        assert list(g.edges()) == all_rows_edges(g) == [
+            (0, n // 2 + 7), (5, n - 1), (7, n - 2)]
+        assert write_graph(g) == all_rows_text(g)
+
+    def test_name_table_holds_only_the_named_vertices(self):
+        # a name for each of the 10^6 vertices would take tens of MB; the
+        # text names six, and the peak is one row read as its n binary
+        # digits
+        g = wide_graph(10 ** 6, True)
+        tracemalloc.start()
+        try:
+            text = write_graph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == all_rows_text(g)
+        assert peak < 2 * g.n
 
 
 class TestCodegree:
@@ -446,6 +511,16 @@ class TestCodegree:
     @given(random_graphs())
     def test_every_vertex_swept_without_a_side_flag(self, g):
         assert is_c4_free(g) == every_vertex_c4_free(g)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_planes_with_one_added_edge(self, q):
+        # every added incidence closes a C4 and no edge inside a side does
+        verdicts = [(is_c4_free(h), pairwise_c4_free(h),
+                     every_vertex_c4_free(h)) for h in damaged_planes(q)]
+        s = plane_size(q)
+        flagged = s * s - (q + 1) * s
+        assert verdicts == [(False,) * 3] * flagged + [(True,) * 3] * (
+            len(verdicts) - flagged)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_plane_plus_one_incidence(self, q):
