@@ -85,9 +85,7 @@ def _utc_timestamp(ns: int) -> str:
     when it is 0, with the offset +00:00. Built from time alone, so no
     command imports datetime."""
     seconds, micro = divmod(ns // 1000, 10 ** 6)
-    t = time.gmtime(seconds)
-    text = (f"{t.tm_year:04d}-{t.tm_mon:02d}-{t.tm_mday:02d}T"
-            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d}")
+    text = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
     return f"{text}.{micro:06d}+00:00" if micro else f"{text}+00:00"
 
 
@@ -221,25 +219,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", help="covering family commands")
     csub = p.add_subparsers(dest="cover_command", required=True)
+    covered = argparse.ArgumentParser(add_help=False, parents=[budgeted])
+    covered.add_argument("--in", dest="infile", required=True)
+    covered.add_argument("--k", type=int, required=True)
 
-    c = csub.add_parser("build", parents=[budgeted])
-    c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--k", type=int, required=True)
+    c = csub.add_parser("build", parents=[covered])
     c.add_argument("--delta", type=float, required=True)
     c.add_argument("--seed", type=_uint, required=True)
     c.add_argument("--out")
     c.set_defaults(func=cmd_cover_build)
 
-    c = csub.add_parser("verify", parents=[budgeted])
-    c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--k", type=int, required=True)
+    c = csub.add_parser("verify", parents=[covered])
     c.add_argument("--family", required=True)
     c.add_argument("--no-timestamp", action="store_true")
     c.set_defaults(func=cmd_cover_verify)
 
-    c = csub.add_parser("greedy", parents=[budgeted])
-    c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--k", type=int, required=True)
+    c = csub.add_parser("greedy", parents=[covered])
     c.add_argument("--out")
     c.set_defaults(func=cmd_cover_greedy)
 

@@ -37,8 +37,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .graphs import (DEFAULT_BUDGET, Budget, BudgetExceededError,
                      DegeneracyResult, Graph, GraphError, VertexSet,
-                     _Names, count_independent_sets, degeneracy_order,
-                     enumerate_independent_sets,
+                     _Names, charge_rows, count_independent_sets,
+                     degeneracy_order, enumerate_independent_sets,
                      enumerate_maximal_independent_sets, graph_hash,
                      iter_members, members, words)
 
@@ -210,15 +210,17 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
     The union-bound universe is the exact count of independent sets of
     size <= k when it is enumerable within the budget, else n^k, which
     can raise t. A sample count t above the budget is refused before any
-    draw, and before the count and the int powers of d and d+1 when a float
-    lower bound on t at n targets (every vertex is a target on its own,
-    so that t is a lower bound too) is already over it; the same float
-    bound at n^k targets is charged before n^k is built. The t samples
-    come from one ``random.Random(seed)``, BLOCK rows at a time (see the
-    module docstring), and duplicates keep their first occurrence: rows
-    are deduplicated as their bytes, and only the distinct ones become
-    ints. A negative seed, which Random would read as its absolute value,
-    is refused.
+    draw, and so are the t rows of words(n) words that the build holds,
+    on their own account; t is refused before the count and the int
+    powers of d and d+1 when a float lower bound on t at n targets (every
+    vertex is a target on its own, so that t is a lower bound too) is
+    already over it; the same float bound at n^k targets is charged
+    before n^k is built. The t samples come from one
+    ``random.Random(seed)``, BLOCK rows at a time (see the module
+    docstring), and duplicates keep their first occurrence: rows are
+    deduplicated as their bytes, and only the distinct ones become ints.
+    A negative seed, which Random would read as its absolute value, is
+    refused.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
@@ -236,6 +238,7 @@ def build_family_mc(g: Graph, k: int, delta: float, seed: int,
         universe = g.n ** k
     t = required_samples(universe, d, k, delta)
     Budget(budget, "sampling needs t={} samples").charge(t)
+    charge_rows(budget, t, g.n, "sampling")
     rng = substream(seed)
     seen: dict[bytes, None] = {}
     for start in range(0, t, BLOCK):

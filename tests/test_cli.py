@@ -20,7 +20,7 @@ from levicover import cli
 from levicover.cli import main
 from levicover.schemas import (BOUNDS_REPORT_SCHEMA, FAMILY_SCHEMA,
                                RUN_REPORT_SCHEMA, SchemaError)
-from conftest import from_edges
+from conftest import cycle_graph, from_edges
 
 
 @pytest.fixture()
@@ -268,6 +268,37 @@ def test_timestamp_is_datetime_isoformat(ns):
     epoch = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
     assert cli._utc_timestamp(ns) == (
         epoch + datetime.timedelta(microseconds=ns // 1000)).isoformat()
+
+
+def test_timestamp_is_datetime_isoformat_at_random_instants():
+    # 10^4 seeded instants from 1000 to 9999, every other one on a whole
+    # second, so that half are written without a fraction
+    import datetime
+    rng = random.Random(0)
+    first = int(datetime.datetime(1000, 1, 1, tzinfo=datetime.timezone.utc)
+                .timestamp())
+    for i in range(10 ** 4):
+        seconds = rng.randrange(first, 253_402_300_800)
+        ns = seconds * 10 ** 9 + (rng.randrange(10 ** 9) if i % 2 else 0)
+        assert cli._utc_timestamp(ns) == datetime.datetime.fromtimestamp(
+            seconds, datetime.timezone.utc).replace(
+                microsecond=ns // 1000 % 10 ** 6).isoformat()
+
+
+@pytest.mark.parametrize("command,usage", [
+    ("build", "[-h] [--budget BUDGET] --in INFILE --k K --delta DELTA "
+              "--seed SEED [--out OUT]"),
+    ("verify", "[-h] [--budget BUDGET] --in INFILE --k K --family FAMILY "
+               "[--no-timestamp]"),
+    ("greedy", "[-h] [--budget BUDGET] --in INFILE --k K [--out OUT]")])
+def test_cover_usage(command, usage, monkeypatch, capsys):
+    # --budget, --in and --k come first, from the parents, in that order
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        f"usage: levicover cover {command} {usage}\n\n")
 
 
 def _extra_key(monkeypatch):
@@ -1159,6 +1190,17 @@ class TestCover:
                            "--out", str(fam), "--budget", "1000")
         assert code == 3 and "t=1020" in err
         assert not fam.exists()
+
+    def test_rows_over_budget_exits_3(self, tmp_path, capsys):
+        # the 1,608 rows of the 65-cycle at 2 words each
+        path = tmp_path / "cycle.g"
+        path.write_text(write_graph(cycle_graph(65)))
+        argv = ("cover", "build", "--in", str(path), "--k", "2",
+                "--delta", "1e-12", "--seed", "0", "--budget")
+        assert run(capsys, *argv, "3215") == (
+            3, "", "error: sampling takes 1608 rows of 2 words, over the "
+                   "budget of 3215\n")
+        assert run(capsys, *argv, "3216")[0] == 0
 
 
 class TestFamilyTrustBoundary:

@@ -657,6 +657,21 @@ class TestBuildFamily:
         with pytest.raises(BudgetExceededError, match="t=1020"):
             build_family_mc(fano, 2, 1e-3, seed=0, budget=1019)
 
+    def test_rows_over_budget(self, monkeypatch):
+        # on the 65-cycle a row is 2 words, so the t = 1,608 rows take
+        # 3,216, more than any other account (1,640 at most), and they
+        # are charged before any draw
+        g = cycle_graph(65)
+        assert build_family_mc(g, 2, 1e-12, seed=0, budget=3216).t == 1608
+
+        def no_draws(*args):
+            raise AssertionError("sampled despite the budget")
+        monkeypatch.setattr(covering, "substream", no_draws)
+        with pytest.raises(BudgetExceededError) as exc:
+            build_family_mc(g, 2, 1e-12, seed=0, budget=3215)
+        assert str(exc.value) == ("sampling takes 1608 rows of 2 words, "
+                                  "over the budget of 3215")
+
 
 class TestVerifyFamily:
     def test_all_maximal_sets_cover(self, fano):
